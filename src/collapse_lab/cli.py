@@ -25,13 +25,7 @@ from . import closed_form as cf
 from . import decoder_variance as dv
 from . import trainer as tr
 from .data import Dataset, center, generate, load, random_spec
-from .errors import (
-    CollapseLabError,
-    DegenerateInput,
-    DomainError,
-    InvalidSpec,
-    ParseError,
-)
+from .errors import CollapseLabError, InvalidSpec, ParseError
 from .spectrum import DataSpectrum, compute_spectrum
 from .verify import run_oracle_suite
 
@@ -204,22 +198,11 @@ def cmd_predict(args) -> int:
     if hp.decvar_mode == "learnable":
         learnable = cl.predict(sp, hp)
         payload["learnable"] = learnable.to_json_dict()
-        payload["learnable"]["beta_breakpoints"] = _clean_rows(
+        payload["learnable"]["beta_breakpoints"] = dv.json_safe(
             dv.beta_breakpoints(sp, hp)
         )
     _emit_json(args, "predict", payload)
     return 0
-
-
-def _clean_rows(rows: list[dict]) -> list[dict]:
-    out = []
-    for row in rows:
-        clean = dict(row)
-        for key, value in clean.items():
-            if isinstance(value, float) and np.isinf(value):
-                clean[key] = None if value > 0 else value
-        out.append(clean)
-    return out
 
 
 def _train_once(src, hp, seed: int, lr: float, max_steps: int):
@@ -240,7 +223,7 @@ def cmd_sweep(args) -> int:
     grid = _beta_grid(args.beta_grid)
     sp = _load_spectrum(args)
     hp = _hyperparams(args, need_beta=False)
-    rows = cl.beta_sweep(sp, hp, grid, workers=4)
+    rows = cl.beta_sweep(sp, hp, grid)
 
     trained = None
     if args.train:
@@ -294,7 +277,6 @@ def cmd_train(args) -> int:
         learning_rate=args.lr,
         max_steps=args.max_steps,
         grad_tol=args.grad_tol,
-        seed=args.seed,
     )
     result = tr.train(init, ds, hp, cfg, trace=bool(args.trace))
     if args.trace:
@@ -344,7 +326,7 @@ def cmd_report(args) -> int:
     payload["collapse"] = cl.predict(sp, replace(hp, decvar_mode="fixed")).to_json_dict()
     if hp.decvar_mode == "learnable":
         payload["collapse_learnable_decvar"] = cl.predict(sp, hp).to_json_dict()
-        payload["beta_breakpoints"] = _clean_rows(dv.beta_breakpoints(sp, hp))
+        payload["beta_breakpoints"] = dv.json_safe(dv.beta_breakpoints(sp, hp))
     _emit_json(args, "report", payload)
     return 0
 
@@ -444,9 +426,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateInput, InvalidSpec, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CollapseLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

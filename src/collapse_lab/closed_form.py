@@ -61,6 +61,14 @@ class Hyperparams:
         """Coefficient beta * eta_dec^2 / eta_enc^2 on the encoder factor."""
         return self.beta * self.eta_dec**2 / self.eta_enc**2
 
+    @property
+    def pinned_sigma(self) -> np.ndarray | None:
+        """Encoder stds held at the prior in fixed-sigma mode; None when
+        they are learnable."""
+        if self.sigma_mode == "learnable":
+            return None
+        return np.full(self.latent_dim, float(self.eta_enc))
+
 
 def _sigma_vector(hp: Hyperparams, sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=np.float64).ravel()
@@ -113,6 +121,70 @@ def reduce_to_factorization(
     )
 
 
+@dataclass(frozen=True)
+class PerMode:
+    """Elementwise closed form of the latent modes; see :func:`per_mode`."""
+
+    alive: np.ndarray
+    decoder: np.ndarray
+    encoder: np.ndarray
+    sigma: np.ndarray
+    fit: np.ndarray
+    kl: np.ndarray
+
+
+def per_mode(zeta, beta: float, s: float, eta_enc: float, sigma=None) -> PerMode:
+    """Optimum of each latent mode at decoder variance ``s``.
+
+    Mode i survives exactly when its signal beats the prior's pull on the
+    mean, ``zeta_i^2 > beta * s * (sigma_i / eta_enc)^2``, which reads
+    ``zeta_i^2 > beta * s`` for the optimal stds (``sigma=None``) and for
+    stds pinned at the prior. Optimal stds tighten to
+    ``sqrt(beta s) eta_enc / zeta_i`` on survivors and keep the prior
+    value elsewhere. Surviving magnitudes split the shrunk signal between
+    decoder and encoder in inverse proportion; collapsed ones are zero.
+    ``fit`` is the mode's least residual of the reduced factorization and
+    ``kl`` its std-only KL term, both scaled by ``2 s``; their sum is
+    :func:`sigma_objective` at the returned std. Broadcasts over every
+    argument.
+    """
+    zeta = np.asarray(zeta, dtype=np.float64)
+    # a mode survives at its optimal std exactly when it survives at the
+    # prior std, which is also where a collapsed mode's optimal std sits
+    tested = eta_enc if sigma is None else np.asarray(sigma, dtype=np.float64)
+    alive = zeta**2 > beta * s * (tested / eta_enc) ** 2
+    root = np.sqrt(beta) * np.sqrt(s)
+    if sigma is None:
+        sigma = np.where(alive, root * eta_enc / np.where(alive, zeta, 1.0), float(eta_enc))
+    else:
+        sigma = tested
+    # rounding can leave a survivor a hair below zero
+    gap = np.maximum(0.0, np.where(alive, zeta - root * sigma / eta_enc, 0.0))
+    ratio = (sigma / eta_enc) ** 2
+    return PerMode(
+        alive=alive,
+        decoder=np.sqrt(root / (sigma * eta_enc) * gap),
+        encoder=np.sqrt(sigma * eta_enc / root * gap),
+        sigma=sigma,
+        fit=zeta**2 - gap**2,
+        kl=beta * s * (ratio - 1.0 - np.log(ratio)),
+    )
+
+
+def _modes(sp: DataSpectrum, hp: Hyperparams, sigma=None) -> PerMode:
+    return per_mode(sp.zeta_padded(hp.latent_dim), hp.beta, hp.decvar, hp.eta_enc, sigma)
+
+
+def _tail_power(sp: DataSpectrum, hp: Hyperparams) -> float:
+    # signal of the modes the latent space has no room for
+    return float(np.sum(sp.singular_values[hp.latent_dim :] ** 2))
+
+
+def _min_loss(sp: DataSpectrum, hp: Hyperparams, modes: PerMode) -> float:
+    value = float(np.sum(modes.fit + modes.kl)) + _tail_power(sp, hp)
+    return value / (2.0 * hp.decvar)
+
+
 def optimal_factors(
     sp: DataSpectrum, hp: Hyperparams, sigma
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,13 +194,8 @@ def optimal_factors(
     eta_dec / eta_enc; the surviving magnitudes split the shrunk signal
     between the two factors in inverse proportion.
     """
-    sigma = _sigma_vector(hp, sigma)
-    zeta = sp.zeta_padded(hp.latent_dim)
-    root_beta_dec = np.sqrt(hp.beta) * hp.eta_dec
-    gap = zeta - root_beta_dec * sigma / hp.eta_enc
-    lam = np.sqrt(np.maximum(0.0, root_beta_dec / (sigma * hp.eta_enc) * gap))
-    theta = np.sqrt(np.maximum(0.0, sigma * hp.eta_enc / root_beta_dec * gap))
-    return lam, theta
+    modes = _modes(sp, hp, _sigma_vector(hp, sigma))
+    return modes.decoder, modes.encoder
 
 
 def prior_sigma_factors(sp: DataSpectrum, hp: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
@@ -146,11 +213,7 @@ def optimal_sigma(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
     zero signal and therefore also return the prior value, which is the
     stationary point of their remaining KL term.
     """
-    zeta = sp.zeta_padded(hp.latent_dim)
-    out = np.full(hp.latent_dim, float(hp.eta_enc))
-    alive = hp.beta * hp.eta_dec**2 < zeta**2
-    out[alive] = np.sqrt(hp.beta) * hp.eta_dec * hp.eta_enc / zeta[alive]
-    return out
+    return _modes(sp, hp).sigma
 
 
 def sigma_objective(hp: Hyperparams, zeta_i: float, sigma) -> np.ndarray | float:
@@ -163,22 +226,15 @@ def sigma_objective(hp: Hyperparams, zeta_i: float, sigma) -> np.ndarray | float
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma <= 0):
         raise ValueError("sigma must be > 0")
-    gap = zeta_i - np.sqrt(hp.beta) * sigma * hp.eta_dec / hp.eta_enc
-    fit = zeta_i**2 - np.where(gap > 0, gap**2, 0.0)
-    ratio = sigma**2 / hp.eta_enc**2
-    kl = hp.beta * hp.eta_dec**2 * (ratio - 1.0 - np.log(ratio))
-    out = fit + kl
+    modes = per_mode(zeta_i, hp.beta, hp.decvar, hp.eta_enc, sigma)
+    out = modes.fit + modes.kl
     return float(out) if out.ndim == 0 else out
 
 
 def min_factorization_value(sp: DataSpectrum, hp: Hyperparams, sigma) -> float:
     """Minimum of the reduced factorization objective at fixed sigma."""
-    sigma = _sigma_vector(hp, sigma)
-    zeta = sp.zeta_padded(hp.latent_dim)
-    gap = zeta - np.sqrt(hp.beta) * sigma * hp.eta_dec / hp.eta_enc
-    head = np.sum(zeta**2 - np.where(gap > 0, gap**2, 0.0))
-    tail = np.sum(sp.singular_values[hp.latent_dim :] ** 2)
-    return float(head + tail)
+    fit = _modes(sp, hp, _sigma_vector(hp, sigma)).fit
+    return float(np.sum(fit)) + _tail_power(sp, hp)
 
 
 def min_loss_value(sp: DataSpectrum, hp: Hyperparams) -> float:
@@ -188,14 +244,7 @@ def min_loss_value(sp: DataSpectrum, hp: Hyperparams) -> float:
     offset :func:`loss_offset`, which vanishes whenever the target is an
     exact linear function of the input.
     """
-    s = hp.decvar
-    zeta_sq = sp.zeta_padded(hp.latent_dim) ** 2
-    total = float(np.sum(sp.singular_values**2))
-    alive = zeta_sq > hp.beta * s
-    z = zeta_sq[alive]
-    ratio = hp.beta * s / z
-    recovered = float(np.sum(z * (1.0 + ratio * (np.log(ratio) - 1.0))))
-    return (total - recovered) / (2.0 * s)
+    return _min_loss(sp, hp, _modes(sp, hp))
 
 
 def loss_offset(sp: DataSpectrum, hp: Hyperparams) -> float:
@@ -286,22 +335,8 @@ def global_minimum(
             "learnable variance first and pass it via eta_dec"
         )
     d1 = hp.latent_dim
-    s = hp.decvar
-    zeta = sp.zeta_padded(d1)
-
-    if hp.sigma_mode == "learnable":
-        shrunk = np.maximum(0.0, zeta**2 - hp.beta * s)
-        alive = shrunk > 0
-        lam = np.sqrt(shrunk) / hp.eta_enc
-        theta = np.zeros(d1)
-        theta[alive] = hp.eta_enc / zeta[alive] * np.sqrt(shrunk[alive])
-        sigma = optimal_sigma(sp, hp)
-        base = min_loss_value(sp, hp)
-    else:
-        lam, theta = prior_sigma_factors(sp, hp)
-        sigma = np.full(d1, float(hp.eta_enc))
-        fact = min_factorization_value(sp, hp, sigma)
-        base = (fact - float(np.sum(sp.singular_values**2))) / (2.0 * s)
+    modes = _modes(sp, hp, hp.pinned_sigma)
+    sigma = modes.sigma
 
     if rotation is None:
         rotation = np.eye(d1)
@@ -314,17 +349,16 @@ def global_minimum(
         # per-column variance after mixing; exact for signed permutations
         sigma = np.sqrt(rotation.T**2 @ sigma**2)
 
-    u = sp.left_vectors @ _rect_diag(sp.dim_y, d1, lam) @ rotation
-    v = sp.right_vectors @ _rect_diag(sp.rank, d1, theta) @ rotation
+    u = sp.left_vectors @ _rect_diag(sp.dim_y, d1, modes.decoder) @ rotation
+    v = sp.right_vectors @ _rect_diag(sp.rank, d1, modes.encoder) @ rotation
     w = (sp.basis / np.sqrt(sp.eigenvalues)) @ v
 
-    flags = zeta**2 <= hp.beta * s
     return GlobalMinimum(
-        decoder_singvals=lam,
-        encoder_singvals=theta,
+        decoder_singvals=modes.decoder,
+        encoder_singvals=modes.encoder,
         sigma=sigma,
         decoder=u,
         encoder=w,
-        predicted_loss=base + loss_offset(sp, hp),
-        collapse_flags=flags,
+        predicted_loss=_min_loss(sp, hp, modes) + loss_offset(sp, hp),
+        collapse_flags=~modes.alive,
     )

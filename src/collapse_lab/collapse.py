@@ -11,13 +11,12 @@ curvature by finite differences as an independent witness.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import decoder_variance as dv
-from .closed_form import Hyperparams, global_minimum, optimal_sigma
+from .closed_form import Hyperparams, global_minimum, per_mode
 from .spectrum import DataSpectrum, effective_counts
 from .trainer import ModelParams, eval_loss
 
@@ -72,6 +71,13 @@ def hessian_origin_test(sp: DataSpectrum, hp: Hyperparams) -> tuple[bool, float]
     return bool(min_quadratic >= 0.0), float(min_quadratic)
 
 
+def _regime(flags: np.ndarray) -> str:
+    # flags of the representable signal modes
+    if not flags.any():
+        return REGIME_NONE
+    return REGIME_COMPLETE if flags.all() else REGIME_PARTIAL
+
+
 def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
     """Collapse flags, thresholds, and regime at the queried beta.
 
@@ -79,30 +85,20 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
     the profile-loss analysis instead of the fixed-variance rule, and the
     classification is attached under ``decvar``.
     """
-    d_star, d_star_hat, d1_hat = effective_counts(sp, hp.latent_dim)
-    zeta_sq = sp.singular_values**2
+    d_star, _, d1_hat = effective_counts(sp, hp.latent_dim)
 
     if hp.decvar_mode == "fixed":
         s = hp.decvar
-        thresholds = zeta_sq / s
-        flags = zeta_sq <= hp.beta * s
-        relevant = flags[:d1_hat]
+        thresholds = sp.singular_values**2 / s
+        flags = ~per_mode(sp.singular_values, hp.beta, s, hp.eta_enc).alive
         sol = None
     else:
         sol = dv.solve_decoder_variance(sp, hp)
-        p = sol.surviving_modes
+        bounds = dv.beta_bounds(sp, hp)
         thresholds = np.zeros(d_star)
-        for i in range(1, d1_hat + 1):
-            thresholds[i - 1] = dv._bound(zeta_sq[:d_star_hat], sp.dim_y, i)
-        flags = np.arange(1, d_star + 1) > p
-        relevant = flags[:d1_hat]
-
-    if relevant.size == 0 or not relevant.any():
-        regime = REGIME_NONE
-    elif relevant.all():
-        regime = REGIME_COMPLETE
-    else:
-        regime = REGIME_PARTIAL
+        thresholds[: bounds.size] = bounds
+        flags = np.arange(1, d_star + 1) > sol.surviving_modes
+    regime = _regime(flags[:d1_hat])
 
     if sol is not None and sol.s_star is not None:
         hp_at_opt = replace(hp, eta_dec=float(np.sqrt(sol.s_star)), decvar_mode="fixed")
@@ -184,42 +180,30 @@ class SweepRow:
     s_star: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "loss": self.loss if np.isfinite(self.loss) else None,
-            "rank": self.rank,
-            "regime": self.regime,
-            "sigma": self.sigma.tolist(),
-            "s_star": self.s_star,
-        }
+        return dv.json_safe(asdict(self))
 
 
 def _sweep_row(sp: DataSpectrum, hp: Hyperparams, beta: float) -> SweepRow:
     hp_b = replace(hp, beta=float(beta))
-    zeta = sp.zeta_padded(hp.latent_dim)
     if hp.decvar_mode == "fixed":
         gm = global_minimum(sp, hp_b)
-        alive = (~gm.collapse_flags) & (zeta > 0)
-        report = predict(sp, hp_b)
         return SweepRow(
             beta=float(beta),
             loss=gm.predicted_loss,
-            rank=int(np.count_nonzero(alive)),
-            regime=report.regime,
+            rank=int(np.count_nonzero(~gm.collapse_flags)),
+            regime=predict(sp, hp_b).regime,
             sigma=np.sort(gm.sigma)[::-1],
         )
     sol = dv.solve_decoder_variance(sp, hp_b)
+    zeta = sp.zeta_padded(hp.latent_dim)
     if sol.s_star is not None:
-        at_opt = replace(hp_b, eta_dec=float(np.sqrt(sol.s_star)), decvar_mode="fixed")
-        sigma = np.sort(optimal_sigma(sp, at_opt))[::-1]
+        sigma = per_mode(zeta, hp_b.beta, sol.s_star, hp.eta_enc).sigma
         offset = (sp.target_power - float(np.sum(sp.singular_values**2))) / (
             2.0 * sol.s_star
         )
         loss = dv.profile_loss(sp, hp_b, sol.s_star) + offset
     elif sol.s_interval is not None:
-        top = sol.s_interval[1]
-        at_top = replace(hp_b, eta_dec=float(np.sqrt(top)), decvar_mode="fixed")
-        sigma = np.sort(optimal_sigma(sp, at_top))[::-1]
+        sigma = per_mode(zeta, hp_b.beta, sol.s_interval[1], hp.eta_enc).sigma
         loss = float("nan")
     else:
         sigma = np.zeros(hp.latent_dim)
@@ -229,26 +213,17 @@ def _sweep_row(sp: DataSpectrum, hp: Hyperparams, beta: float) -> SweepRow:
         loss=loss,
         rank=sol.surviving_modes,
         regime=sol.regime,
-        sigma=sigma,
+        sigma=np.sort(sigma)[::-1],
         s_star=sol.s_star,
     )
 
 
-def beta_sweep(
-    sp: DataSpectrum, hp: Hyperparams, beta_grid, workers: int = 1
-) -> list[SweepRow]:
+def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
     """One analytic row per beta: predicted loss, surviving-mode count,
-    regime, and the per-mode stds sorted descending.
-
-    Rows are independent, so they may be computed in a small worker pool;
-    output order always follows the grid.
-    """
+    regime, and the per-mode stds sorted descending."""
     grid = np.asarray(beta_grid, dtype=np.float64).ravel()
     if grid.size == 0:
         raise ValueError("beta grid is empty")
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("beta grid must be strictly positive and ascending")
-    if workers > 1 and grid.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda b: _sweep_row(sp, hp, b), grid))
     return [_sweep_row(sp, hp, b) for b in grid]

@@ -10,7 +10,8 @@ interval, or not at all (the infimum sits at s -> 0, driving training
 toward an increasingly ill-conditioned model).
 
 Everything here takes the target power to coincide with the spectrum
-power (targets realizable by a linear map). The numeric minimizer
+power (targets realizable by a linear map), and the regime analysis
+takes the encoder stds to be learnable. The numeric minimizer
 :func:`minimize_profile` cross-checks the analytic solution.
 """
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from . import closed_form as cf
 from .closed_form import Hyperparams
 from .errors import DomainError
 from .spectrum import DataSpectrum, effective_counts
@@ -55,37 +56,63 @@ class DecVarSolution:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        finite = lambda v: None if v is None or not np.isfinite(v) else float(v)
-        return {
-            "regime": self.regime,
-            "surviving_modes": self.surviving_modes,
-            "s_star": finite(self.s_star),
-            "s_interval": (
-                [finite(v) for v in self.s_interval] if self.s_interval else None
-            ),
-            "beta_interval": [finite(v) for v in self.beta_interval],
-            "beta": self.beta,
-            "d1": self.d1,
-            "d2": self.d2,
-            "notes": self.notes,
-        }
+        return json_safe(
+            {
+                "regime": self.regime,
+                "surviving_modes": self.surviving_modes,
+                "s_star": self.s_star,
+                "s_interval": self.s_interval,
+                "beta_interval": self.beta_interval,
+                "beta": self.beta,
+                "d1": self.d1,
+                "d2": self.d2,
+                "notes": self.notes,
+            }
+        )
 
 
-def profile_loss(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:
+def json_safe(obj):
+    """Copy of a JSON-bound structure with arrays and tuples as lists and
+    every non-finite float as None."""
+    if isinstance(obj, np.ndarray):
+        return json_safe(obj.tolist())
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(value) for value in obj]
+    return obj
+
+
+def _require_learnable_sigma(hp: Hyperparams) -> None:
+    if hp.sigma_mode != "learnable":
+        raise DomainError(
+            "the learnable decoder variance analysis needs learnable encoder "
+            "stds (sigma_mode 'learnable', --learnable-sigma)"
+        )
+
+
+def _modes_at(sp: DataSpectrum, hp: Hyperparams, s) -> cf.PerMode:
+    # one row of modes per decoder variance in s
+    if not np.all(np.asarray(s) > 0):
+        raise DomainError(f"decoder variance must be > 0, got {s}")
+    zeta = sp.zeta_padded(hp.latent_dim)
+    return cf.per_mode(zeta, hp.beta, np.asarray(s)[..., None], hp.eta_enc, hp.pinned_sigma)
+
+
+def profile_loss(sp: DataSpectrum, hp: Hyperparams, s) -> np.ndarray | float:
     """Loss at decoder variance ``s`` with all other parameters optimal.
 
     Includes the ``(d2/2) log s`` partition term; excludes data constants
-    that do not depend on ``s`` for realizable targets.
+    that do not depend on ``s`` for realizable targets. Vectorized over
+    ``s``.
     """
-    if not s > 0:
-        raise DomainError(f"decoder variance must be > 0, got {s}")
-    beta, d2 = hp.beta, sp.dim_y
-    zeta_sq = sp.zeta_padded(hp.latent_dim) ** 2
-    total = float(np.sum(sp.singular_values**2))
-    alive = zeta_sq > beta * s
-    z = zeta_sq[alive]
-    survivors = float(np.sum(z / s + beta * (np.log(beta * s / z) - 1.0)))
-    return float(0.5 * total / s - 0.5 * survivors + 0.5 * d2 * np.log(s))
+    modes = _modes_at(sp, hp, s)
+    tail = float(np.sum(sp.singular_values[hp.latent_dim :] ** 2))
+    unexplained = np.sum(modes.fit + modes.kl, axis=-1) + tail
+    out = 0.5 * unexplained / s + 0.5 * sp.dim_y * np.log(s)
+    return float(out) if out.ndim == 0 else out
 
 
 def residual_power(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:
@@ -95,18 +122,57 @@ def residual_power(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:
     shrinkage floor ``beta * s``. The stationarity condition of the
     profile loss is ``d2 * s == residual_power(s)``.
     """
-    if not s > 0:
-        raise DomainError(f"decoder variance must be > 0, got {s}")
-    zeta_sq = sp.zeta_padded(hp.latent_dim) ** 2
-    total = float(np.sum(sp.singular_values**2))
-    alive = zeta_sq > hp.beta * s
-    return total - float(np.sum(zeta_sq[alive] - hp.beta * s))
+    modes = _modes_at(sp, hp, s)
+    # mode i explains zeta_i times the learned map's singular value
+    explained = sp.zeta_padded(hp.latent_dim) * modes.decoder * modes.encoder
+    return float(np.sum(sp.singular_values**2)) - float(np.sum(explained))
 
 
-def _bound(zsq: np.ndarray, d2: int, p: int) -> float:
-    # beta at which mode p flips between surviving and collapsed
-    tail = float(np.sum(zsq[p:]))
-    return d2 * float(zsq[p - 1]) / (tail + p * float(zsq[p - 1]))
+def beta_bounds(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
+    """Entry p - 1 is the beta at which signal mode p flips between
+    surviving and collapsed, for each of the modes within ``d1``."""
+    _require_learnable_sigma(hp)
+    _, d_star_hat, d1_hat = effective_counts(sp, hp.latent_dim)
+    zsq = sp.singular_values[:d_star_hat] ** 2
+    # power of the modes below mode p, for p = 1..d1_hat
+    below = np.append(np.cumsum(zsq[::-1])[::-1], 0.0)[1 : d1_hat + 1]
+    return sp.dim_y / (np.arange(1, d1_hat + 1) + below / zsq[:d1_hat])
+
+
+def beta_breakpoints(sp: DataSpectrum, hp: Hyperparams) -> list[dict]:
+    """Full regime table of this spectrum: one row per beta interval,
+    ascending in beta and covering the positive axis."""
+    bounds = beta_bounds(sp, hp).tolist()
+    top = len(bounds)
+
+    def row(regime, p, lo, hi, s_star=None):
+        return {
+            "regime": regime,
+            "surviving_modes": p,
+            "beta_lo": lo,
+            "beta_hi": hi,
+            "s_star": s_star,
+        }
+
+    if top == 0:
+        return [row(REGIME_ILL_POSED, 0, 0.0, np.inf)]
+    if top == sp.effective_rank:
+        # no mode beyond the latent space: below d2 / top nothing bounds s
+        # away from zero, and at d2 / top the minimizers form an interval
+        rows = [
+            row(REGIME_ILL_POSED, top, 0.0, bounds[-1]),
+            row(REGIME_BOUNDARY, top, bounds[-1], bounds[-1]),
+        ]
+    else:
+        rows = [row(REGIME_NO_COLLAPSE, top, 0.0, bounds[-1])]
+    rows += [
+        row(REGIME_PARTIAL, p, bounds[p], bounds[p - 1])
+        for p in range(top - 1, 0, -1)
+        if bounds[p] < bounds[p - 1]
+    ]
+    zsq = sp.singular_values[: sp.effective_rank] ** 2
+    rows.append(row(REGIME_COMPLETE, 0, bounds[0], np.inf, float(np.sum(zsq)) / sp.dim_y))
+    return rows
 
 
 def solve_decoder_variance(sp: DataSpectrum, hp: Hyperparams) -> DecVarSolution:
@@ -114,110 +180,38 @@ def solve_decoder_variance(sp: DataSpectrum, hp: Hyperparams) -> DecVarSolution:
 
     ``hp.eta_dec`` is ignored: the decoder variance is the unknown here.
     """
-    beta, d1, d2 = hp.beta, hp.latent_dim, sp.dim_y
-    _, d_star_hat, d1_hat = effective_counts(sp, d1)
-    zsq = sp.singular_values[:d_star_hat] ** 2
-
-    if d1_hat == 0:
-        return DecVarSolution(
-            regime=REGIME_ILL_POSED,
-            surviving_modes=0,
-            s_star=None,
-            beta_interval=(0.0, np.inf),
-            beta=beta,
-            d1=d1,
-            d2=d2,
-            notes="zero spectrum: profile loss decreases without bound as s -> 0",
-        )
-
-    if d1_hat == d_star_hat:
-        threshold = d2 / d1_hat
-        if beta < threshold:
-            return DecVarSolution(
-                regime=REGIME_ILL_POSED,
-                surviving_modes=d1_hat,
-                s_star=None,
-                beta_interval=(0.0, threshold),
-                beta=beta,
-                d1=d1,
-                d2=d2,
-                notes="no minimizer on (0, inf); training drives s toward 0",
-            )
-        if beta == threshold:
-            top = float(zsq[d1_hat - 1]) / beta
-            return DecVarSolution(
-                regime=REGIME_BOUNDARY,
-                surviving_modes=d1_hat,
-                s_star=None,
-                beta_interval=(threshold, threshold),
-                beta=beta,
-                d1=d1,
-                d2=d2,
-                s_interval=(0.0, top),
-                notes=(
-                    "flat global-minimum set (0, s_top]; at s = s_top the "
-                    "smallest mode sits exactly at its threshold, so the "
-                    "surviving count there reads one lower"
-                ),
-            )
-
-    for p in range(d1_hat, -1, -1):
-        lo = _bound(zsq, d2, p + 1) if p < d1_hat else 0.0
-        hi = _bound(zsq, d2, p) if p >= 1 else np.inf
-        if lo <= beta < hi:
-            s_star = float(np.sum(zsq[p:])) / (d2 - beta * p)
-            if p == d1_hat:
-                regime = REGIME_NO_COLLAPSE
-            elif p == 0:
-                regime = REGIME_COMPLETE
-            else:
-                regime = REGIME_PARTIAL
-            return DecVarSolution(
-                regime=regime,
-                surviving_modes=p,
-                s_star=s_star,
-                beta_interval=(lo, hi),
-                beta=beta,
-                d1=d1,
-                d2=d2,
-            )
-
-    raise AssertionError("beta intervals failed to cover the positive axis")
-
-
-def beta_breakpoints(sp: DataSpectrum, hp: Hyperparams) -> list[dict]:
-    """Full regime table of this spectrum: one row per beta interval."""
-    d1, d2 = hp.latent_dim, sp.dim_y
-    _, d_star_hat, d1_hat = effective_counts(sp, d1)
-    zsq = sp.singular_values[:d_star_hat] ** 2
-    rows: list[dict] = []
-
-    def row(regime, p, lo, hi, s_star=None):
-        rows.append(
-            {
-                "regime": regime,
-                "surviving_modes": p,
-                "beta_lo": lo,
-                "beta_hi": hi,
-                "s_star": s_star,
-            }
-        )
-
-    if d1_hat == 0:
-        row(REGIME_ILL_POSED, 0, 0.0, np.inf)
-        return rows
-    if d1_hat == d_star_hat:
-        threshold = d2 / d1_hat
-        row(REGIME_ILL_POSED, d1_hat, 0.0, threshold)
-        row(REGIME_BOUNDARY, d1_hat, threshold, threshold)
+    beta, d2 = hp.beta, sp.dim_y
+    for r in beta_breakpoints(sp, hp):
+        lo, hi, p = r["beta_lo"], r["beta_hi"], r["surviving_modes"]
+        if lo <= beta < hi or beta == lo == hi:
+            break
     else:
-        row(REGIME_NO_COLLAPSE, d1_hat, 0.0, _bound(zsq, d2, d1_hat))
-    for p in range(d1_hat - 1, 0, -1):
-        lo, hi = _bound(zsq, d2, p + 1), _bound(zsq, d2, p)
-        if lo < hi:
-            row(REGIME_PARTIAL, p, lo, hi)
-    row(REGIME_COMPLETE, 0, _bound(zsq, d2, 1), np.inf, float(np.sum(zsq)) / d2)
-    return rows
+        raise AssertionError("beta intervals failed to cover the positive axis")
+
+    found = dict(
+        regime=r["regime"], surviving_modes=p, beta_interval=(lo, hi), beta=beta,
+        d1=hp.latent_dim, d2=d2,
+    )
+    zsq = sp.singular_values[: sp.effective_rank] ** 2
+    if r["regime"] == REGIME_ILL_POSED:
+        notes = (
+            "zero spectrum: profile loss decreases without bound as s -> 0"
+            if p == 0
+            else "no minimizer on (0, inf); training drives s toward 0"
+        )
+        return DecVarSolution(**found, s_star=None, notes=notes)
+    if r["regime"] == REGIME_BOUNDARY:
+        return DecVarSolution(
+            **found,
+            s_star=None,
+            s_interval=(0.0, float(zsq[p - 1]) / beta),
+            notes=(
+                "flat global-minimum set (0, s_top]; at s = s_top the "
+                "smallest mode sits exactly at its threshold, so the "
+                "surviving count there reads one lower"
+            ),
+        )
+    return DecVarSolution(**found, s_star=float(np.sum(zsq[p:])) / (d2 - beta * p))
 
 
 def minimize_profile(
@@ -244,8 +238,11 @@ def minimize_profile(
     if not (0 < s_lo < s_hi):
         raise DomainError(f"need 0 < s_lo < s_hi, got ({s_lo}, {s_hi})")
 
+    # scipy is a test-only extra: importing it here keeps it off the CLI's path
+    from scipy import optimize
+
     grid = np.geomspace(s_lo, s_hi, grid_points)
-    values = np.array([profile_loss(sp, hp, s) for s in grid])
+    values = profile_loss(sp, hp, grid)
     idx = int(np.argmin(values))
     if idx == 0:
         return float(grid[0])

@@ -138,8 +138,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_steps: int = 10000
     grad_tol: float = 1e-7
-    seed: int = 0
-    expectation_mode: str = "closed_form"
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "gd"):
@@ -424,11 +422,6 @@ def train(
     :func:`init_params`. Deterministic for a fixed seed. Raises
     :class:`DivergenceError` if the loss leaves the float range.
     """
-    if cfg.expectation_mode != "closed_form":
-        raise ValueError(
-            "training uses the closed-form noise expectation; the Monte "
-            "Carlo mode exists only for validating eval_loss"
-        )
     m = _moments(src)
     params = init.copy() if isinstance(init, ModelParams) else init_params(
         m, hp, seed=init

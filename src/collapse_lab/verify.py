@@ -101,7 +101,7 @@ def _draw_instance(rng: np.random.Generator, index: int):
     raise RuntimeError("could not draw an instance away from thresholds")
 
 
-def _polish(init, src, hp, seed: int):
+def _polish(init, src, hp):
     """Adam with a step-down schedule, then line-searched descent.
 
     The first phase's travel budget (lr times steps) must exceed the
@@ -110,19 +110,19 @@ def _polish(init, src, hp, seed: int):
     instance generator can produce with a wide margin.
     """
     stage1 = train(
-        init, src, hp, TrainConfig("adam", 1e-2, max_steps=6000, grad_tol=1e-9, seed=seed)
+        init, src, hp, TrainConfig("adam", 1e-2, max_steps=6000, grad_tol=1e-9)
     )
     stage2 = train(
         stage1.params,
         src,
         hp,
-        TrainConfig("adam", 5e-4, max_steps=4000, grad_tol=1e-9, seed=seed),
+        TrainConfig("adam", 5e-4, max_steps=4000, grad_tol=1e-9),
     )
     result = train(
         stage2.params,
         src,
         hp,
-        TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9, seed=seed),
+        TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9),
     )
     for _ in range(3):
         if result.grad_norm <= 1e-6:
@@ -131,13 +131,13 @@ def _polish(init, src, hp, seed: int):
             result.params,
             src,
             hp,
-            TrainConfig("adam", 1e-4, max_steps=6000, grad_tol=1e-9, seed=seed),
+            TrainConfig("adam", 1e-4, max_steps=6000, grad_tol=1e-9),
         )
         result = train(
             refined.params,
             src,
             hp,
-            TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9, seed=seed),
+            TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9),
         )
     return result
 
@@ -168,7 +168,7 @@ def run_oracle_suite(
         moments = Moments.from_spectrum(sp)
 
         gm = cf.global_minimum(sp, hp_analytic)
-        result = _polish(index, moments, hp, seed=1000 + index)
+        result = _polish(index, moments, hp)
 
         predicted = gm.predicted_loss
         loss_rel = abs(result.final_loss - predicted) / (1.0 + abs(predicted))
@@ -187,7 +187,7 @@ def run_oracle_suite(
             sol = dv.solve_decoder_variance(sp, hp_analytic)
             if sol.s_star is not None:
                 hp_s = replace(hp, decvar_mode="learnable")
-                res_s = _polish(index, moments, hp_s, seed=2000 + index)
+                res_s = _polish(index, moments, hp_s)
                 s_rel = abs(res_s.params.decvar - sol.s_star) / sol.s_star
             else:
                 note = f"decvar regime {sol.regime}: no finite s*, skipped"

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import collapse_lab
 from collapse_lab.cli import main
 from collapse_lab.data import Dataset, generate, random_spec, replace_targets, save
 
@@ -20,6 +25,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_scipy_out():
+    """scipy is a test-only extra; the CLI must start without it."""
+    src = Path(collapse_lab.__file__).resolve().parents[1]
+    probe = "import sys, collapse_lab.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestSpectrumCommand:
@@ -95,7 +112,7 @@ class TestPredictCommand:
     def test_fixed_and_learnable_sections(self, capsys):
         code, out, _ = run(
             capsys, "predict", "--zeta", "5.12,3.74,3.25,2.84,2.57", "--d2", "5",
-            "--d1", "5", "--beta", "1.5", "--learnable-decvar",
+            "--d1", "5", "--beta", "1.5", "--learnable-sigma", "--learnable-decvar",
         )
         assert code == 0
         doc = json.loads(out)
@@ -104,6 +121,24 @@ class TestPredictCommand:
         learnable = doc["learnable"]
         assert learnable["decvar"]["regime"] == "partial_collapse"
         assert learnable["beta_breakpoints"][-1]["regime"] == "complete_collapse"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--beta", "2"),
+            ("sweep", "--beta-grid", "1:2:0.5"),
+            ("report", "--beta", "2"),
+        ],
+    )
+    def test_learnable_decvar_needs_learnable_sigma(self, capsys, argv):
+        """With pinned stds the learnable-variance answer would be wrong
+        (s* = 2.5 printed where fixed-std training reaches 3.125)."""
+        code, out, err = run(
+            capsys, *argv, "--zeta", "3,2,1", "--d2", "4", "--d1", "3",
+            "--learnable-decvar",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--learnable-sigma" in err
 
     def test_zeta_requires_d2(self, capsys):
         code, _, err = run(capsys, "predict", "--zeta", "1.0", "--d1", "1", "--beta", "1")
@@ -136,7 +171,8 @@ class TestSweepCommand:
     def test_published_spectrum_learnable_decvar(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--zeta", "5.12,3.74,3.25,2.84,2.57", "--d2", "5",
-            "--d1", "5", "--beta-grid", "0.25:6.0:0.25", "--learnable-decvar",
+            "--d1", "5", "--beta-grid", "0.25:6.0:0.25", "--learnable-sigma",
+            "--learnable-decvar",
         )
         assert code == 0
         lines = out.strip().splitlines()

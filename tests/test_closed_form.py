@@ -6,7 +6,8 @@ from scipy import optimize
 
 from collapse_lab import closed_form as cf
 from collapse_lab import trainer as tr
-from collapse_lab.spectrum import DataSpectrum
+from collapse_lab.data import center, replace_targets
+from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
 from conftest import make_instance
 
@@ -301,6 +302,25 @@ class TestGlobalMinimum:
                 log_sigma=rng.uniform(-2, 1, size=3),
             )
             assert tr.eval_loss(params, ds, hp) >= gm.predicted_loss - 1e-10
+
+    @pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
+    @pytest.mark.parametrize(
+        "seed, d1, eta_enc, eta_dec", [(43, 3, 1.0, 1.0), (44, 6, 0.7, 1.3)]
+    )
+    def test_predicted_loss_is_loss_at_minimizer(self, sigma_mode, seed, d1, eta_enc, eta_dec):
+        """The closed-form loss equals the exact loss evaluated at the
+        closed-form point, target residual included, in both std modes."""
+        ds, _ = make_instance(seed=seed, dim_x=5, dim_y=4)
+        noise = 0.3 * np.random.default_rng(seed).standard_normal(ds.y.shape)
+        sp = compute_spectrum(center(replace_targets(ds, ds.y + noise))[0])
+        hp = cf.Hyperparams(
+            beta=2.0, latent_dim=d1, eta_enc=eta_enc, eta_dec=eta_dec, sigma_mode=sigma_mode
+        )
+        gm = cf.global_minimum(sp, hp)
+        loss = tr.eval_loss(tr.params_from_minimum(gm, hp), sp, hp)
+        assert sp.target_power > np.sum(sp.singular_values**2)
+        assert np.any(gm.collapse_flags) and not np.all(gm.collapse_flags)
+        assert gm.predicted_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
 
     def test_gradient_vanishes_at_minimum(self):
         ds, sp = make_instance(seed=47, dim_x=5, dim_y=4)

@@ -178,17 +178,6 @@ class TestBetaSweep:
             just_below = cf.optimal_sigma(sp, replace(hp, beta=float(t) * 0.99))
             assert just_below[i] == pytest.approx(0.8 * np.sqrt(0.99))
 
-    def test_parallel_matches_serial(self):
-        _, sp = make_instance(seed=29, dim_y=4)
-        hp = cf.Hyperparams(beta=1.0, latent_dim=3)
-        grid = np.linspace(0.2, 4.0, 12)
-        serial = cl.beta_sweep(sp, hp, grid, workers=1)
-        parallel = cl.beta_sweep(sp, hp, grid, workers=4)
-        for a, b in zip(serial, parallel):
-            assert a.beta == b.beta and a.loss == b.loss and a.rank == b.rank
-            assert a.regime == b.regime
-            np.testing.assert_array_equal(a.sigma, b.sigma)
-
     def test_rejects_bad_grid(self):
         _, sp = make_instance(seed=31)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)

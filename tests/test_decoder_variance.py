@@ -254,3 +254,25 @@ class TestPublishedSpectrum:
         rows = dv.beta_breakpoints(sp, hp)
         partial = [r for r in rows if r["regime"] == dv.REGIME_PARTIAL]
         assert [r["surviving_modes"] for r in partial] == [4, 3, 2, 1]
+
+
+class TestPinnedStds:
+    """Pinned encoder stds change the decoder-variance problem: for
+    zeta = (3, 2, 1), d2 = 4, beta = 2 the learnable-std optimum is
+    s* = 2.5, while training with pinned stds converges to s = 3.125."""
+
+    sp = DataSpectrum.from_singular_values([3.0, 2.0, 1.0], dim_y=4)
+    hp = cf.Hyperparams(beta=2.0, latent_dim=3, sigma_mode="fixed", decvar_mode="learnable")
+
+    def test_regime_analysis_rejects_pinned_stds(self):
+        with pytest.raises(DomainError):
+            dv.solve_decoder_variance(self.sp, self.hp)
+        with pytest.raises(DomainError):
+            dv.beta_breakpoints(self.sp, self.hp)
+        learnable = replace(self.hp, sigma_mode="learnable")
+        assert dv.solve_decoder_variance(self.sp, learnable).s_star == pytest.approx(2.5)
+
+    def test_profile_loss_follows_the_pinned_problem(self):
+        assert dv.minimize_profile(self.sp, self.hp) == pytest.approx(3.125, rel=1e-6)
+        # stationarity: only the top mode survives, explaining 3 * sqrt(2 * 3.125)
+        assert dv.residual_power(self.sp, self.hp, 3.125) == pytest.approx(4 * 3.125)

@@ -245,12 +245,6 @@ class TestTrain:
         assert a.final_loss == b.final_loss
         assert a.params.decoder.tobytes() == b.params.decoder.tobytes()
 
-    def test_monte_carlo_training_rejected(self):
-        ds, sp = make_instance(seed=41)
-        hp = cf.Hyperparams(beta=1.0, latent_dim=2)
-        with pytest.raises(ValueError):
-            tr.train(0, sp, hp, tr.TrainConfig(expectation_mode="monte_carlo"))
-
     def test_rotating_converged_model_keeps_loss(self):
         """With isotropic stds the converged loss is exactly blind to an
         orthogonal remix of the latent columns."""
