@@ -29,6 +29,10 @@ PAPER_SWEEP = [
 ]
 ETAS = ["--eta-enc", "0.7", "--eta-dec", "1.3"]
 BEYOND_RANK = ["--synthetic", "3,4,500,7", "--d1", "5"]
+TRAIN_SHORT = [
+    "train", *SYNTH, "--beta", "2", "--d1", "5", "--learnable-sigma",
+    "--max-steps", "200", "--seed", "3",
+]
 
 CASES = {
     # README examples (sweep printed to stdout instead of --out)
@@ -66,11 +70,12 @@ CASES = {
     "sweep_etas_fixed_sigma": [
         "sweep", *SYNTH, "--d1", "5", "--beta-grid", "0.5:10:0.5", *ETAS,
     ],
-    # a short, fully deterministic training run
-    "train_short": [
-        "train", *SYNTH, "--beta", "2", "--d1", "5", "--learnable-sigma",
-        "--max-steps", "200", "--seed", "3",
-    ],
+    # short, fully deterministic training runs, one per model extension
+    "train_short": [*TRAIN_SHORT],
+    "train_gd": [*TRAIN_SHORT, "--optimizer", "gd", "--lr", "0.05"],
+    "train_bias": [*TRAIN_SHORT, "--bias"],
+    "train_ddv": [*TRAIN_SHORT, "--ddv"],
+    "train_learnable_decvar": [*TRAIN_SHORT, "--learnable-decvar"],
 }
 
 _FLOAT = re.compile(r"-?(?:nan|inf|\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")
