@@ -29,6 +29,8 @@ from .trainer import (
     eval_grad,
     eval_loss,
     train,
+    train_to_minimum,
+    value_and_grad,
 )
 
 __version__ = "0.1.0"
@@ -66,4 +68,6 @@ __all__ = [
     "save",
     "solve_decoder_variance",
     "train",
+    "train_to_minimum",
+    "value_and_grad",
 ]

@@ -205,18 +205,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _train_once(src, hp, seed: int, lr: float, max_steps: int):
-    first = tr.train(
-        seed, src, hp, tr.TrainConfig("adam", lr, max_steps=max_steps, grad_tol=1e-9)
-    )
-    return tr.train(
-        first.params,
-        src,
-        hp,
-        tr.TrainConfig("gd", 0.05, max_steps=2000, grad_tol=1e-9),
-    )
-
-
 def cmd_sweep(args) -> int:
     if not args.beta_grid:
         raise InvalidSpec("--beta-grid is required")
@@ -228,11 +216,10 @@ def cmd_sweep(args) -> int:
     trained = None
     if args.train:
         moments = tr.Moments.from_spectrum(sp)
-        trained = []
-        for row in rows:
-            hp_b = replace(hp, beta=row.beta)
-            result = _train_once(moments, hp_b, seed=args.seed, lr=2e-3, max_steps=4000)
-            trained.append(result)
+        trained = [
+            tr.train_to_minimum(args.seed, moments, replace(hp, beta=row.beta))
+            for row in rows
+        ]
 
     if args.format == "json":
         payload = {"hyperparams": _hp_dict(hp), "rows": []}

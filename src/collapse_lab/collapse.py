@@ -183,33 +183,31 @@ class SweepRow:
         return dv.json_safe(asdict(self))
 
 
-def _sweep_row(sp: DataSpectrum, hp: Hyperparams, beta: float) -> SweepRow:
-    hp_b = replace(hp, beta=float(beta))
-    if hp.decvar_mode == "fixed":
-        gm = global_minimum(sp, hp_b)
-        return SweepRow(
-            beta=float(beta),
-            loss=gm.predicted_loss,
-            rank=int(np.count_nonzero(~gm.collapse_flags)),
-            regime=predict(sp, hp_b).regime,
-            sigma=np.sort(gm.sigma)[::-1],
-        )
-    sol = dv.solve_decoder_variance(sp, hp_b)
-    zeta = sp.zeta_padded(hp.latent_dim)
-    if sol.s_star is not None:
-        sigma = per_mode(zeta, hp_b.beta, sol.s_star, hp.eta_enc).sigma
-        offset = (sp.target_power - float(np.sum(sp.singular_values**2))) / (
-            2.0 * sol.s_star
-        )
-        loss = dv.profile_loss(sp, hp_b, sol.s_star) + offset
-    elif sol.s_interval is not None:
-        sigma = per_mode(zeta, hp_b.beta, sol.s_interval[1], hp.eta_enc).sigma
-        loss = float("nan")
-    else:
+def _fixed_row(sp: DataSpectrum, hp: Hyperparams) -> SweepRow:
+    gm = global_minimum(sp, hp)
+    return SweepRow(
+        beta=hp.beta,
+        loss=gm.predicted_loss,
+        rank=int(np.count_nonzero(~gm.collapse_flags)),
+        regime=predict(sp, hp).regime,
+        sigma=np.sort(gm.sigma)[::-1],
+    )
+
+
+def _learnable_row(sp: DataSpectrum, hp: Hyperparams, sol: dv.DecVarSolution) -> SweepRow:
+    hp_b = replace(hp, beta=sol.beta)
+    # the profile loss is flat on the boundary interval; report its top end
+    s = sol.s_star if sol.s_interval is None else sol.s_interval[1]
+    if s is None:
         sigma = np.zeros(hp.latent_dim)
         loss = float("nan")
+    else:
+        zeta = sp.zeta_padded(hp.latent_dim)
+        sigma = per_mode(zeta, hp_b.beta, s, hp.eta_enc).sigma
+        offset = (sp.target_power - float(np.sum(sp.singular_values**2))) / (2.0 * s)
+        loss = dv.profile_loss(sp, hp_b, s) + offset
     return SweepRow(
-        beta=float(beta),
+        beta=sol.beta,
         loss=loss,
         rank=sol.surviving_modes,
         regime=sol.regime,
@@ -226,4 +224,7 @@ def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
         raise ValueError("beta grid is empty")
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("beta grid must be strictly positive and ascending")
-    return [_sweep_row(sp, hp, b) for b in grid]
+    if hp.decvar_mode == "fixed":
+        return [_fixed_row(sp, replace(hp, beta=b)) for b in grid.tolist()]
+    solutions = dv.solve_beta_grid(sp, hp, grid.tolist())
+    return [_learnable_row(sp, hp, sol) for sol in solutions]

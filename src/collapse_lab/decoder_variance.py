@@ -180,8 +180,21 @@ def solve_decoder_variance(sp: DataSpectrum, hp: Hyperparams) -> DecVarSolution:
 
     ``hp.eta_dec`` is ignored: the decoder variance is the unknown here.
     """
-    beta, d2 = hp.beta, sp.dim_y
-    for r in beta_breakpoints(sp, hp):
+    return solve_beta_grid(sp, hp, [hp.beta])[0]
+
+
+def solve_beta_grid(sp: DataSpectrum, hp: Hyperparams, betas) -> list[DecVarSolution]:
+    """:func:`solve_decoder_variance` at each beta of ``betas`` (``hp.beta``
+    is ignored), with the beta-independent regime table built once."""
+    table = beta_breakpoints(sp, hp)
+    return [_classify(sp, hp, table, beta) for beta in betas]
+
+
+def _classify(
+    sp: DataSpectrum, hp: Hyperparams, table: list[dict], beta: float
+) -> DecVarSolution:
+    d2 = sp.dim_y
+    for r in table:
         lo, hi, p = r["beta_lo"], r["beta_hi"], r["surviving_modes"]
         if lo <= beta < hi or beta == lo == hi:
             break

@@ -236,6 +236,8 @@ def _ddv_std_matrix(p: ModelParams, m: Moments) -> np.ndarray:
 
 
 def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams):
+    """Terms the loss and every gradient block share; the last is the
+    expected reconstruction term ``E||y - decode(z)||^2 / (2 s)``."""
     k = p.decoder @ p.encoder.T
     b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
     b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
@@ -255,34 +257,80 @@ def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams):
         t = None
         s2 = p.sigma**2
     trace_term = float(np.sum(s2 * np.sum(p.decoder**2, axis=0)))
-    return k, b_e, b_d, c, recon, s2, t, trace_term
+    s = p.decvar if p.log_decvar is not None else hp.decvar
+    return k, b_e, c, s2, t, s, (recon + trace_term) / (2.0 * s)
 
 
-def eval_loss(p: ModelParams, src: DataSource, hp: Hyperparams) -> float:
-    """Exact expected loss at ``p`` (noise expectation integrated out)."""
+def value_and_grad(
+    p: ModelParams, src: DataSource, hp: Hyperparams
+) -> tuple[float, ModelParams]:
+    """Exact expected loss at ``p`` (noise expectation integrated out)
+    and its analytic gradient, which has the same structure as ``p``."""
     m = _moments(src)
     _check_shapes(p, m, hp)
-    _, b_e, _, _, recon, s2, t, trace_term = _core_terms(p, m, hp)
-    s = p.decvar if p.log_decvar is not None else hp.decvar
+    k, b_e, c, s2, t, s, fit = _core_terms(p, m, hp)
+    eta2 = hp.eta_enc**2
+    beta = hp.beta
+    r_mean = k @ m.mean_x + c - m.mean_y
+    col_sq = np.sum(p.decoder**2, axis=0)
+
+    if p.ddv:
+        kl = 0.5 * beta * float(
+            np.sum(s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2))
+        )
+        n = m.samples_x.shape[0]
+        coef = col_sq / s + beta / eta2
+        g_log_sigma = np.zeros_like(p.log_sigma)
+        g_slope = coef[:, None] * (t.T @ m.samples_x / n) - beta * (
+            (1.0 / t).T @ m.samples_x / n
+        )
+        g_offset = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
+    else:
+        ratio = s2 / eta2
+        kl = 0.5 * beta * float(np.sum(ratio - 1.0 - np.log(ratio)))
+        g_log_sigma = s2 / s * col_sq + beta * (ratio - 1.0)
+        g_slope = g_offset = None
 
     mean_term = (
         float(np.sum((p.encoder.T @ m.a) * p.encoder.T))
         + 2.0 * float(b_e @ (p.encoder.T @ m.mean_x))
         + float(b_e @ b_e)
     )
-    eta2 = hp.eta_enc**2
-    if p.ddv:
-        kl = 0.5 * hp.beta * float(
-            np.sum(s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2))
-        )
-    else:
-        ratio = s2 / eta2
-        kl = 0.5 * hp.beta * float(np.sum(ratio - 1.0 - np.log(ratio)))
-
-    loss = (recon + trace_term) / (2.0 * s) + 0.5 * hp.beta / eta2 * mean_term + kl
+    loss = fit + 0.5 * beta / eta2 * mean_term + kl
+    g_log_decvar = None
     if p.log_decvar is not None:
         loss += 0.5 * m.dim_y * np.log(s)
-    return float(loss)
+        g_log_decvar = -fit + 0.5 * m.dim_y
+
+    e_r_m = (k @ m.a - m.cross.T) @ p.encoder + np.outer(r_mean, b_e) + np.outer(
+        c, p.encoder.T @ m.mean_x
+    )
+    e_x_r = m.a @ k.T + np.outer(m.mean_x, c) - m.cross
+    grad = ModelParams(
+        decoder=(e_r_m + p.decoder * s2) / s,
+        encoder=e_x_r @ p.decoder / s
+        + beta / eta2 * (m.a @ p.encoder + np.outer(m.mean_x, b_e)),
+        log_sigma=g_log_sigma,
+        var_slope=g_slope,
+        var_offset=g_offset,
+        log_decvar=g_log_decvar,
+    )
+    if p.enc_bias is not None:
+        m_mean = p.encoder.T @ m.mean_x + b_e
+        grad.enc_bias = p.decoder.T @ r_mean / s + beta / eta2 * m_mean
+    if p.dec_bias is not None:
+        grad.dec_bias = r_mean / s
+    return float(loss), grad
+
+
+def eval_loss(p: ModelParams, src: DataSource, hp: Hyperparams) -> float:
+    """Exact expected loss at ``p``; see :func:`value_and_grad`."""
+    return value_and_grad(p, src, hp)[0]
+
+
+def eval_grad(p: ModelParams, src: DataSource, hp: Hyperparams) -> ModelParams:
+    """Analytic gradient at ``p``; see :func:`value_and_grad`."""
+    return value_and_grad(p, src, hp)[1]
 
 
 def eval_loss_monte_carlo(
@@ -301,11 +349,10 @@ def eval_loss_monte_carlo(
     m = Moments.from_dataset(ds)
     _check_shapes(p, m, hp)
     rng = np.random.default_rng(seed)
-    _, b_e, b_d, _, recon, _, t, trace_term = _core_terms(p, m, hp)
-    s = p.decvar if p.log_decvar is not None else hp.decvar
-    deterministic = eval_loss(p, m, hp) - (recon + trace_term) / (2.0 * s)
+    _, _, c, _, t, s, fit = _core_terms(p, m, hp)
+    deterministic = eval_loss(p, m, hp) - fit
 
-    mean_part = ds.x @ p.encoder @ p.decoder.T + (p.decoder @ b_e + b_d) - ds.y
+    mean_part = ds.x @ p.encoder @ p.decoder.T + c - ds.y
     std = t if p.ddv else np.exp(p.log_sigma)[None, :]
     draws = np.empty(n_draws)
     for j in range(n_draws):
@@ -313,66 +360,6 @@ def eval_loss_monte_carlo(
         resid = mean_part + eps @ p.decoder.T
         draws[j] = float(np.mean(np.sum(resid**2, axis=1))) / (2.0 * s)
     return deterministic + float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(n_draws))
-
-
-def eval_grad(p: ModelParams, src: DataSource, hp: Hyperparams) -> ModelParams:
-    """Analytic gradient, same structure as ``p``."""
-    m = _moments(src)
-    _check_shapes(p, m, hp)
-    k, b_e, _, c, recon, s2, t, trace_term = _core_terms(p, m, hp)
-    s = p.decvar if p.log_decvar is not None else hp.decvar
-    eta2 = hp.eta_enc**2
-    beta = hp.beta
-
-    r_mean = k @ m.mean_x + c - m.mean_y
-    m_mean = p.encoder.T @ m.mean_x + b_e
-    col_sq = np.sum(p.decoder**2, axis=0)
-
-    e_r_m = (k @ m.a - m.cross.T) @ p.encoder + np.outer(r_mean, b_e) + np.outer(
-        c, p.encoder.T @ m.mean_x
-    )
-    g_decoder = (e_r_m + p.decoder * s2) / s
-
-    e_x_r = m.a @ k.T + np.outer(m.mean_x, c) - m.cross
-    g_encoder = e_x_r @ p.decoder / s + beta / eta2 * (
-        m.a @ p.encoder + np.outer(m.mean_x, b_e)
-    )
-
-    if p.ddv:
-        g_log_sigma = np.zeros_like(p.log_sigma)
-        n = m.samples_x.shape[0]
-        coef = col_sq / s + beta / eta2
-        g_slope = coef[:, None] * (t.T @ m.samples_x / n) - beta * (
-            (1.0 / t).T @ m.samples_x / n
-        )
-        g_offset = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
-    else:
-        sig_sq = p.sigma**2
-        g_log_sigma = sig_sq / s * col_sq + beta * (sig_sq / eta2 - 1.0)
-        g_slope = None
-        g_offset = None
-
-    g_log_decvar = None
-    if p.log_decvar is not None:
-        g_log_decvar = -(recon + trace_term) / (2.0 * s) + 0.5 * m.dim_y
-
-    g_enc_bias = None
-    g_dec_bias = None
-    if p.enc_bias is not None:
-        g_enc_bias = p.decoder.T @ r_mean / s + beta / eta2 * m_mean
-    if p.dec_bias is not None:
-        g_dec_bias = r_mean / s
-
-    return ModelParams(
-        decoder=g_decoder,
-        encoder=g_encoder,
-        log_sigma=g_log_sigma,
-        enc_bias=g_enc_bias,
-        dec_bias=g_dec_bias,
-        var_slope=g_slope,
-        var_offset=g_offset,
-        log_decvar=g_log_decvar,
-    )
 
 
 def _trainable_fields(p: ModelParams, hp: Hyperparams) -> list[str]:
@@ -429,7 +416,7 @@ def train(
     names = _trainable_fields(params, hp)
     x = _pack(params, names)
 
-    loss = eval_loss(params, m, hp)
+    loss, grad = value_and_grad(params, m, hp)
     if not np.isfinite(loss):
         raise DivergenceError(0)
     loss_trace = [loss] if trace else None
@@ -447,30 +434,30 @@ def train(
     grad_norm = np.inf
     steps = 0
     for step in range(1, cfg.max_steps + 1):
-        grad = _pack(eval_grad(params, m, hp), names)
-        grad_norm = float(np.max(np.abs(grad)))
+        flat_grad = _pack(grad, names)
+        grad_norm = float(np.max(np.abs(flat_grad)))
         if grad_norm <= cfg.grad_tol:
             converged = True
             break
         if cfg.optimizer == "adam":
-            adam_m = beta1 * adam_m + (1 - beta1) * grad
-            adam_v = beta2 * adam_v + (1 - beta2) * grad**2
+            adam_m = beta1 * adam_m + (1 - beta1) * flat_grad
+            adam_v = beta2 * adam_v + (1 - beta2) * flat_grad**2
             m_hat = adam_m / (1 - beta1**step)
             v_hat = adam_v / (1 - beta2**step)
             x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
             _unpack(params, names, x)
-            loss = eval_loss(params, m, hp)
+            loss, grad = value_and_grad(params, m, hp)
         else:
-            # halving-on-increase line search, mild regrowth on success
+            # halving-on-increase line search, mild regrowth on success;
+            # the accepted trial's gradient drives the next step
             trial = min(gd_step * 2.0, cfg.learning_rate * 1e6)
             accepted = False
             for _ in range(80):
-                candidate = x - trial * grad
+                candidate = x - trial * flat_grad
                 _unpack(params, names, candidate)
-                cand_loss = eval_loss(params, m, hp)
+                cand_loss, cand_grad = value_and_grad(params, m, hp)
                 if np.isfinite(cand_loss) and cand_loss <= loss:
-                    x = candidate
-                    loss = cand_loss
+                    x, loss, grad = candidate, cand_loss, cand_grad
                     gd_step = trial
                     accepted = True
                     break
@@ -488,17 +475,40 @@ def train(
             if decvar_trace is not None:
                 decvar_trace.append(params.decvar)
 
-    _unpack(params, names, x)
-    final_loss = eval_loss(params, m, hp)
     return TrainResult(
         params=params,
-        final_loss=float(final_loss),
+        final_loss=loss,
         grad_norm=grad_norm,
         steps=steps,
         converged=converged,
         loss_trace=None if loss_trace is None else np.asarray(loss_trace),
         decvar_trace=None if decvar_trace is None else np.asarray(decvar_trace),
     )
+
+
+def train_to_minimum(
+    init: ModelParams | int, src: DataSource, hp: Hyperparams
+) -> TrainResult:
+    """The oracle's schedule: Adam with a step-down, then line-searched
+    descent, with up to three more Adam/descent rounds while the gradient
+    max-norm stays above 1e-6.
+
+    The first phase's travel budget (lr times steps) must exceed the
+    distance from the small random init to the optimum, which scales with
+    the largest singular value; 1e-2 * 6000 covers everything the
+    ``verify`` instance generator can produce with a wide margin.
+    """
+    adam = lambda lr, steps: TrainConfig("adam", lr, max_steps=steps, grad_tol=1e-9)
+    descent = TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9)
+    stage1 = train(init, src, hp, adam(1e-2, 6000))
+    stage2 = train(stage1.params, src, hp, adam(5e-4, 4000))
+    result = train(stage2.params, src, hp, descent)
+    for _ in range(3):
+        if result.grad_norm <= 1e-6:
+            break
+        refined = train(result.params, src, hp, adam(1e-4, 6000))
+        result = train(refined.params, src, hp, descent)
+    return result
 
 
 def ddv_inequality_check(

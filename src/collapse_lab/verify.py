@@ -19,7 +19,8 @@ from . import closed_form as cf
 from . import decoder_variance as dv
 from .data import center, generate, random_spec
 from .spectrum import DataSpectrum, compute_spectrum
-from .trainer import Moments, TrainConfig, train
+# ``train`` stays bound here: bench/tests reach the trainer through ``verify.train``
+from .trainer import Moments, train, train_to_minimum  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -101,47 +102,6 @@ def _draw_instance(rng: np.random.Generator, index: int):
     raise RuntimeError("could not draw an instance away from thresholds")
 
 
-def _polish(init, src, hp):
-    """Adam with a step-down schedule, then line-searched descent.
-
-    The first phase's travel budget (lr times steps) must exceed the
-    distance from the small random init to the optimum, which scales with
-    the largest singular value; 1e-2 * 6000 covers everything the
-    instance generator can produce with a wide margin.
-    """
-    stage1 = train(
-        init, src, hp, TrainConfig("adam", 1e-2, max_steps=6000, grad_tol=1e-9)
-    )
-    stage2 = train(
-        stage1.params,
-        src,
-        hp,
-        TrainConfig("adam", 5e-4, max_steps=4000, grad_tol=1e-9),
-    )
-    result = train(
-        stage2.params,
-        src,
-        hp,
-        TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9),
-    )
-    for _ in range(3):
-        if result.grad_norm <= 1e-6:
-            break
-        refined = train(
-            result.params,
-            src,
-            hp,
-            TrainConfig("adam", 1e-4, max_steps=6000, grad_tol=1e-9),
-        )
-        result = train(
-            refined.params,
-            src,
-            hp,
-            TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9),
-        )
-    return result
-
-
 def _learned_singvals(result_params, sp: DataSpectrum) -> np.ndarray:
     v = (sp.basis * np.sqrt(sp.eigenvalues)).T @ result_params.encoder
     return np.linalg.svd(result_params.decoder @ v.T, compute_uv=False)
@@ -168,7 +128,7 @@ def run_oracle_suite(
         moments = Moments.from_spectrum(sp)
 
         gm = cf.global_minimum(sp, hp_analytic)
-        result = _polish(index, moments, hp)
+        result = train_to_minimum(index, moments, hp)
 
         predicted = gm.predicted_loss
         loss_rel = abs(result.final_loss - predicted) / (1.0 + abs(predicted))
@@ -187,7 +147,7 @@ def run_oracle_suite(
             sol = dv.solve_decoder_variance(sp, hp_analytic)
             if sol.s_star is not None:
                 hp_s = replace(hp, decvar_mode="learnable")
-                res_s = _polish(index, moments, hp_s)
+                res_s = train_to_minimum(index, moments, hp_s)
                 s_rel = abs(res_s.params.decvar - sol.s_star) / sol.s_star
             else:
                 note = f"decvar regime {sol.regime}: no finite s*, skipped"

@@ -15,7 +15,7 @@ from collapse_lab import decoder_variance as dv
 from collapse_lab import trainer as tr
 from collapse_lab.data import Dataset
 from collapse_lab.spectrum import DataSpectrum
-from collapse_lab.verify import _learned_singvals, _polish, run_oracle_suite
+from collapse_lab.verify import _learned_singvals, run_oracle_suite
 
 from conftest import assert_sinks_below, make_instance, sink_run
 from test_closed_form import argmin_1d
@@ -74,7 +74,7 @@ def test_criterion_2_optimal_sigma():
 
     _, sp = make_instance(seed=15, dim_x=5, dim_y=5, n=800, scale=1.6)
     hp = cf.Hyperparams(beta=2.5, latent_dim=5)
-    result = _polish(0, tr.Moments.from_spectrum(sp), hp)
+    result = tr.train_to_minimum(0, tr.Moments.from_spectrum(sp), hp)
     sigma_err = float(
         np.max(np.abs(np.sort(result.params.sigma) - np.sort(cf.optimal_sigma(sp, hp))))
     )
@@ -93,7 +93,7 @@ def test_criterion_2_optimal_sigma():
 
 def _train_singvals(sp, beta, d1=5, seed=0):
     hp = cf.Hyperparams(beta=beta, latent_dim=d1)
-    result = _polish(seed, tr.Moments.from_spectrum(sp), hp)
+    result = tr.train_to_minimum(seed, tr.Moments.from_spectrum(sp), hp)
     return _learned_singvals(result.params, sp), hp
 
 
@@ -306,7 +306,7 @@ def test_criterion_6_biases():
     ds = Dataset(x=x, y=y)
     hp = cf.Hyperparams(beta=1.0, latent_dim=2)
     init = tr.init_params(ds, hp, seed=1, bias=True)
-    result = _polish(init, ds, hp)
+    result = tr.train_to_minimum(init, ds, hp)
     p = result.params
     trained_err = max(
         float(np.max(np.abs(p.enc_bias + p.encoder.T @ x.mean(axis=0)))),
@@ -342,7 +342,7 @@ def test_criterion_7_data_dependent_variance():
         worst_gap = min(worst_gap, lhs - rhs)
 
     init = tr.init_params(ds, hp, seed=3, ddv=True)
-    result = _polish(init, ds, hp)
+    result = tr.train_to_minimum(init, ds, hp)
     slope_norm = float(np.linalg.norm(result.params.var_slope))
     report(
         7,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from collapse_lab import closed_form as cf
 from collapse_lab import collapse as cl
+from collapse_lab import decoder_variance as dv
 from collapse_lab.data import center, replace_targets
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
@@ -192,10 +193,21 @@ class TestBetaSweep:
         rows = cl.beta_sweep(sp, hp, np.linspace(0.5, 6.0, 12))
         ranks = [r.rank for r in rows]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+        assert dv.REGIME_BOUNDARY in {r.regime for r in rows}
         for row in rows:
-            if row.regime == "ill_posed_zero":
+            hp_b = replace(hp, beta=row.beta)
+            sol = dv.solve_decoder_variance(sp, hp_b)
+            assert (row.regime, row.rank, row.s_star) == (
+                sol.regime, sol.surviving_modes, sol.s_star
+            )
+            if row.regime == dv.REGIME_ILL_POSED:
                 assert row.s_star is None and np.isnan(row.loss)
-            elif row.s_star is not None:
+            elif row.regime == dv.REGIME_BOUNDARY:
+                # the profile loss is flat on the whole minimizer set
+                inside = dv.profile_loss(sp, hp_b, 0.5 * sol.s_interval[1])
+                assert np.isfinite(row.loss)
+                assert row.loss == pytest.approx(inside, rel=1e-12)
+            else:
                 assert row.s_star > 0 and np.isfinite(row.loss)
 
 
