@@ -1,10 +1,11 @@
 """CLI outputs pinned against recorded goldens.
 
-Each case runs ``collapse_lab.cli.main`` in process and compares its
-stdout with ``tests/golden/<name>.out``. Identical bytes pass at once.
-Otherwise both texts are parsed (JSON, or CSV for ``sweep``) and must
-have the same structure and the same non-float tokens, with every float
-within ``1e-12 * max(1, |golden|)`` of the golden one.
+Each case runs ``collapse_lab.cli.main`` in process, expects an empty
+stderr and compares its stdout with ``tests/golden/<name>.out``.
+Identical bytes pass at once. Otherwise both texts are parsed (JSON, or
+CSV for ``sweep``) and must have the same structure and the same
+non-float tokens, with every float within ``1e-12 * max(1, |golden|)``
+of the golden one.
 """
 
 from __future__ import annotations
@@ -64,6 +65,20 @@ CASES = {
     "report_beyond_rank": [
         "report", *BEYOND_RANK, "--beta", "1", "--learnable-sigma", "--learnable-decvar",
     ],
+    # sweeps past the data rank: the none regime, zero-padded modes and,
+    # with a learnable decoder variance, ill-posed rows
+    "sweep_beyond_rank": [
+        "sweep", *BEYOND_RANK, "--learnable-sigma", "--beta-grid", "0.05:4:0.05",
+    ],
+    "sweep_beyond_rank_decvar": [
+        "sweep", *BEYOND_RANK, "--learnable-sigma", "--learnable-decvar",
+        "--beta-grid", "0.05:4:0.05",
+    ],
+    # stds pinned at the prior across all three fixed-variance regimes
+    "sweep_pinned_json": [
+        "sweep", "--synthetic", "8,8,2000,91", "--d1", "3", "--beta-grid", "0.1:12:0.1",
+        "--format", "json",
+    ],
     # non-default prior and decoder scales
     "solve_etas": ["solve", *SYNTH, "--beta", "2", "--d1", "5", "--learnable-sigma", *ETAS],
     "predict_etas": ["predict", *PAPER_ZETA, "--d1", "5", "--beta", "1.5", *ETAS],
@@ -83,9 +98,10 @@ _FLOAT = re.compile(r"-?(?:nan|inf|\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")
 
 def run_case(name: str, capsys) -> str:
     code = main(list(CASES[name]))
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    return out
+    assert captured.err == ""
+    return captured.out
 
 
 def _parse(text: str):
