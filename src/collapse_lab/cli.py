@@ -140,8 +140,10 @@ def _beta_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise InvalidSpec(f"--beta-grid wants lo:hi:step, got {text!r}") from None
-    if step <= 0 or hi < lo:
-        raise InvalidSpec("--beta-grid needs step > 0 and hi >= lo")
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise InvalidSpec(f"--beta-grid parts must be finite, got {text!r}")
+    if lo <= 0 or step <= 0 or hi < lo:
+        raise InvalidSpec("--beta-grid needs lo > 0, step > 0 and hi >= lo")
     n = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(n)
 
@@ -284,6 +286,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise InvalidSpec("--instances must be >= 1")
     report = run_oracle_suite(
         n_instances=args.instances,
         seed=args.seed,

@@ -175,14 +175,17 @@ def _modes(sp: DataSpectrum, hp: Hyperparams, sigma=None) -> PerMode:
     return per_mode(sp.zeta_padded(hp.latent_dim), hp.beta, hp.decvar, hp.eta_enc, sigma)
 
 
-def _tail_power(sp: DataSpectrum, hp: Hyperparams) -> float:
+def _tail_power(sp: DataSpectrum, d1: int) -> float:
     # signal of the modes the latent space has no room for
-    return float(np.sum(sp.singular_values[hp.latent_dim :] ** 2))
+    return float(np.sum(sp.singular_values[d1:] ** 2))
 
 
-def _min_loss(sp: DataSpectrum, hp: Hyperparams, modes: PerMode) -> float:
-    value = float(np.sum(modes.fit + modes.kl)) + _tail_power(sp, hp)
-    return value / (2.0 * hp.decvar)
+def loss_at_optimum(sp: DataSpectrum, modes: PerMode, s):
+    """Loss at the per-mode optimum ``modes``, one row per decoder variance
+    in ``s``, without the partition term of a learnable variance and
+    without :func:`loss_offset`."""
+    tail = _tail_power(sp, modes.fit.shape[-1])
+    return (np.sum(modes.fit + modes.kl, axis=-1) + tail) / (2.0 * s)
 
 
 def optimal_factors(
@@ -234,7 +237,7 @@ def sigma_objective(hp: Hyperparams, zeta_i: float, sigma) -> np.ndarray | float
 def min_factorization_value(sp: DataSpectrum, hp: Hyperparams, sigma) -> float:
     """Minimum of the reduced factorization objective at fixed sigma."""
     fit = _modes(sp, hp, _sigma_vector(hp, sigma)).fit
-    return float(np.sum(fit)) + _tail_power(sp, hp)
+    return float(np.sum(fit)) + _tail_power(sp, hp.latent_dim)
 
 
 def min_loss_value(sp: DataSpectrum, hp: Hyperparams) -> float:
@@ -244,16 +247,17 @@ def min_loss_value(sp: DataSpectrum, hp: Hyperparams) -> float:
     offset :func:`loss_offset`, which vanishes whenever the target is an
     exact linear function of the input.
     """
-    return _min_loss(sp, hp, _modes(sp, hp))
+    return float(loss_at_optimum(sp, _modes(sp, hp), hp.decvar))
 
 
-def loss_offset(sp: DataSpectrum, hp: Hyperparams) -> float:
-    """Target power invisible to any linear predictor, over 2 eta_dec^2.
+def loss_offset(sp: DataSpectrum, s):
+    """Target power invisible to any linear predictor, over ``2 s`` for
+    decoder variance ``s``; broadcasts over ``s``.
 
     Adding this to :func:`min_loss_value` puts the closed form on the
     same scale as the trainer's loss.
     """
-    return (sp.target_power - float(np.sum(sp.singular_values**2))) / (2.0 * hp.decvar)
+    return (sp.target_power - float(np.sum(sp.singular_values**2))) / (2.0 * s)
 
 
 @dataclass(frozen=True)
@@ -334,7 +338,7 @@ def global_minimum(
             "global_minimum needs a fixed decoder variance; resolve the "
             "learnable variance first and pass it via eta_dec"
         )
-    d1 = hp.latent_dim
+    d1, s = hp.latent_dim, hp.decvar
     modes = _modes(sp, hp, hp.pinned_sigma)
     sigma = modes.sigma
 
@@ -359,6 +363,6 @@ def global_minimum(
         sigma=sigma,
         decoder=u,
         encoder=w,
-        predicted_loss=_min_loss(sp, hp, modes) + loss_offset(sp, hp),
+        predicted_loss=float(loss_at_optimum(sp, modes, s) + loss_offset(sp, s)),
         collapse_flags=~modes.alive,
     )

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import decoder_variance as dv
-from .closed_form import Hyperparams, global_minimum, per_mode
+from .closed_form import Hyperparams, loss_at_optimum, loss_offset, per_mode
 from .spectrum import DataSpectrum, effective_counts
 from .trainer import ModelParams, eval_loss
 
@@ -65,17 +65,15 @@ def hessian_origin_test(sp: DataSpectrum, hp: Hyperparams) -> tuple[bool, float]
     is non-negative exactly when the origin is the global minimum.
     """
     zeta_max = float(sp.singular_values[0]) if sp.n_modes else 0.0
-    sig_sq = hp.eta_enc**2
-    b = hp.beta * hp.eta_dec**2 / hp.eta_enc**2
+    sig_sq, b = hp.eta_enc**2, hp.ridge
     min_quadratic = sig_sq + b - np.sqrt((sig_sq - b) ** 2 + 4.0 * zeta_max**2)
     return bool(min_quadratic >= 0.0), float(min_quadratic)
 
 
-def _regime(flags: np.ndarray) -> str:
-    # flags of the representable signal modes
-    if not flags.any():
-        return REGIME_NONE
-    return REGIME_COMPLETE if flags.all() else REGIME_PARTIAL
+def _regime(flags: np.ndarray) -> np.ndarray:
+    # flags of the representable signal modes along the last axis
+    partial = np.where(flags.all(axis=-1), REGIME_COMPLETE, REGIME_PARTIAL)
+    return np.where(flags.any(axis=-1), partial, REGIME_NONE)
 
 
 def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
@@ -87,29 +85,25 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
     """
     d_star, _, d1_hat = effective_counts(sp, hp.latent_dim)
 
+    sol = None
     if hp.decvar_mode == "fixed":
-        s = hp.decvar
-        thresholds = sp.singular_values**2 / s
-        flags = ~per_mode(sp.singular_values, hp.beta, s, hp.eta_enc).alive
-        sol = None
+        thresholds = sp.singular_values**2 / hp.decvar
+        flags = ~per_mode(sp.singular_values, hp.beta, hp.decvar, hp.eta_enc).alive
     else:
         sol = dv.solve_decoder_variance(sp, hp)
         bounds = dv.beta_bounds(sp, hp)
         thresholds = np.zeros(d_star)
         thresholds[: bounds.size] = bounds
         flags = np.arange(1, d_star + 1) > sol.surviving_modes
-    regime = _regime(flags[:d1_hat])
-
     if sol is not None and sol.s_star is not None:
-        hp_at_opt = replace(hp, eta_dec=float(np.sqrt(sol.s_star)), decvar_mode="fixed")
-        psd, min_q = hessian_origin_test(sp, hp_at_opt)
-    else:
-        psd, min_q = hessian_origin_test(sp, hp)
+        # curvature at the origin for the optimal decoder variance
+        hp = replace(hp, eta_dec=float(np.sqrt(sol.s_star)), decvar_mode="fixed")
+    psd, min_q = hessian_origin_test(sp, hp)
 
     return CollapseReport(
         mode_thresholds=thresholds,
         collapse_flags=flags,
-        regime=regime,
+        regime=str(_regime(flags[:d1_hat])),
         hessian_psd=psd,
         min_hessian_quadratic=min_q,
         decvar=sol,
@@ -183,48 +177,48 @@ class SweepRow:
         return dv.json_safe(asdict(self))
 
 
-def _fixed_row(sp: DataSpectrum, hp: Hyperparams) -> SweepRow:
-    gm = global_minimum(sp, hp)
-    return SweepRow(
-        beta=hp.beta,
-        loss=gm.predicted_loss,
-        rank=int(np.count_nonzero(~gm.collapse_flags)),
-        regime=predict(sp, hp).regime,
-        sigma=np.sort(gm.sigma)[::-1],
-    )
-
-
-def _learnable_row(sp: DataSpectrum, hp: Hyperparams, sol: dv.DecVarSolution) -> SweepRow:
-    hp_b = replace(hp, beta=sol.beta)
-    # the profile loss is flat on the boundary interval; report its top end
-    s = sol.s_star if sol.s_interval is None else sol.s_interval[1]
-    if s is None:
-        sigma = np.zeros(hp.latent_dim)
-        loss = float("nan")
-    else:
-        zeta = sp.zeta_padded(hp.latent_dim)
-        sigma = per_mode(zeta, hp_b.beta, s, hp.eta_enc).sigma
-        offset = (sp.target_power - float(np.sum(sp.singular_values**2))) / (2.0 * s)
-        loss = dv.profile_loss(sp, hp_b, s) + offset
-    return SweepRow(
-        beta=sol.beta,
-        loss=loss,
-        rank=sol.surviving_modes,
-        regime=sol.regime,
-        sigma=np.sort(sigma)[::-1],
-        s_star=sol.s_star,
-    )
-
-
 def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
     """One analytic row per beta: predicted loss, surviving-mode count,
-    regime, and the per-mode stds sorted descending."""
+    regime, and the per-mode stds sorted descending, all from one
+    :func:`per_mode` pass over the grid. Ill-posed rows of a learnable
+    decoder variance have no optimum: nan loss and zero stds."""
     grid = np.asarray(beta_grid, dtype=np.float64).ravel()
     if grid.size == 0:
         raise ValueError("beta grid is empty")
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("beta grid must be strictly positive and ascending")
+    d1 = hp.latent_dim
     if hp.decvar_mode == "fixed":
-        return [_fixed_row(sp, replace(hp, beta=b)) for b in grid.tolist()]
-    solutions = dv.solve_beta_grid(sp, hp, grid.tolist())
-    return [_learnable_row(sp, hp, sol) for sol in solutions]
+        s = np.full(grid.size, hp.decvar)
+    else:
+        solutions = dv.solve_beta_grid(sp, hp, grid.tolist())
+        # the profile loss is flat on the boundary interval: take its top
+        # end; an ill-posed row's missing s_star turns into nan
+        s = np.array(
+            [sol.s_interval[1] if sol.s_interval else sol.s_star for sol in solutions],
+            dtype=np.float64,
+        )
+    ok = ~np.isnan(s)
+    zeta = sp.zeta_padded(d1)
+    modes = per_mode(zeta, grid[ok, None], s[ok, None], hp.eta_enc, hp.pinned_sigma)
+    loss = np.full(grid.size, np.nan)
+    loss[ok] = loss_at_optimum(sp, modes, s[ok])
+    if hp.decvar_mode == "learnable":
+        loss[ok] += 0.5 * sp.dim_y * np.log(s[ok])
+    loss[ok] += loss_offset(sp, s[ok])
+    sigma = np.zeros((grid.size, d1))
+    sigma[ok] = np.sort(modes.sigma, axis=-1)[..., ::-1]
+
+    if hp.decvar_mode == "fixed":
+        _, _, d1_hat = effective_counts(sp, d1)
+        ranks = np.count_nonzero(modes.alive, axis=-1).tolist()
+        regimes = _regime(~modes.alive[:, :d1_hat]).tolist()
+        s_stars = [None] * grid.size
+    else:
+        ranks = [sol.surviving_modes for sol in solutions]
+        regimes = [sol.regime for sol in solutions]
+        s_stars = [sol.s_star for sol in solutions]
+    return [
+        SweepRow(*row)
+        for row in zip(grid.tolist(), loss.tolist(), ranks, regimes, sigma, s_stars)
+    ]

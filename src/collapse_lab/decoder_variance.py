@@ -108,10 +108,8 @@ def profile_loss(sp: DataSpectrum, hp: Hyperparams, s) -> np.ndarray | float:
     that do not depend on ``s`` for realizable targets. Vectorized over
     ``s``.
     """
-    modes = _modes_at(sp, hp, s)
-    tail = float(np.sum(sp.singular_values[hp.latent_dim :] ** 2))
-    unexplained = np.sum(modes.fit + modes.kl, axis=-1) + tail
-    out = 0.5 * unexplained / s + 0.5 * sp.dim_y * np.log(s)
+    s = np.asarray(s, dtype=np.float64)
+    out = cf.loss_at_optimum(sp, _modes_at(sp, hp, s), s) + 0.5 * sp.dim_y * np.log(s)
     return float(out) if out.ndim == 0 else out
 
 

@@ -261,23 +261,42 @@ def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams):
     return k, b_e, c, s2, t, s, (recon + trace_term) / (2.0 * s)
 
 
+def _loss(p: ModelParams, m: Moments, hp: Hyperparams):
+    """Exact expected loss at ``p`` and the :func:`_core_terms` it was
+    built from, which :func:`value_and_grad` reuses for the gradient."""
+    _check_shapes(p, m, hp)
+    core = _core_terms(p, m, hp)
+    _, b_e, _, s2, t, s, fit = core
+    eta2 = hp.eta_enc**2
+    if p.ddv:
+        kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
+    else:
+        ratio = s2 / eta2
+        kl_terms = ratio - 1.0 - np.log(ratio)
+    mean_term = (
+        float(np.sum((p.encoder.T @ m.a) * p.encoder.T))
+        + 2.0 * float(b_e @ (p.encoder.T @ m.mean_x))
+        + float(b_e @ b_e)
+    )
+    loss = fit + 0.5 * hp.beta / eta2 * mean_term + 0.5 * hp.beta * float(np.sum(kl_terms))
+    if p.log_decvar is not None:
+        loss += 0.5 * m.dim_y * np.log(s)
+    return float(loss), core
+
+
 def value_and_grad(
     p: ModelParams, src: DataSource, hp: Hyperparams
 ) -> tuple[float, ModelParams]:
     """Exact expected loss at ``p`` (noise expectation integrated out)
     and its analytic gradient, which has the same structure as ``p``."""
     m = _moments(src)
-    _check_shapes(p, m, hp)
-    k, b_e, c, s2, t, s, fit = _core_terms(p, m, hp)
+    loss, (k, b_e, c, s2, t, s, fit) = _loss(p, m, hp)
     eta2 = hp.eta_enc**2
     beta = hp.beta
     r_mean = k @ m.mean_x + c - m.mean_y
     col_sq = np.sum(p.decoder**2, axis=0)
 
     if p.ddv:
-        kl = 0.5 * beta * float(
-            np.sum(s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2))
-        )
         n = m.samples_x.shape[0]
         coef = col_sq / s + beta / eta2
         g_log_sigma = np.zeros_like(p.log_sigma)
@@ -286,21 +305,10 @@ def value_and_grad(
         )
         g_offset = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
     else:
-        ratio = s2 / eta2
-        kl = 0.5 * beta * float(np.sum(ratio - 1.0 - np.log(ratio)))
-        g_log_sigma = s2 / s * col_sq + beta * (ratio - 1.0)
+        g_log_sigma = s2 / s * col_sq + beta * (s2 / eta2 - 1.0)
         g_slope = g_offset = None
 
-    mean_term = (
-        float(np.sum((p.encoder.T @ m.a) * p.encoder.T))
-        + 2.0 * float(b_e @ (p.encoder.T @ m.mean_x))
-        + float(b_e @ b_e)
-    )
-    loss = fit + 0.5 * beta / eta2 * mean_term + kl
-    g_log_decvar = None
-    if p.log_decvar is not None:
-        loss += 0.5 * m.dim_y * np.log(s)
-        g_log_decvar = -fit + 0.5 * m.dim_y
+    g_log_decvar = None if p.log_decvar is None else -fit + 0.5 * m.dim_y
 
     e_r_m = (k @ m.a - m.cross.T) @ p.encoder + np.outer(r_mean, b_e) + np.outer(
         c, p.encoder.T @ m.mean_x
@@ -320,12 +328,12 @@ def value_and_grad(
         grad.enc_bias = p.decoder.T @ r_mean / s + beta / eta2 * m_mean
     if p.dec_bias is not None:
         grad.dec_bias = r_mean / s
-    return float(loss), grad
+    return loss, grad
 
 
 def eval_loss(p: ModelParams, src: DataSource, hp: Hyperparams) -> float:
     """Exact expected loss at ``p``; see :func:`value_and_grad`."""
-    return value_and_grad(p, src, hp)[0]
+    return _loss(p, _moments(src), hp)[0]
 
 
 def eval_grad(p: ModelParams, src: DataSource, hp: Hyperparams) -> ModelParams:
@@ -346,11 +354,9 @@ def eval_loss_monte_carlo(
     passes; only the reconstruction expectation is sampled, every other
     term is analytic. Exists to validate the closed-form reduction.
     """
-    m = Moments.from_dataset(ds)
-    _check_shapes(p, m, hp)
+    loss, (_, _, c, _, t, s, fit) = _loss(p, Moments.from_dataset(ds), hp)
+    deterministic = loss - fit
     rng = np.random.default_rng(seed)
-    _, _, c, _, t, s, fit = _core_terms(p, m, hp)
-    deterministic = eval_loss(p, m, hp) - fit
 
     mean_part = ds.x @ p.encoder @ p.decoder.T + c - ds.y
     std = t if p.ddv else np.exp(p.log_sigma)[None, :]

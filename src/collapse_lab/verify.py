@@ -11,7 +11,7 @@ hit tight tolerances in bounded steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,24 +60,7 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "rows": [
-                {
-                    "index": r.index,
-                    "dims": list(r.dims),
-                    "beta": r.beta,
-                    "surviving": r.surviving,
-                    "loss_rel_err": r.loss_rel_err,
-                    "sv_max_err": r.sv_max_err,
-                    "sigma_max_err": r.sigma_max_err,
-                    "s_rel_err": r.s_rel_err,
-                    "passed": r.passed,
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"all_passed": self.all_passed, "rows": [asdict(r) for r in self.rows]}
 
 
 def _draw_instance(rng: np.random.Generator, index: int):

@@ -209,6 +209,15 @@ class TestSweepCommand:
         doc = json.loads(out)
         assert len(doc["rows"]) == 3
 
+    @pytest.mark.parametrize("grid", ["0:1:0.5", "nan:1:0.5", "1:inf:0.5", "-1:1:0.5"])
+    def test_bad_grid_exit_2(self, capsys, grid):
+        code, out, err = run(
+            capsys, "sweep", "--zeta", "3,2,1", "--d2", "3", "--d1", "3",
+            f"--beta-grid={grid}",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--beta-grid" in err
+
 
 class TestTrainCommand:
     def test_train_json_and_trace(self, capsys, tmp_path):
@@ -234,6 +243,11 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--instances", "3", "--seed", "5")
         assert code == 0
         assert "ALL PASS" in out
+
+    def test_zero_instances_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--instances", "0")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--instances" in err
 
     def test_beta_error_hook_detected(self, capsys):
         code, out, _ = run(

@@ -187,6 +187,44 @@ class TestBetaSweep:
         with pytest.raises(ValueError):
             cl.beta_sweep(sp, hp, [])
 
+    @pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
+    @pytest.mark.parametrize("d1", [2, 6])
+    def test_fixed_decvar_rows_equal_scalar_closed_forms(self, sigma_mode, d1):
+        """Each row of the one-pass sweep is bit for bit the per-beta
+        scalar answer, with d1 below and beyond the data rank of 4."""
+        _, sp = make_instance(seed=29, dim_x=4, dim_y=5)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=d1, eta_enc=0.8, eta_dec=1.1,
+                            sigma_mode=sigma_mode)
+        top = float(sp.singular_values[0] ** 2) / hp.decvar
+        rows = cl.beta_sweep(sp, hp, np.linspace(0.02, 1.2 * top, 40))
+        assert {r.regime for r in rows} == {cl.REGIME_NONE, cl.REGIME_PARTIAL,
+                                            cl.REGIME_COMPLETE}
+        for row in rows:
+            hp_b = replace(hp, beta=row.beta)
+            gm = cf.global_minimum(sp, hp_b)
+            assert row.loss == gm.predicted_loss
+            assert row.rank == np.count_nonzero(~gm.collapse_flags)
+            assert row.regime == cl.predict(sp, hp_b).regime
+            np.testing.assert_array_equal(row.sigma, np.sort(gm.sigma)[::-1])
+            assert row.s_star is None
+
+    def test_one_per_mode_pass(self, monkeypatch):
+        """A sweep evaluates the per-mode kernel once, whatever its length."""
+        calls, kernel = [], cf.per_mode
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cf, "per_mode", counted)
+        monkeypatch.setattr(cl, "per_mode", counted)
+        sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)
+        for decvar_mode in ("fixed", "learnable"):
+            calls.clear()
+            hp = cf.Hyperparams(beta=1.0, latent_dim=5, decvar_mode=decvar_mode)
+            cl.beta_sweep(sp, hp, np.linspace(0.1, 30.0, 300))
+            assert len(calls) == 1, decvar_mode
+
     def test_learnable_decvar_rows_track_solver(self):
         sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)
         hp = cf.Hyperparams(beta=1.0, latent_dim=5, decvar_mode="learnable")
@@ -202,13 +240,17 @@ class TestBetaSweep:
             )
             if row.regime == dv.REGIME_ILL_POSED:
                 assert row.s_star is None and np.isnan(row.loss)
-            elif row.regime == dv.REGIME_BOUNDARY:
+                assert not row.sigma.any()
+                continue
+            if row.regime == dv.REGIME_BOUNDARY:
                 # the profile loss is flat on the whole minimizer set
-                inside = dv.profile_loss(sp, hp_b, 0.5 * sol.s_interval[1])
-                assert np.isfinite(row.loss)
+                s = sol.s_interval[1]
+                inside = dv.profile_loss(sp, hp_b, 0.5 * s)
                 assert row.loss == pytest.approx(inside, rel=1e-12)
             else:
-                assert row.s_star > 0 and np.isfinite(row.loss)
+                s = row.s_star
+                assert s > 0
+            assert row.loss == dv.profile_loss(sp, hp_b, s) + cf.loss_offset(sp, s)
 
 
 class TestInvariants:

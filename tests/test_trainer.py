@@ -84,13 +84,31 @@ class TestEvalLoss:
         mc2, _ = tr.eval_loss_monte_carlo(params, ds, hp, n_draws=3000, seed=11)
         assert mc2 == mc  # deterministic for a fixed seed
 
+    def test_loss_only_paths_share_terms_once(self, rng, monkeypatch):
+        """The loss-only evaluations build the shared terms once and give
+        value_and_grad's loss to the bit."""
+        ds, _ = make_instance(seed=5, dim_x=3, dim_y=3, n=200)
+        hp = cf.Hyperparams(beta=1.1, latent_dim=2, decvar_mode="learnable")
+        params = random_params(rng, 3, 3, 2, bias=True, ddv=True, log_s=0.3)
+        calls, core = [], tr._core_terms
+
+        def counted(*args):
+            calls.append(1)
+            return core(*args)
+
+        monkeypatch.setattr(tr, "_core_terms", counted)
+        assert tr.eval_loss(params, ds, hp) == tr.value_and_grad(params, ds, hp)[0]
+        calls.clear()
+        tr.eval_loss_monte_carlo(params, ds, hp, n_draws=2)
+        assert len(calls) == 1
+
     def test_solution_loss_matches_closed_form_value(self):
         ds, sp = make_instance(seed=7, dim_x=5, dim_y=4)
         hp = cf.Hyperparams(beta=1.7, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
         loss = tr.eval_loss(tr.params_from_minimum(gm, hp), ds, hp)
         assert loss == pytest.approx(
-            cf.min_loss_value(sp, hp) + cf.loss_offset(sp, hp), abs=1e-8
+            cf.min_loss_value(sp, hp) + cf.loss_offset(sp, hp.decvar), abs=1e-8
         )
 
     def test_shape_mismatch_raises(self, rng):
