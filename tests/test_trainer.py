@@ -97,7 +97,9 @@ class TestEvalLoss:
             return core(*args)
 
         monkeypatch.setattr(tr, "_core_terms", counted)
-        assert tr.eval_loss(params, ds, hp) == tr.value_and_grad(params, ds, hp)[0]
+        loss = tr.eval_loss(params, ds, hp)
+        assert len(calls) == 1
+        assert loss == tr.value_and_grad(params, ds, hp)[0]
         calls.clear()
         tr.eval_loss_monte_carlo(params, ds, hp, n_draws=2)
         assert len(calls) == 1
