@@ -74,6 +74,17 @@ CASES = {
         "sweep", *BEYOND_RANK, "--learnable-sigma", "--learnable-decvar",
         "--beta-grid", "0.05:4:0.05",
     ],
+    # tied singular values with a learnable decoder variance: every bound
+    # at 1.0 with the boundary row on a grid point, then ties with no
+    # boundary row
+    "sweep_tied_bounds_decvar": [
+        "sweep", "--zeta", "1.5,1.5,1.5", "--d2", "3", "--d1", "3",
+        "--learnable-sigma", "--learnable-decvar", "--beta-grid", "0.25:2:0.25",
+    ],
+    "sweep_tied_values_decvar": [
+        "sweep", "--zeta", "2,1.5,1.5,1", "--d2", "6", "--d1", "2",
+        "--learnable-sigma", "--learnable-decvar", "--beta-grid", "0.25:2:0.25",
+    ],
     # stds pinned at the prior across all three fixed-variance regimes
     "sweep_pinned_json": [
         "sweep", "--synthetic", "8,8,2000,91", "--d1", "3", "--beta-grid", "0.1:12:0.1",
