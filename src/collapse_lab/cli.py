@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .spectrum import DataSpectrum, compute_spectrum
 from .verify import run_oracle_suite
 
 SCHEMA = "collapse-lab/v1"
+MAX_GRID_ROWS = 10**6
 
 
 def _add_source_args(p: argparse.ArgumentParser, allow_zeta: bool = True) -> None:
@@ -73,10 +74,10 @@ def _add_out_args(p: argparse.ArgumentParser, formats=("json",)) -> None:
 
 
 def _parse_synthetic(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise InvalidSpec(f"--synthetic wants d0,d2,n,seed; got {text!r}")
-    d0, d2, n, seed = (int(v) for v in parts)
+    try:
+        d0, d2, n, seed = (int(v) for v in text.split(","))
+    except ValueError:
+        raise InvalidSpec(f"--synthetic wants d0,d2,n,seed; got {text!r}") from None
     return generate(random_spec(d0, d2, n_samples=n, seed=seed))
 
 
@@ -144,8 +145,10 @@ def _beta_grid(text: str) -> np.ndarray:
         raise InvalidSpec(f"--beta-grid parts must be finite, got {text!r}")
     if lo <= 0 or step <= 0 or hi < lo:
         raise InvalidSpec("--beta-grid needs lo > 0, step > 0 and hi >= lo")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    rows = np.floor((hi - lo) / step + 1e-9) + 1
+    if rows > MAX_GRID_ROWS:
+        raise InvalidSpec(f"--beta-grid makes {rows:.4g} rows, more than {MAX_GRID_ROWS}")
+    return lo + step * np.arange(int(rows))
 
 
 def cmd_spectrum(args) -> int:
@@ -176,27 +179,16 @@ def cmd_solve(args) -> int:
     _emit_json(
         args,
         "solve",
-        {"hyperparams": _hp_dict(hp), **gm.to_json_dict(include_matrices=True)},
+        {"hyperparams": asdict(hp), **gm.to_json_dict(include_matrices=True)},
     )
     return 0
-
-
-def _hp_dict(hp: cf.Hyperparams) -> dict:
-    return {
-        "beta": hp.beta,
-        "latent_dim": hp.latent_dim,
-        "eta_enc": hp.eta_enc,
-        "eta_dec": hp.eta_dec,
-        "sigma_mode": hp.sigma_mode,
-        "decvar_mode": hp.decvar_mode,
-    }
 
 
 def cmd_predict(args) -> int:
     sp = _load_spectrum(args)
     hp = _hyperparams(args)
     fixed = cl.predict(sp, replace(hp, decvar_mode="fixed"))
-    payload = {"hyperparams": _hp_dict(hp), "fixed": fixed.to_json_dict()}
+    payload = {"hyperparams": asdict(hp), "fixed": fixed.to_json_dict()}
     if hp.decvar_mode == "learnable":
         learnable = cl.predict(sp, hp)
         payload["learnable"] = learnable.to_json_dict()
@@ -224,7 +216,7 @@ def cmd_sweep(args) -> int:
         ]
 
     if args.format == "json":
-        payload = {"hyperparams": _hp_dict(hp), "rows": []}
+        payload = {"hyperparams": asdict(hp), "rows": []}
         for i, row in enumerate(rows):
             d = row.to_json_dict()
             if trained:
@@ -280,7 +272,7 @@ def cmd_train(args) -> int:
     _emit_json(
         args,
         "train",
-        {"hyperparams": _hp_dict(hp), **result.to_json_dict()},
+        {"hyperparams": asdict(hp), **result.to_json_dict()},
     )
     return 0
 
@@ -309,7 +301,7 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     sp = _load_spectrum(args)
     hp = _hyperparams(args)
-    payload: dict = {"hyperparams": _hp_dict(hp), "spectrum": sp.to_json_dict()}
+    payload: dict = {"hyperparams": asdict(hp), "spectrum": sp.to_json_dict()}
     solve_hp = replace(hp, decvar_mode="fixed")
     payload["solution"] = cf.global_minimum(sp, solve_hp).to_json_dict(
         include_matrices=False
@@ -417,7 +409,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CollapseLabError as exc:
+    except (CollapseLabError, ValueError) as exc:
+        # the package raises ValueError only for an argument outside its domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

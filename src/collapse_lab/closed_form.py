@@ -42,10 +42,10 @@ class Hyperparams:
     decvar_mode: str = "fixed"
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
-        if not (self.eta_enc > 0 and self.eta_dec > 0):
-            raise ValueError("eta_enc and eta_dec must be > 0")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be finite and > 0")
+        if not (0 < self.eta_enc < np.inf and 0 < self.eta_dec < np.inf):
+            raise ValueError("eta_enc and eta_dec must be finite and > 0")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if self.sigma_mode not in _MODES or self.decvar_mode not in _MODES:

@@ -90,8 +90,8 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
         thresholds = sp.singular_values**2 / hp.decvar
         flags = ~per_mode(sp.singular_values, hp.beta, hp.decvar, hp.eta_enc).alive
     else:
-        sol = dv.solve_decoder_variance(sp, hp)
         bounds = dv.beta_bounds(sp, hp)
+        sol = dv.solve_decoder_variance(sp, hp, bounds)
         thresholds = np.zeros(d_star)
         thresholds[: bounds.size] = bounds
         flags = np.arange(1, d_star + 1) > sol.surviving_modes
@@ -191,13 +191,9 @@ def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
     if hp.decvar_mode == "fixed":
         s = np.full(grid.size, hp.decvar)
     else:
-        solutions = dv.solve_beta_grid(sp, hp, grid.tolist())
-        # the profile loss is flat on the boundary interval: take its top
-        # end; an ill-posed row's missing s_star turns into nan
-        s = np.array(
-            [sol.s_interval[1] if sol.s_interval else sol.s_star for sol in solutions],
-            dtype=np.float64,
-        )
+        # the profile loss is flat on the boundary interval: s is its top end
+        found = dv.classify(sp, hp, grid)
+        s = found.s
     ok = ~np.isnan(s)
     zeta = sp.zeta_padded(d1)
     modes = per_mode(zeta, grid[ok, None], s[ok, None], hp.eta_enc, hp.pinned_sigma)
@@ -215,9 +211,9 @@ def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
         regimes = _regime(~modes.alive[:, :d1_hat]).tolist()
         s_stars = [None] * grid.size
     else:
-        ranks = [sol.surviving_modes for sol in solutions]
-        regimes = [sol.regime for sol in solutions]
-        s_stars = [sol.s_star for sol in solutions]
+        ranks = found.surviving_modes.tolist()
+        regimes = found.regime.tolist()
+        s_stars = np.where(np.isnan(found.s_star), None, found.s_star).tolist()
     return [
         SweepRow(*row)
         for row in zip(grid.tolist(), loss.tolist(), ranks, regimes, sigma, s_stars)

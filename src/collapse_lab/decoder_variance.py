@@ -17,7 +17,8 @@ takes the encoder stds to be learnable. The numeric minimizer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,27 +49,15 @@ class DecVarSolution:
     regime: str
     surviving_modes: int
     s_star: float | None
+    s_interval: tuple[float, float] | None
     beta_interval: tuple[float, float]
     beta: float
     d1: int
     d2: int
-    s_interval: tuple[float, float] | None = None
-    notes: str = ""
+    notes: str
 
     def to_json_dict(self) -> dict:
-        return json_safe(
-            {
-                "regime": self.regime,
-                "surviving_modes": self.surviving_modes,
-                "s_star": self.s_star,
-                "s_interval": self.s_interval,
-                "beta_interval": self.beta_interval,
-                "beta": self.beta,
-                "d1": self.d1,
-                "d2": self.d2,
-                "notes": self.notes,
-            }
-        )
+        return json_safe(asdict(self))
 
 
 def json_safe(obj):
@@ -83,14 +72,6 @@ def json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [json_safe(value) for value in obj]
     return obj
-
-
-def _require_learnable_sigma(hp: Hyperparams) -> None:
-    if hp.sigma_mode != "learnable":
-        raise DomainError(
-            "the learnable decoder variance analysis needs learnable encoder "
-            "stds (sigma_mode 'learnable', --learnable-sigma)"
-        )
 
 
 def _modes_at(sp: DataSpectrum, hp: Hyperparams, s) -> cf.PerMode:
@@ -129,7 +110,11 @@ def residual_power(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:
 def beta_bounds(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
     """Entry p - 1 is the beta at which signal mode p flips between
     surviving and collapsed, for each of the modes within ``d1``."""
-    _require_learnable_sigma(hp)
+    if hp.sigma_mode != "learnable":
+        raise DomainError(
+            "the learnable decoder variance analysis needs learnable encoder "
+            "stds (sigma_mode 'learnable', --learnable-sigma)"
+        )
     _, d_star_hat, d1_hat = effective_counts(sp, hp.latent_dim)
     zsq = sp.singular_values[:d_star_hat] ** 2
     # power of the modes below mode p, for p = 1..d1_hat
@@ -137,92 +122,105 @@ def beta_bounds(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
     return sp.dim_y / (np.arange(1, d1_hat + 1) + below / zsq[:d1_hat])
 
 
-def beta_breakpoints(sp: DataSpectrum, hp: Hyperparams) -> list[dict]:
-    """Full regime table of this spectrum: one row per beta interval,
-    ascending in beta and covering the positive axis."""
-    bounds = beta_bounds(sp, hp).tolist()
-    top = len(bounds)
-
-    def row(regime, p, lo, hi, s_star=None):
-        return {
-            "regime": regime,
-            "surviving_modes": p,
-            "beta_lo": lo,
-            "beta_hi": hi,
-            "s_star": s_star,
-        }
-
+def _regime_table(sp: DataSpectrum, bounds: np.ndarray) -> list[tuple]:
+    # rows (regime, p, lo, hi): p surviving modes for beta in [lo, hi),
+    # ascending in beta and covering the positive axis
+    b = bounds.tolist()
+    top = len(b)
     if top == 0:
-        return [row(REGIME_ILL_POSED, 0, 0.0, np.inf)]
+        return [(REGIME_ILL_POSED, 0, 0.0, np.inf)]
     if top == sp.effective_rank:
         # no mode beyond the latent space: below d2 / top nothing bounds s
         # away from zero, and at d2 / top the minimizers form an interval
-        rows = [
-            row(REGIME_ILL_POSED, top, 0.0, bounds[-1]),
-            row(REGIME_BOUNDARY, top, bounds[-1], bounds[-1]),
-        ]
+        rows = [(REGIME_ILL_POSED, top, 0.0, b[-1]), (REGIME_BOUNDARY, top, b[-1], b[-1])]
     else:
-        rows = [row(REGIME_NO_COLLAPSE, top, 0.0, bounds[-1])]
+        rows = [(REGIME_NO_COLLAPSE, top, 0.0, b[-1])]
     rows += [
-        row(REGIME_PARTIAL, p, bounds[p], bounds[p - 1])
-        for p in range(top - 1, 0, -1)
-        if bounds[p] < bounds[p - 1]
+        (REGIME_PARTIAL, p, b[p], b[p - 1]) for p in range(top - 1, 0, -1) if b[p] < b[p - 1]
     ]
+    return rows + [(REGIME_COMPLETE, 0, b[0], np.inf)]
+
+
+def beta_breakpoints(sp: DataSpectrum, hp: Hyperparams) -> list[dict]:
+    """Full regime table of this spectrum: one row per beta interval,
+    ascending in beta and covering the positive axis."""
     zsq = sp.singular_values[: sp.effective_rank] ** 2
-    rows.append(row(REGIME_COMPLETE, 0, bounds[0], np.inf, float(np.sum(zsq)) / sp.dim_y))
-    return rows
+    s_complete = float(np.sum(zsq)) / sp.dim_y
+    return [
+        {"regime": r, "surviving_modes": p, "beta_lo": lo, "beta_hi": hi,
+         "s_star": s_complete if r == REGIME_COMPLETE else None}
+        for r, p, lo, hi in _regime_table(sp, beta_bounds(sp, hp))
+    ]
 
 
-def solve_decoder_variance(sp: DataSpectrum, hp: Hyperparams) -> DecVarSolution:
-    """Classify the optimum of the profile loss for the queried beta.
+class Regimes(NamedTuple):
+    """One entry per beta of a grid. ``s_star`` is the unique minimizer of
+    the profile loss, nan where there is none; ``s`` is where the optimum
+    is read: ``s_star``, the top of the flat interval on the boundary, nan
+    where the problem is ill-posed."""
+
+    regime: np.ndarray
+    surviving_modes: np.ndarray
+    beta_lo: np.ndarray
+    beta_hi: np.ndarray
+    s_star: np.ndarray
+    s: np.ndarray
+
+
+def classify(sp: DataSpectrum, hp: Hyperparams, betas, bounds=None) -> Regimes:
+    """Classify the optimum of the profile loss at each beta of ``betas``
+    (``hp.beta`` is ignored) with one lookup in the regime table. ``bounds``
+    is this spectrum's :func:`beta_bounds`, computed when not given."""
+    table = _regime_table(sp, beta_bounds(sp, hp) if bounds is None else bounds)
+    regime, p, lo, hi = (np.array(column) for column in zip(*table))
+    betas = np.asarray(betas, dtype=np.float64)
+    # A beta belongs to the first row that holds it. Rows leave no gap, but
+    # a one-ulp inversion of tied bounds can start a row inside the rows
+    # before it, which keep the overlap; so each row starts where they end.
+    starts = np.maximum.accumulate(np.append(0.0, hi[:-1]))
+    row = np.searchsorted(starts, betas, side="right") - 1
+    for point in np.flatnonzero(lo == hi):  # the boundary row holds its one beta
+        row[betas == lo[point]] = point
+    regime, p = regime[row], p[row]
+
+    zsq = sp.singular_values[: sp.effective_rank] ** 2
+    tail = np.array([float(np.sum(zsq[k:])) for k in range(zsq.size + 1)])
+    s_star, s = np.full((2, betas.size), np.nan)
+    unique = (regime != REGIME_ILL_POSED) & (regime != REGIME_BOUNDARY)
+    s_star[unique] = s[unique] = tail[p[unique]] / (sp.dim_y - betas[unique] * p[unique])
+    flat = regime == REGIME_BOUNDARY
+    s[flat] = zsq[p[flat] - 1] / betas[flat]
+    return Regimes(regime, p, lo[row], hi[row], s_star, s)
+
+
+def solve_decoder_variance(
+    sp: DataSpectrum, hp: Hyperparams, bounds=None
+) -> DecVarSolution:
+    """Classify the optimum of the profile loss for the queried beta: the
+    one-beta case of :func:`classify`, which also says what ``bounds`` is.
 
     ``hp.eta_dec`` is ignored: the decoder variance is the unknown here.
     """
-    return solve_beta_grid(sp, hp, [hp.beta])[0]
-
-
-def solve_beta_grid(sp: DataSpectrum, hp: Hyperparams, betas) -> list[DecVarSolution]:
-    """:func:`solve_decoder_variance` at each beta of ``betas`` (``hp.beta``
-    is ignored), with the beta-independent regime table built once."""
-    table = beta_breakpoints(sp, hp)
-    return [_classify(sp, hp, table, beta) for beta in betas]
-
-
-def _classify(
-    sp: DataSpectrum, hp: Hyperparams, table: list[dict], beta: float
-) -> DecVarSolution:
-    d2 = sp.dim_y
-    for r in table:
-        lo, hi, p = r["beta_lo"], r["beta_hi"], r["surviving_modes"]
-        if lo <= beta < hi or beta == lo == hi:
-            break
-    else:
-        raise AssertionError("beta intervals failed to cover the positive axis")
-
-    found = dict(
-        regime=r["regime"], surviving_modes=p, beta_interval=(lo, hi), beta=beta,
-        d1=hp.latent_dim, d2=d2,
-    )
-    zsq = sp.singular_values[: sp.effective_rank] ** 2
-    if r["regime"] == REGIME_ILL_POSED:
+    regime, p, lo, hi, s_star, s = (v.item() for v in classify(sp, hp, [hp.beta], bounds))
+    s_interval, notes = None, ""
+    if regime == REGIME_ILL_POSED:
         notes = (
             "zero spectrum: profile loss decreases without bound as s -> 0"
             if p == 0
             else "no minimizer on (0, inf); training drives s toward 0"
         )
-        return DecVarSolution(**found, s_star=None, notes=notes)
-    if r["regime"] == REGIME_BOUNDARY:
-        return DecVarSolution(
-            **found,
-            s_star=None,
-            s_interval=(0.0, float(zsq[p - 1]) / beta),
-            notes=(
-                "flat global-minimum set (0, s_top]; at s = s_top the "
-                "smallest mode sits exactly at its threshold, so the "
-                "surviving count there reads one lower"
-            ),
+    elif regime == REGIME_BOUNDARY:
+        s_interval = (0.0, s)
+        notes = (
+            "flat global-minimum set (0, s_top]; at s = s_top the "
+            "smallest mode sits exactly at its threshold, so the "
+            "surviving count there reads one lower"
         )
-    return DecVarSolution(**found, s_star=float(np.sum(zsq[p:])) / (d2 - beta * p))
+    return DecVarSolution(
+        regime=regime, surviving_modes=p, s_star=None if np.isnan(s_star) else s_star,
+        s_interval=s_interval, beta_interval=(lo, hi), beta=hp.beta, d1=hp.latent_dim,
+        d2=sp.dim_y, notes=notes,
+    )
 
 
 def minimize_profile(

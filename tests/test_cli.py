@@ -209,7 +209,14 @@ class TestSweepCommand:
         doc = json.loads(out)
         assert len(doc["rows"]) == 3
 
-    @pytest.mark.parametrize("grid", ["0:1:0.5", "nan:1:0.5", "1:inf:0.5", "-1:1:0.5"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "0:1:0.5", "nan:1:0.5", "1:inf:0.5", "-1:1:0.5",
+            # 1e18 rows: refused before anything is allocated
+            "1e-9:1e9:1e-9",
+        ],
+    )
     def test_bad_grid_exit_2(self, capsys, grid):
         code, out, err = run(
             capsys, "sweep", "--zeta", "3,2,1", "--d2", "3", "--d1", "3",
@@ -217,6 +224,37 @@ class TestSweepCommand:
         )
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "--beta-grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--zeta", "1,2", "--d2", "2", "--beta", "1", "--d1", "2"),
+        ("solve", "--zeta", "2,1", "--d2", "1", "--beta", "1", "--d1", "2"),
+        ("solve", "--zeta", "2,x", "--d2", "2", "--beta", "1", "--d1", "2"),
+        ("solve", "--zeta", "nan,1", "--d2", "2", "--beta", "1", "--d1", "2"),
+        ("solve", "--zeta", "inf,1", "--d2", "2", "--beta", "1", "--d1", "2"),
+        ("solve", "--zeta", "2,1", "--d2", "2", "--beta=-1", "--d1", "2"),
+        ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "inf", "--d1", "2"),
+        ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "0"),
+        ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2", "--eta-enc", "0"),
+        ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2", "--eta-dec", "inf"),
+        ("solve", "--synthetic", "5,5,x,1", "--beta", "1", "--d1", "2"),
+        ("solve", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2",
+         "--random-rotation=-1"),
+        ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "0", "--beta-grid", "1:2:1"),
+        # a step below the spacing of floats near lo repeats lo
+        ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2",
+         "--beta-grid", "1:1.000000000000001:1e-17"),
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--lr=-1"),
+    ],
+)
+def test_bad_argument_exit_2(capsys, argv):
+    """A bad option value is invalid input: exit 2 with one line on
+    stderr and nothing on stdout, never a traceback or NaN output."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestTrainCommand:

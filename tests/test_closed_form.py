@@ -43,6 +43,16 @@ def argmin_1d(fun, bracket):
     return 0.5 * (lo + hi)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("beta", np.inf), ("beta", np.nan), ("eta_enc", np.inf), ("eta_dec", np.inf),
+     ("eta_dec", np.nan)],
+)
+def test_hyperparams_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        cf.Hyperparams(**{"beta": 1.0, "latent_dim": 2, field: value})
+
+
 class TestFactorizationReduction:
     def test_unit_ridge(self):
         _, sp = make_instance(seed=1)

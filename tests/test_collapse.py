@@ -225,6 +225,30 @@ class TestBetaSweep:
             cl.beta_sweep(sp, hp, np.linspace(0.1, 30.0, 300))
             assert len(calls) == 1, decvar_mode
 
+    def test_one_bound_table_per_call(self, monkeypatch):
+        """A learnable sweep and a learnable predict each build the bound
+        table once, and a sweep builds no per-beta solution object."""
+        bounds, solutions = [], []
+        table, solution = dv.beta_bounds, dv.DecVarSolution
+
+        def counted_bounds(*args, **kwargs):
+            bounds.append(1)
+            return table(*args, **kwargs)
+
+        def counted_solution(*args, **kwargs):
+            solutions.append(1)
+            return solution(*args, **kwargs)
+
+        monkeypatch.setattr(dv, "beta_bounds", counted_bounds)
+        monkeypatch.setattr(dv, "DecVarSolution", counted_solution)
+        sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=5, decvar_mode="learnable")
+        cl.beta_sweep(sp, hp, np.linspace(0.1, 30.0, 300))
+        assert (len(bounds), len(solutions)) == (1, 0)
+        bounds.clear()
+        cl.predict(sp, hp)
+        assert (len(bounds), len(solutions)) == (1, 1)
+
     def test_learnable_decvar_rows_track_solver(self):
         sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)
         hp = cf.Hyperparams(beta=1.0, latent_dim=5, decvar_mode="learnable")
@@ -248,8 +272,9 @@ class TestBetaSweep:
                 inside = dv.profile_loss(sp, hp_b, 0.5 * s)
                 assert row.loss == pytest.approx(inside, rel=1e-12)
             else:
+                # an independent check: the numeric argmin of the profile
                 s = row.s_star
-                assert s > 0
+                assert s == pytest.approx(dv.minimize_profile(sp, hp_b), rel=1e-6)
             assert row.loss == dv.profile_loss(sp, hp_b, s) + cf.loss_offset(sp, s)
 
 

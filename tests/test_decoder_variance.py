@@ -234,6 +234,55 @@ class TestConsistencyAcrossModules:
         assert counts == sorted(counts, reverse=True)
 
 
+class TestGridLookup:
+    def test_grid_rows_are_the_scalar_solutions(self):
+        """Each entry of one grid lookup is the one-beta solution, with
+        every regime on the grid, the boundary point included."""
+        sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=5)
+        bounds = dv.beta_bounds(sp, hp)
+        grid = np.sort(np.append(np.linspace(0.25, 6.0, 24), bounds))
+        found = dv.classify(sp, hp, grid)
+        assert set(found.regime.tolist()) == {
+            dv.REGIME_ILL_POSED, dv.REGIME_BOUNDARY, dv.REGIME_PARTIAL, dv.REGIME_COMPLETE
+        }
+        for i, beta in enumerate(grid.tolist()):
+            sol = dv.solve_decoder_variance(sp, replace(hp, beta=beta))
+            assert (found.regime[i], found.surviving_modes[i]) == (
+                sol.regime, sol.surviving_modes
+            )
+            assert (found.beta_lo[i], found.beta_hi[i]) == sol.beta_interval
+            s_star = found.s_star[i]
+            assert (sol.s_star is None and np.isnan(s_star)) or s_star == sol.s_star
+            if sol.s_interval is not None:
+                assert found.s[i] == sol.s_interval[1]
+
+    def test_beta_on_all_tied_bounds_is_the_boundary(self):
+        sp = DataSpectrum.from_singular_values([1.5, 1.5, 1.5], dim_y=3)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=3)
+        assert dv.beta_bounds(sp, hp).tolist() == [1.0, 1.0, 1.0]
+        found = dv.classify(sp, hp, [np.nextafter(1.0, 0), 1.0, np.nextafter(1.0, 2)])
+        assert found.regime.tolist() == [
+            dv.REGIME_ILL_POSED, dv.REGIME_BOUNDARY, dv.REGIME_COMPLETE
+        ]
+        assert found.s[1] == 2.25 and np.isnan(found.s[0])
+
+    def test_overlap_of_inverted_tied_bounds_stays_with_the_earlier_row(self):
+        """Rounding puts the bound of the tied modes 3 and 4 one ulp above
+        that of mode 3, so two rows of the table share that one beta; the
+        row listed first holds it, in the lookup as in the table."""
+        sp = DataSpectrum.from_singular_values([5.12, 5.12, 3.74, 3.74, 2, 1, 0.3], dim_y=9)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=5)
+        bounds = dv.beta_bounds(sp, hp)
+        assert bounds[3] == np.nextafter(bounds[2], np.inf)
+        rows = dv.beta_breakpoints(sp, hp)
+        first = next(r for r in rows if r["beta_lo"] <= bounds[2] < r["beta_hi"])
+        assert first["surviving_modes"] == 4
+        sol = dv.solve_decoder_variance(sp, replace(hp, beta=float(bounds[2])))
+        assert (sol.regime, sol.surviving_modes) == (dv.REGIME_PARTIAL, 4)
+        assert sol.beta_interval == (first["beta_lo"], first["beta_hi"])
+
+
 class TestPublishedSpectrum:
     def test_progression_is_monotone_and_ordered(self):
         """The published top-5 spectrum marches from all modes alive to

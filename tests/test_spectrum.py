@@ -137,6 +137,9 @@ def test_from_singular_values_validation():
         DataSpectrum.from_singular_values([1.0, 2.0], dim_y=2)  # increasing
     with pytest.raises(ValueError):
         DataSpectrum.from_singular_values([2.0, 1.0], dim_y=1)  # dim_y too small
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [2.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            DataSpectrum.from_singular_values(bad, dim_y=2)
     sp = DataSpectrum.from_singular_values([2.0, 1.0], dim_y=3)
     assert sp.target_power == pytest.approx(5.0)
     np.testing.assert_allclose(sp.cross_moment(), np.array([[2, 0], [0, 1], [0, 0]]))
