@@ -2,25 +2,10 @@
 latent-variable models, verified against an in-package gradient-descent
 oracle."""
 
-from .closed_form import (
-    GlobalMinimum,
-    Hyperparams,
-    global_minimum,
-    min_factorization_value,
-    min_loss_value,
-    optimal_factors,
-    optimal_sigma,
-    prior_sigma_factors,
-    reduce_to_factorization,
-)
+from .closed_form import GlobalMinimum, Hyperparams, global_minimum, optimal_sigma
 from .collapse import CollapseReport, beta_sweep, hessian_origin_test, predict
 from .data import Dataset, SyntheticSpec, center, generate, load, save
-from .decoder_variance import (
-    DecVarSolution,
-    minimize_profile,
-    profile_loss,
-    solve_decoder_variance,
-)
+from .decoder_variance import DecVarSolution, profile_loss, solve_decoder_variance
 from .spectrum import DataSpectrum, compute_spectrum, effective_counts
 from .trainer import (
     ModelParams,
@@ -56,15 +41,9 @@ __all__ = [
     "global_minimum",
     "hessian_origin_test",
     "load",
-    "min_factorization_value",
-    "min_loss_value",
-    "minimize_profile",
-    "optimal_factors",
     "optimal_sigma",
     "predict",
-    "prior_sigma_factors",
     "profile_loss",
-    "reduce_to_factorization",
     "save",
     "solve_decoder_variance",
     "train",

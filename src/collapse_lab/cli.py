@@ -133,7 +133,8 @@ def _emit(args, text: str) -> None:
 def _emit_json(args, command: str, payload: dict) -> None:
     doc = {"schema": SCHEMA, "command": command}
     doc.update(payload)
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    # strict RFC 8259: a non-finite float raises ValueError (exit 2), never prints NaN
+    _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _beta_grid(text: str) -> np.ndarray:
@@ -288,13 +289,7 @@ def cmd_verify(args) -> int:
     )
     print(report.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(
-                {"schema": SCHEMA, "command": "verify", **report.to_json_dict()},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        _emit_json(args, "verify", report.to_json_dict())
     return 0 if report.all_passed else 3
 
 

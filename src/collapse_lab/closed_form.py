@@ -70,57 +70,6 @@ class Hyperparams:
         return np.full(self.latent_dim, float(self.eta_enc))
 
 
-def _sigma_vector(hp: Hyperparams, sigma) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=np.float64).ravel()
-    if sigma.shape != (hp.latent_dim,):
-        raise ValueError(f"sigma must have shape ({hp.latent_dim},)")
-    if np.any(sigma <= 0):
-        raise ValueError("sigma entries must be > 0")
-    return sigma
-
-
-@dataclass(frozen=True)
-class FactorizationProblem:
-    """Reduced objective ||u v^T - z||_F^2 + sum_i sigma_i^2 ||u_i||^2
-    + ridge ||v||_F^2, plus the maps between encoder coordinates and the
-    whitened factor coordinates."""
-
-    z: np.ndarray = field(repr=False)
-    sigma: np.ndarray
-    ridge: float
-    basis: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
-
-    def evaluate(self, u: np.ndarray, v: np.ndarray) -> float:
-        fit = float(np.sum((u @ v.T - self.z) ** 2))
-        return fit + float(np.sum(self.sigma**2 * np.sum(u**2, axis=0))) + self.ridge * float(np.sum(v**2))
-
-    def w_from_v(self, v: np.ndarray) -> np.ndarray:
-        """Minimum-norm encoder with the prescribed whitened factor."""
-        return (self.basis / np.sqrt(self.eigenvalues)) @ v
-
-    def v_from_w(self, w: np.ndarray) -> np.ndarray:
-        return (self.basis * np.sqrt(self.eigenvalues)).T @ w
-
-
-def reduce_to_factorization(
-    sp: DataSpectrum, hp: Hyperparams, sigma
-) -> FactorizationProblem:
-    """Whitened-coordinate form of the matrix part of the objective.
-
-    For any (u, v) with encoder ``w = w_from_v(v)``, the reduced value
-    equals ``2 eta_dec^2`` times the full loss minus its sigma-only term,
-    up to the additive constant ``target_power - sum(zeta^2)``.
-    """
-    return FactorizationProblem(
-        z=sp.cross_moment(),
-        sigma=_sigma_vector(hp, sigma),
-        ridge=hp.ridge,
-        basis=sp.basis,
-        eigenvalues=sp.eigenvalues,
-    )
-
-
 @dataclass(frozen=True)
 class PerMode:
     """Elementwise closed form of the latent modes; see :func:`per_mode`."""
@@ -144,9 +93,9 @@ def per_mode(zeta, beta: float, s: float, eta_enc: float, sigma=None) -> PerMode
     value elsewhere. Surviving magnitudes split the shrunk signal between
     decoder and encoder in inverse proportion; collapsed ones are zero.
     ``fit`` is the mode's least residual of the reduced factorization and
-    ``kl`` its std-only KL term, both scaled by ``2 s``; their sum is
-    :func:`sigma_objective` at the returned std. Broadcasts over every
-    argument.
+    ``kl`` its std-only KL term, both scaled by ``2 s``; their sum is the
+    mode's objective at the returned std, for a given ``sigma`` as well.
+    Broadcasts over every argument.
     """
     zeta = np.asarray(zeta, dtype=np.float64)
     # a mode survives at its optimal std exactly when it survives at the
@@ -175,36 +124,13 @@ def _modes(sp: DataSpectrum, hp: Hyperparams, sigma=None) -> PerMode:
     return per_mode(sp.zeta_padded(hp.latent_dim), hp.beta, hp.decvar, hp.eta_enc, sigma)
 
 
-def _tail_power(sp: DataSpectrum, d1: int) -> float:
-    # signal of the modes the latent space has no room for
-    return float(np.sum(sp.singular_values[d1:] ** 2))
-
-
 def loss_at_optimum(sp: DataSpectrum, modes: PerMode, s):
     """Loss at the per-mode optimum ``modes``, one row per decoder variance
     in ``s``, without the partition term of a learnable variance and
     without :func:`loss_offset`."""
-    tail = _tail_power(sp, modes.fit.shape[-1])
+    # signal of the modes the latent space has no room for
+    tail = float(np.sum(sp.singular_values[modes.fit.shape[-1] :] ** 2))
     return (np.sum(modes.fit + modes.kl, axis=-1) + tail) / (2.0 * s)
-
-
-def optimal_factors(
-    sp: DataSpectrum, hp: Hyperparams, sigma
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode optimal singular values (decoder, encoder) for fixed sigma.
-
-    Mode i survives only when zeta_i exceeds sqrt(beta) sigma_i
-    eta_dec / eta_enc; the surviving magnitudes split the shrunk signal
-    between the two factors in inverse proportion.
-    """
-    modes = _modes(sp, hp, _sigma_vector(hp, sigma))
-    return modes.decoder, modes.encoder
-
-
-def prior_sigma_factors(sp: DataSpectrum, hp: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal factors when every encoder std is pinned at eta_enc."""
-    sigma = np.full(hp.latent_dim, hp.eta_enc)
-    return optimal_factors(sp, hp, sigma)
 
 
 def optimal_sigma(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
@@ -219,42 +145,11 @@ def optimal_sigma(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
     return _modes(sp, hp).sigma
 
 
-def sigma_objective(hp: Hyperparams, zeta_i: float, sigma) -> np.ndarray | float:
-    """Per-mode objective as a function of a single encoder std.
-
-    This is what :func:`optimal_sigma` minimizes in closed form; tests
-    minimize it numerically as an independent check. Vectorized over
-    ``sigma``.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be > 0")
-    modes = per_mode(zeta_i, hp.beta, hp.decvar, hp.eta_enc, sigma)
-    out = modes.fit + modes.kl
-    return float(out) if out.ndim == 0 else out
-
-
-def min_factorization_value(sp: DataSpectrum, hp: Hyperparams, sigma) -> float:
-    """Minimum of the reduced factorization objective at fixed sigma."""
-    fit = _modes(sp, hp, _sigma_vector(hp, sigma)).fit
-    return float(np.sum(fit)) + _tail_power(sp, hp.latent_dim)
-
-
-def min_loss_value(sp: DataSpectrum, hp: Hyperparams) -> float:
-    """Minimal loss over decoder, encoder, and learnable sigma.
-
-    Valid for a fixed decoder variance. Excludes the data-dependent
-    offset :func:`loss_offset`, which vanishes whenever the target is an
-    exact linear function of the input.
-    """
-    return float(loss_at_optimum(sp, _modes(sp, hp), hp.decvar))
-
-
 def loss_offset(sp: DataSpectrum, s):
     """Target power invisible to any linear predictor, over ``2 s`` for
     decoder variance ``s``; broadcasts over ``s``.
 
-    Adding this to :func:`min_loss_value` puts the closed form on the
+    Adding this to :func:`loss_at_optimum` puts the closed form on the
     same scale as the trainer's loss.
     """
     return (sp.target_power - float(np.sum(sp.singular_values**2))) / (2.0 * s)

@@ -5,8 +5,7 @@ A latent mode collapses exactly when its signal strength falls to the
 regularization floor: ``zeta_i^2 <= beta * eta_dec^2`` for a fixed decoder
 variance. The origin of parameter space is either a saddle or the global
 minimum, never a merely-local minimum, so complete collapse is detectable
-from local curvature alone; :func:`numeric_hessian_check` probes that
-curvature by finite differences as an independent witness.
+from local curvature alone (:func:`hessian_origin_test`).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from . import decoder_variance as dv
 from .closed_form import Hyperparams, loss_at_optimum, loss_offset, per_mode
 from .spectrum import DataSpectrum, effective_counts
-from .trainer import ModelParams, eval_loss
 
 REGIME_NONE = "none"
 REGIME_PARTIAL = "partial"
@@ -108,60 +106,6 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
         min_hessian_quadratic=min_q,
         decvar=sol,
     )
-
-
-def numeric_hessian_check(
-    sp: DataSpectrum,
-    hp: Hyperparams,
-    n_directions: int = 24,
-    seed: int = 0,
-    step: float = 3e-3,
-) -> float:
-    """Minimum finite-difference curvature of the reduced objective at
-    the origin over sampled unit directions.
-
-    The sample always includes the top singular pair of the cross-moment
-    mixed over a grid of decoder/encoder weightings, which is where
-    negative curvature shows up first; the rest are random. Curvature is
-    reported on the same scale as ``min_hessian_quadratic``.
-    """
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1")
-    rng = np.random.default_rng(seed)
-    d1, d2, d0 = hp.latent_dim, sp.dim_y, sp.rank
-    s = hp.decvar
-    log_sigma = np.full(d1, np.log(hp.eta_enc))
-    inv_root = sp.basis / np.sqrt(sp.eigenvalues)
-
-    def curvature(delta_u: np.ndarray, delta_v: np.ndarray) -> float:
-        scale = np.sqrt(np.sum(delta_u**2) + np.sum(delta_v**2))
-        delta_u = delta_u / scale
-        delta_w = inv_root @ (delta_v / scale)
-
-        def f(t: float) -> float:
-            params = ModelParams(
-                decoder=t * delta_u, encoder=t * delta_w, log_sigma=log_sigma
-            )
-            return 2.0 * s * eval_loss(params, sp, hp)
-
-        return (f(step) - 2.0 * f(0.0) + f(-step)) / step**2
-
-    worst = np.inf
-    if sp.effective_rank > 0:
-        u1 = sp.left_vectors[:, 0]
-        v1 = sp.right_vectors[:, 0]
-        for alpha in np.linspace(0.02, 0.98, 25):
-            delta_u = np.zeros((d2, d1))
-            delta_v = np.zeros((d0, d1))
-            delta_u[:, 0] = np.sqrt(alpha) * u1
-            delta_v[:, 0] = np.sqrt(1.0 - alpha) * v1
-            worst = min(worst, curvature(delta_u, delta_v))
-    for _ in range(n_directions):
-        worst = min(
-            worst,
-            curvature(rng.standard_normal((d2, d1)), rng.standard_normal((d0, d1))),
-        )
-    return float(worst)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ binary
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,10 @@ class SyntheticSpec:
         )
 
     def validate(self) -> None:
+        if self.dim_x < 1:
+            raise InvalidSpec(f"dim_x must be >= 1, got {self.dim_x}")
+        if self.dim_y < 1:
+            raise InvalidSpec(f"dim_y must be >= 1, got {self.dim_y}")
         a = self.second_moment
         if a.shape != (self.dim_x, self.dim_x):
             raise InvalidSpec(
@@ -302,8 +306,3 @@ def random_spec(
         map_matrix=m,
         seed=seed + 1,
     )
-
-
-def replace_targets(ds: Dataset, y: np.ndarray) -> Dataset:
-    """Dataset with the same inputs but new targets."""
-    return replace(ds, y=_as_matrix(y, "y"), centered=_is_centered(ds.x, y))

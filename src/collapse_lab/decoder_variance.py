@@ -11,8 +11,8 @@ toward an increasingly ill-conditioned model).
 
 Everything here takes the target power to coincide with the spectrum
 power (targets realizable by a linear map), and the regime analysis
-takes the encoder stds to be learnable. The numeric minimizer
-:func:`minimize_profile` cross-checks the analytic solution.
+takes the encoder stds to be learnable. The tests cross-check the
+analytic solution with a numeric minimizer of :func:`profile_loss`.
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ def json_safe(obj):
     return obj
 
 
-def _modes_at(sp: DataSpectrum, hp: Hyperparams, s) -> cf.PerMode:
-    # one row of modes per decoder variance in s
-    if not np.all(np.asarray(s) > 0):
-        raise DomainError(f"decoder variance must be > 0, got {s}")
-    zeta = sp.zeta_padded(hp.latent_dim)
-    return cf.per_mode(zeta, hp.beta, np.asarray(s)[..., None], hp.eta_enc, hp.pinned_sigma)
-
-
 def profile_loss(sp: DataSpectrum, hp: Hyperparams, s) -> np.ndarray | float:
     """Loss at decoder variance ``s`` with all other parameters optimal.
 
@@ -90,21 +82,14 @@ def profile_loss(sp: DataSpectrum, hp: Hyperparams, s) -> np.ndarray | float:
     ``s``.
     """
     s = np.asarray(s, dtype=np.float64)
-    out = cf.loss_at_optimum(sp, _modes_at(sp, hp, s), s) + 0.5 * sp.dim_y * np.log(s)
+    if not np.all(s > 0):
+        raise DomainError(f"decoder variance must be > 0, got {s}")
+    # one row of modes per decoder variance in s
+    modes = cf.per_mode(
+        sp.zeta_padded(hp.latent_dim), hp.beta, s[..., None], hp.eta_enc, hp.pinned_sigma
+    )
+    out = cf.loss_at_optimum(sp, modes, s) + 0.5 * sp.dim_y * np.log(s)
     return float(out) if out.ndim == 0 else out
-
-
-def residual_power(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:
-    """Signal power left unexplained at the optimum for decoder variance s.
-
-    Collapsed modes contribute their full power, surviving modes only the
-    shrinkage floor ``beta * s``. The stationarity condition of the
-    profile loss is ``d2 * s == residual_power(s)``.
-    """
-    modes = _modes_at(sp, hp, s)
-    # mode i explains zeta_i times the learned map's singular value
-    explained = sp.zeta_padded(hp.latent_dim) * modes.decoder * modes.encoder
-    return float(np.sum(sp.singular_values**2)) - float(np.sum(explained))
 
 
 def beta_bounds(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
@@ -221,46 +206,3 @@ def solve_decoder_variance(
         s_interval=s_interval, beta_interval=(lo, hi), beta=hp.beta, d1=hp.latent_dim,
         d2=sp.dim_y, notes=notes,
     )
-
-
-def minimize_profile(
-    sp: DataSpectrum,
-    hp: Hyperparams,
-    s_range: tuple[float, float] | None = None,
-    grid_points: int = 4000,
-) -> float:
-    """Numeric argmin of the profile loss on a bracket.
-
-    Log-spaced grid scan followed by golden-section refinement; returns
-    the bracket edge when the minimum sits there (the ill-posed case).
-    The default bracket spans from well below the smallest threshold to
-    a point where the profile provably rises.
-    """
-    if s_range is None:
-        zsq = sp.singular_values**2
-        top = float(zsq[0]) if zsq.size and zsq[0] > 0 else 1.0
-        s1 = top / hp.beta
-        s_lo = 1e-8 * max(s1, 1.0)
-        s_hi = s1 + float(np.sum(zsq)) + 1.0
-    else:
-        s_lo, s_hi = s_range
-    if not (0 < s_lo < s_hi):
-        raise DomainError(f"need 0 < s_lo < s_hi, got ({s_lo}, {s_hi})")
-
-    # scipy is a test-only extra: importing it here keeps it off the CLI's path
-    from scipy import optimize
-
-    grid = np.geomspace(s_lo, s_hi, grid_points)
-    values = profile_loss(sp, hp, grid)
-    idx = int(np.argmin(values))
-    if idx == 0:
-        return float(grid[0])
-    if idx == grid_points - 1:
-        return float(grid[-1])
-    result = optimize.minimize_scalar(
-        lambda s: profile_loss(sp, hp, s),
-        bracket=(grid[idx - 1], grid[idx], grid[idx + 1]),
-        method="golden",
-        options={"xtol": 1e-12, "maxiter": 500},
-    )
-    return float(result.x)

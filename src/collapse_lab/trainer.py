@@ -3,8 +3,7 @@
 The loss is quadratic in the data, so the expectation over the training
 set reduces to second moments and the expectation over the encoder noise
 is integrated out analytically; gradients are exact and training is fully
-deterministic. A Monte Carlo evaluation of the noise expectation exists
-solely to validate that reduction.
+deterministic. The tests validate that reduction by Monte Carlo.
 
 Supported extensions beyond the core (decoder, encoder, per-mode stds):
 encoder/decoder biases, a data-dependent encoder std ``|C x + f|`` (which
@@ -142,8 +141,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "gd"):
             raise ValueError("optimizer must be 'adam' or 'gd'")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0 <= self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be finite and >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -228,13 +229,6 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
             )
 
 
-def _ddv_std_matrix(p: ModelParams, m: Moments) -> np.ndarray:
-    t = m.samples_x @ p.var_slope.T + p.var_offset
-    if np.any(t == 0.0):
-        raise DegenerateVariance("encoder std hit zero on a training sample")
-    return t
-
-
 def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams):
     """Terms the loss and every gradient block share; the last is the
     expected reconstruction term ``E||y - decode(z)||^2 / (2 s)``."""
@@ -251,7 +245,9 @@ def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams):
         + m.target_power
     )
     if p.ddv:
-        t = _ddv_std_matrix(p, m)
+        t = m.samples_x @ p.var_slope.T + p.var_offset
+        if np.any(t == 0.0):
+            raise DegenerateVariance("encoder std hit zero on a training sample")
         s2 = np.mean(t**2, axis=0)
     else:
         t = None
@@ -339,33 +335,6 @@ def eval_loss(p: ModelParams, src: DataSource, hp: Hyperparams) -> float:
 def eval_grad(p: ModelParams, src: DataSource, hp: Hyperparams) -> ModelParams:
     """Analytic gradient at ``p``; see :func:`value_and_grad`."""
     return value_and_grad(p, src, hp)[1]
-
-
-def eval_loss_monte_carlo(
-    p: ModelParams,
-    ds: Dataset,
-    hp: Hyperparams,
-    n_draws: int = 1000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Estimate the loss by sampling the encoder noise.
-
-    Returns (mean, standard error) over ``n_draws`` independent full
-    passes; only the reconstruction expectation is sampled, every other
-    term is analytic. Exists to validate the closed-form reduction.
-    """
-    loss, (_, _, c, _, t, s, fit) = _loss(p, Moments.from_dataset(ds), hp)
-    deterministic = loss - fit
-    rng = np.random.default_rng(seed)
-
-    mean_part = ds.x @ p.encoder @ p.decoder.T + c - ds.y
-    std = t if p.ddv else np.exp(p.log_sigma)[None, :]
-    draws = np.empty(n_draws)
-    for j in range(n_draws):
-        eps = rng.standard_normal(size=(ds.n_samples, hp.latent_dim)) * std
-        resid = mean_part + eps @ p.decoder.T
-        draws[j] = float(np.mean(np.sum(resid**2, axis=1))) / (2.0 * s)
-    return deterministic + float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(n_draws))
 
 
 def _trainable_fields(p: ModelParams, hp: Hyperparams) -> list[str]:
@@ -515,29 +484,3 @@ def train_to_minimum(
         refined = train(result.params, src, hp, adam(1e-4, 6000))
         result = train(refined.params, src, hp, descent)
     return result
-
-
-def ddv_inequality_check(
-    p: ModelParams, ds: Dataset, hp: Hyperparams
-) -> tuple[float, float]:
-    """Loss with a data-dependent encoder std vs. its flattened twin.
-
-    The twin keeps the same per-mode mean variance but removes the data
-    dependence (slope zero, offset raised to compensate); the original
-    can never beat it. Returns (original, flattened).
-    """
-    if not p.ddv:
-        raise ValueError("params carry no data-dependent variance")
-    m = Moments.from_dataset(ds)
-    t = _ddv_std_matrix(p, m)
-    lhs = eval_loss(p, m, hp)
-    flat = replace_ddv(p, np.zeros_like(p.var_slope), np.sqrt(np.mean(t**2, axis=0)))
-    rhs = eval_loss(flat, m, hp)
-    return lhs, rhs
-
-
-def replace_ddv(p: ModelParams, slope: np.ndarray, offset: np.ndarray) -> ModelParams:
-    out = p.copy()
-    out.var_slope = np.asarray(slope, dtype=np.float64)
-    out.var_offset = np.asarray(offset, dtype=np.float64)
-    return out

@@ -1,0 +1,210 @@
+"""Independent references the tests check the package against: each
+re-derives a claim of the paper by a route the package does not take."""
+
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+from scipy import optimize
+
+from collapse_lab import closed_form as cf
+from collapse_lab import trainer as tr
+from collapse_lab.closed_form import Hyperparams
+from collapse_lab.data import Dataset
+from collapse_lab.decoder_variance import profile_loss
+from collapse_lab.errors import DomainError
+from collapse_lab.spectrum import DataSpectrum
+
+
+@dataclass(frozen=True)
+class FactorizationProblem:
+    """Reduced objective ||u v^T - z||_F^2 + sum_i sigma_i^2 ||u_i||^2
+    + ridge ||v||_F^2, plus the maps between encoder coordinates and the
+    whitened factor coordinates."""
+
+    z: np.ndarray = field(repr=False)
+    sigma: np.ndarray
+    ridge: float
+    basis: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
+
+    def evaluate(self, u: np.ndarray, v: np.ndarray) -> float:
+        fit = float(np.sum((u @ v.T - self.z) ** 2))
+        return fit + float(np.sum(self.sigma**2 * np.sum(u**2, axis=0))) + self.ridge * float(np.sum(v**2))
+
+    def w_from_v(self, v: np.ndarray) -> np.ndarray:
+        """Minimum-norm encoder with the prescribed whitened factor."""
+        return (self.basis / np.sqrt(self.eigenvalues)) @ v
+
+    def v_from_w(self, w: np.ndarray) -> np.ndarray:
+        return (self.basis * np.sqrt(self.eigenvalues)).T @ w
+
+
+def reduce_to_factorization(
+    sp: DataSpectrum, hp: Hyperparams, sigma
+) -> FactorizationProblem:
+    """Whitened-coordinate form of the matrix part of the objective.
+
+    For any (u, v) with encoder ``w = w_from_v(v)``, the reduced value
+    equals ``2 eta_dec^2`` times the full loss minus its sigma-only term,
+    up to the additive constant ``target_power - sum(zeta^2)``.
+    """
+    return FactorizationProblem(
+        z=sp.cross_moment(),
+        sigma=np.asarray(sigma, dtype=np.float64),
+        ridge=hp.ridge,
+        basis=sp.basis,
+        eigenvalues=sp.eigenvalues,
+    )
+
+
+def numeric_hessian_check(
+    sp: DataSpectrum,
+    hp: Hyperparams,
+    n_directions: int = 24,
+    seed: int = 0,
+    step: float = 3e-3,
+) -> float:
+    """Minimum finite-difference curvature of the reduced objective at
+    the origin over sampled unit directions.
+
+    The sample always includes the top singular pair of the cross-moment
+    mixed over a grid of decoder/encoder weightings, which is where
+    negative curvature shows up first; the rest are random. Curvature is
+    reported on the same scale as ``min_hessian_quadratic``.
+    """
+    if n_directions < 1:
+        raise ValueError("n_directions must be >= 1")
+    rng = np.random.default_rng(seed)
+    d1, d2, d0 = hp.latent_dim, sp.dim_y, sp.rank
+    s = hp.decvar
+    log_sigma = np.full(d1, np.log(hp.eta_enc))
+    inv_root = sp.basis / np.sqrt(sp.eigenvalues)
+
+    def curvature(delta_u: np.ndarray, delta_v: np.ndarray) -> float:
+        scale = np.sqrt(np.sum(delta_u**2) + np.sum(delta_v**2))
+        delta_u = delta_u / scale
+        delta_w = inv_root @ (delta_v / scale)
+
+        def f(t: float) -> float:
+            params = tr.ModelParams(
+                decoder=t * delta_u, encoder=t * delta_w, log_sigma=log_sigma
+            )
+            return 2.0 * s * tr.eval_loss(params, sp, hp)
+
+        return (f(step) - 2.0 * f(0.0) + f(-step)) / step**2
+
+    worst = np.inf
+    if sp.effective_rank > 0:
+        u1 = sp.left_vectors[:, 0]
+        v1 = sp.right_vectors[:, 0]
+        for alpha in np.linspace(0.02, 0.98, 25):
+            delta_u = np.zeros((d2, d1))
+            delta_v = np.zeros((d0, d1))
+            delta_u[:, 0] = np.sqrt(alpha) * u1
+            delta_v[:, 0] = np.sqrt(1.0 - alpha) * v1
+            worst = min(worst, curvature(delta_u, delta_v))
+    for _ in range(n_directions):
+        worst = min(
+            worst,
+            curvature(rng.standard_normal((d2, d1)), rng.standard_normal((d0, d1))),
+        )
+    return float(worst)
+
+
+def eval_loss_monte_carlo(
+    p: tr.ModelParams,
+    ds: Dataset,
+    hp: Hyperparams,
+    n_draws: int = 1000,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """Estimate the loss by sampling the encoder noise.
+
+    Returns (mean, standard error) over ``n_draws`` independent full
+    passes; only the reconstruction expectation is sampled, every other
+    term is analytic.
+    """
+    loss, (_, _, c, _, t, s, fit) = tr._loss(p, tr.Moments.from_dataset(ds), hp)
+    deterministic = loss - fit
+    rng = np.random.default_rng(seed)
+
+    mean_part = ds.x @ p.encoder @ p.decoder.T + c - ds.y
+    std = t if p.ddv else np.exp(p.log_sigma)[None, :]
+    draws = np.empty(n_draws)
+    for j in range(n_draws):
+        eps = rng.standard_normal(size=(ds.n_samples, hp.latent_dim)) * std
+        resid = mean_part + eps @ p.decoder.T
+        draws[j] = float(np.mean(np.sum(resid**2, axis=1))) / (2.0 * s)
+    return deterministic + float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(n_draws))
+
+
+def ddv_inequality_check(
+    p: tr.ModelParams, ds: Dataset, hp: Hyperparams
+) -> tuple[float, float]:
+    """Loss with a data-dependent encoder std vs. its flattened twin.
+
+    The twin keeps the same per-mode mean variance but removes the data
+    dependence (slope zero, offset raised to compensate); the original
+    can never beat it. Returns (original, flattened).
+    """
+    if not p.ddv:
+        raise ValueError("params carry no data-dependent variance")
+    t = ds.x @ p.var_slope.T + p.var_offset
+    flat = replace(
+        p, var_slope=np.zeros_like(p.var_slope), var_offset=np.sqrt(np.mean(t**2, axis=0))
+    )
+    return tr.eval_loss(p, ds, hp), tr.eval_loss(flat, ds, hp)
+
+
+def residual_power(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:
+    """Signal power left unexplained at the optimum for decoder variance s.
+
+    Collapsed modes contribute their full power, surviving modes only the
+    shrinkage floor ``beta * s``. The stationarity condition of the
+    profile loss is ``d2 * s == residual_power(s)``.
+    """
+    zeta = sp.zeta_padded(hp.latent_dim)
+    modes = cf.per_mode(zeta, hp.beta, s, hp.eta_enc, hp.pinned_sigma)
+    # mode i explains zeta_i times the learned map's singular value
+    explained = zeta * modes.decoder * modes.encoder
+    return float(np.sum(sp.singular_values**2)) - float(np.sum(explained))
+
+
+def minimize_profile(
+    sp: DataSpectrum,
+    hp: Hyperparams,
+    s_range: tuple[float, float] | None = None,
+    grid_points: int = 4000,
+) -> float:
+    """Numeric argmin of the profile loss on a bracket.
+
+    Log-spaced grid scan followed by golden-section refinement; returns
+    the bracket edge when the minimum sits there (the ill-posed case).
+    The default bracket spans from well below the smallest threshold to
+    a point where the profile provably rises.
+    """
+    if s_range is None:
+        zsq = sp.singular_values**2
+        top = float(zsq[0]) if zsq.size and zsq[0] > 0 else 1.0
+        s1 = top / hp.beta
+        s_lo = 1e-8 * max(s1, 1.0)
+        s_hi = s1 + float(np.sum(zsq)) + 1.0
+    else:
+        s_lo, s_hi = s_range
+    if not (0 < s_lo < s_hi):
+        raise DomainError(f"need 0 < s_lo < s_hi, got ({s_lo}, {s_hi})")
+
+    grid = np.geomspace(s_lo, s_hi, grid_points)
+    values = profile_loss(sp, hp, grid)
+    idx = int(np.argmin(values))
+    if idx == 0:
+        return float(grid[0])
+    if idx == grid_points - 1:
+        return float(grid[-1])
+    result = optimize.minimize_scalar(
+        lambda s: profile_loss(sp, hp, s),
+        bracket=(grid[idx - 1], grid[idx], grid[idx + 1]),
+        method="golden",
+        options={"xtol": 1e-12, "maxiter": 500},
+    )
+    return float(result.x)

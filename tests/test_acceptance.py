@@ -18,7 +18,8 @@ from collapse_lab.spectrum import DataSpectrum
 from collapse_lab.verify import _learned_singvals, run_oracle_suite
 
 from conftest import assert_sinks_below, make_instance, sink_run
-from test_closed_form import argmin_1d
+from oracles import ddv_inequality_check, minimize_profile, numeric_hessian_check
+from test_closed_form import argmin_1d, mode_objective
 
 PAPER_TOP5 = [5.12, 3.74, 3.25, 2.84, 2.57]
 
@@ -67,7 +68,7 @@ def test_criterion_2_optimal_sigma():
         sp = DataSpectrum.from_singular_values([max(zeta, 0.0)], dim_y=1)
         predicted = cf.optimal_sigma(sp, hp)[0]
         numeric = argmin_1d(
-            lambda s: cf.sigma_objective(hp, zeta, s),
+            lambda s: mode_objective(hp, zeta, s),
             bracket=(1e-6 * hp.eta_enc, 0.9 * hp.eta_enc, 8.0 * hp.eta_enc),
         )
         worst_numeric = max(worst_numeric, abs(numeric - predicted))
@@ -156,7 +157,7 @@ def test_criterion_4_hessian_criterion():
         psd, min_q = cl.hessian_origin_test(sp, hp)
         if abs(min_q) <= 1e-4:
             continue
-        numeric = cl.numeric_hessian_check(sp, hp, n_directions=16, seed=seed)
+        numeric = numeric_hessian_check(sp, hp, n_directions=16, seed=seed)
         sign_checks += 1
         sign_agreements += (numeric >= -1e-6) == psd
     report(
@@ -209,7 +210,7 @@ def test_criterion_5_learnable_decoder_variance():
             sol = dv.solve_decoder_variance(sp, hp)
             if sol.regime != regime_target:
                 continue
-            numeric = dv.minimize_profile(sp, hp)
+            numeric = minimize_profile(sp, hp)
             worst_rel = max(worst_rel, abs(numeric - sol.s_star) / sol.s_star)
             count += 1
         checks[regime_target] = True
@@ -338,7 +339,7 @@ def test_criterion_7_data_dependent_variance():
             var_slope=g.normal(size=(2, 3)) * 0.3,
             var_offset=g.uniform(0.7, 1.4, size=2),
         )
-        lhs, rhs = tr.ddv_inequality_check(params, ds, hp)
+        lhs, rhs = ddv_inequality_check(params, ds, hp)
         worst_gap = min(worst_gap, lhs - rhs)
 
     init = tr.init_params(ds, hp, seed=3, ddv=True)
@@ -372,7 +373,8 @@ def test_criterion_8_invariances():
     ref = None
     for beta, eta_dec in ((4.0, 1.0), (1.0, 2.0), (16.0, 0.5)):
         hp = cf.Hyperparams(beta=beta, latent_dim=3, eta_dec=eta_dec)
-        lam, theta = cf.prior_sigma_factors(sp, hp)
+        modes = cf.per_mode(sp.zeta_padded(3), beta, hp.decvar, hp.eta_enc, hp.eta_enc)
+        lam, theta = modes.decoder, modes.encoder
         flags = cf.global_minimum(sp, hp).collapse_flags
         if ref is None:
             ref = (lam, theta, flags)

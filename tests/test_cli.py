@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -9,13 +10,13 @@ import pytest
 
 import collapse_lab
 from collapse_lab.cli import main
-from collapse_lab.data import Dataset, generate, random_spec, replace_targets, save
+from collapse_lab.data import Dataset, generate, random_spec, save
 
 
 @pytest.fixture
 def autoencode_csv(tmp_path):
     ds = generate(random_spec(4, 4, 500, seed=8))
-    ds = replace_targets(ds, ds.x)
+    ds = Dataset(ds.x, ds.x)
     path = tmp_path / "auto.csv"
     save(ds, path)
     return path
@@ -39,6 +40,25 @@ def test_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+def _imported_names(path):
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            found.update(part for name in names for part in name.split("."))
+    return found
+
+
+def test_package_imports_no_scipy_and_closed_forms_no_trainer():
+    """scipy serves only the test-side references, and the closed forms
+    stand apart from the oracle that checks them."""
+    package = Path(collapse_lab.__file__).resolve().parent
+    imports = {path.stem: _imported_names(path) for path in package.glob("*.py")}
+    assert [name for name, found in imports.items() if "scipy" in found] == []
+    for name in ("closed_form", "decoder_variance", "collapse"):
+        assert "trainer" not in imports[name], name
+
+
 class TestSpectrumCommand:
     def test_autoencoding_identity(self, capsys, autoencode_csv):
         code, out, _ = run(capsys, "spectrum", "--data", str(autoencode_csv))
@@ -51,7 +71,7 @@ class TestSpectrumCommand:
 
     def test_zero_target_warns(self, capsys, tmp_path):
         ds = generate(random_spec(3, 2, 100, seed=1))
-        ds = replace_targets(ds, np.zeros((100, 2)))
+        ds = Dataset(ds.x, np.zeros((100, 2)))
         path = tmp_path / "zero.csv"
         save(ds, path)
         code, out, err = run(capsys, "spectrum", "--data", str(path))
@@ -247,12 +267,32 @@ class TestSweepCommand:
         ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2",
          "--beta-grid", "1:1.000000000000001:1e-17"),
         ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--lr=-1"),
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--lr", "inf",
+         "--max-steps", "5"),
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2",
+         "--grad-tol", "nan", "--max-steps", "5"),
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2",
+         "--grad-tol=-1", "--max-steps", "5"),
+        ("spectrum", "--synthetic", "0,5,10,1"),
+        ("spectrum", "--synthetic", "3,0,10,1"),
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):
     """A bad option value is invalid input: exit 2 with one line on
     stderr and nothing on stdout, never a traceback or NaN output."""
     code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_non_finite_json_exit_2(capsys, monkeypatch):
+    """JSON is written strictly: a non-finite float is an error, never
+    ``NaN`` in the output."""
+    monkeypatch.setattr(
+        "collapse_lab.spectrum.DataSpectrum.to_json_dict",
+        lambda self: {"singular_values": [float("nan")]},
+    )
+    code, out, err = run(capsys, "spectrum", "--synthetic", "3,3,50,1")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
@@ -277,10 +317,18 @@ class TestTrainCommand:
 
 
 class TestVerifyCommand:
-    def test_small_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--instances", "3", "--seed", "5")
+    def test_small_suite_passes(self, capsys, tmp_path):
+        out_path = tmp_path / "verify.json"
+        code, out, _ = run(
+            capsys, "verify", "--instances", "3", "--seed", "5", "--out", str(out_path)
+        )
         assert code == 0
         assert "ALL PASS" in out
+        doc = json.loads(out_path.read_text())
+        assert (doc["schema"], doc["command"], doc["all_passed"]) == (
+            "collapse-lab/v1", "verify", True
+        )
+        assert len(doc["rows"]) == 3
 
     def test_zero_instances_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "--instances", "0")

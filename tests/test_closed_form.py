@@ -6,15 +6,29 @@ from scipy import optimize
 
 from collapse_lab import closed_form as cf
 from collapse_lab import trainer as tr
-from collapse_lab.data import center, replace_targets
+from collapse_lab.data import Dataset, center
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
 from conftest import make_instance
+from oracles import reduce_to_factorization
 
 
 def kl_var_term(hp, sigma):
     ratio = sigma**2 / hp.eta_enc**2
     return 0.5 * hp.beta * float(np.sum(ratio - 1.0 - np.log(ratio)))
+
+
+def least_residual(sp, hp, sigma):
+    """Minimum of the reduced factorization at the stds ``sigma``: the loss
+    at the per-mode optimum, on the reduced scale, less its std-only terms."""
+    modes = cf.per_mode(sp.zeta_padded(hp.latent_dim), hp.beta, hp.decvar, hp.eta_enc, sigma)
+    return float(2.0 * hp.decvar * cf.loss_at_optimum(sp, modes, hp.decvar) - np.sum(modes.kl))
+
+
+def mode_objective(hp, zeta, sigma):
+    """Objective of one mode at the encoder std ``sigma``."""
+    modes = cf.per_mode(zeta, hp.beta, hp.decvar, hp.eta_enc, sigma)
+    return float(modes.fit + modes.kl)
 
 
 def argmin_1d(fun, bracket):
@@ -57,7 +71,7 @@ class TestFactorizationReduction:
     def test_unit_ridge(self):
         _, sp = make_instance(seed=1)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2, eta_enc=1.0, eta_dec=1.0)
-        problem = cf.reduce_to_factorization(sp, hp, np.ones(2))
+        problem = reduce_to_factorization(sp, hp, np.ones(2))
         assert problem.ridge == 1.0
 
     def test_reduced_value_matches_full_loss(self, rng):
@@ -67,7 +81,7 @@ class TestFactorizationReduction:
         ds, sp = make_instance(seed=7, dim_x=4, dim_y=4)
         hp = cf.Hyperparams(beta=1.3, latent_dim=3, eta_dec=0.8, eta_enc=1.2)
         sigma = rng.uniform(0.5, 1.5, size=3)
-        problem = cf.reduce_to_factorization(sp, hp, sigma)
+        problem = reduce_to_factorization(sp, hp, sigma)
         constant = sp.target_power - np.sum(sp.singular_values**2)
         for _ in range(5):
             u = rng.normal(size=(4, 3))
@@ -83,15 +97,14 @@ class TestFactorizationReduction:
     def test_encoder_map_round_trip(self, rng):
         _, sp = make_instance(seed=8, dim_x=5, dim_y=3, rank=3)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
-        problem = cf.reduce_to_factorization(sp, hp, np.ones(2))
+        problem = reduce_to_factorization(sp, hp, np.ones(2))
         v = rng.normal(size=(sp.rank, 2))
         np.testing.assert_allclose(problem.v_from_w(problem.w_from_v(v)), v, atol=1e-10)
 
     def test_zero_cross_moment_minimizer_is_zero(self):
         sp = DataSpectrum.from_singular_values([0.0, 0.0], dim_y=2)
-        hp = cf.Hyperparams(beta=1.0, latent_dim=2)
-        lam, theta = cf.optimal_factors(sp, hp, np.ones(2))
-        assert np.all(lam == 0.0) and np.all(theta == 0.0)
+        modes = cf.per_mode(sp.zeta_padded(2), 1.0, 1.0, 1.0, np.ones(2))
+        assert np.all(modes.decoder == 0.0) and np.all(modes.encoder == 0.0)
 
 
 class TestOptimalFactors:
@@ -100,7 +113,7 @@ class TestOptimalFactors:
         the reduced objective and compare with the closed form (1, 1)."""
         sp = DataSpectrum.from_singular_values([2.0], dim_y=1)
         hp = cf.Hyperparams(beta=1.0, latent_dim=1)
-        problem = cf.reduce_to_factorization(sp, hp, np.ones(1))
+        problem = reduce_to_factorization(sp, hp, np.ones(1))
 
         best = min(
             (
@@ -113,36 +126,38 @@ class TestOptimalFactors:
             ),
             key=lambda r: r.fun,
         )
-        lam, theta = cf.optimal_factors(sp, hp, np.ones(1))
+        modes = cf.per_mode(sp.zeta_padded(1), hp.beta, hp.decvar, hp.eta_enc, np.ones(1))
+        lam, theta = modes.decoder, modes.encoder
         assert lam[0] == pytest.approx(1.0) and theta[0] == pytest.approx(1.0)
         assert abs(best.x[0] * best.x[1]) == pytest.approx(lam[0] * theta[0], abs=1e-6)
         assert best.fun == pytest.approx(problem.evaluate(lam.reshape(1, 1), theta.reshape(1, 1)), abs=1e-8)
 
     def test_collapsed_when_signal_below_threshold(self):
         sp = DataSpectrum.from_singular_values([0.5], dim_y=1)
-        hp = cf.Hyperparams(beta=4.0, latent_dim=1)  # sqrt(beta) sigma = 2 > 0.5
-        lam, theta = cf.optimal_factors(sp, hp, np.ones(1))
-        assert lam[0] == 0.0 and theta[0] == 0.0
+        # sqrt(beta) sigma = 2 > 0.5
+        modes = cf.per_mode(sp.zeta_padded(1), 4.0, 1.0, 1.0, np.ones(1))
+        assert modes.decoder[0] == 0.0 and modes.encoder[0] == 0.0
 
     def test_modes_beyond_data_rank_are_zero(self):
         sp = DataSpectrum.from_singular_values([3.0], dim_y=1)
-        hp = cf.Hyperparams(beta=1.0, latent_dim=4)
-        lam, theta = cf.optimal_factors(sp, hp, np.ones(4))
-        assert np.all(lam[1:] == 0.0) and np.all(theta[1:] == 0.0)
+        modes = cf.per_mode(sp.zeta_padded(4), 1.0, 1.0, 1.0, np.ones(4))
+        assert np.all(modes.decoder[1:] == 0.0) and np.all(modes.encoder[1:] == 0.0)
 
     def test_prior_sigma_specializes_general_formula(self):
+        """Stds pinned at the prior give the factors of an explicit
+        sigma = eta_enc."""
         _, sp = make_instance(seed=11)
-        hp = cf.Hyperparams(beta=2.0, latent_dim=3, eta_enc=0.7, eta_dec=1.4)
-        lam1, theta1 = cf.prior_sigma_factors(sp, hp)
-        lam2, theta2 = cf.optimal_factors(sp, hp, np.full(3, 0.7))
-        np.testing.assert_array_equal(lam1, lam2)
-        np.testing.assert_array_equal(theta1, theta2)
+        hp = cf.Hyperparams(beta=2.0, latent_dim=3, eta_enc=0.7, eta_dec=1.4, sigma_mode="fixed")
+        gm = cf.global_minimum(sp, hp)
+        modes = cf.per_mode(sp.zeta_padded(3), hp.beta, hp.decvar, 0.7, np.full(3, 0.7))
+        np.testing.assert_array_equal(gm.decoder_singvals, modes.decoder)
+        np.testing.assert_array_equal(gm.encoder_singvals, modes.encoder)
 
     def test_complete_collapse_condition(self):
         sp = DataSpectrum.from_singular_values([1.9, 1.0], dim_y=2)
-        hp = cf.Hyperparams(beta=4.0, latent_dim=2)  # sqrt(beta) eta_dec = 2 > 1.9
-        lam, theta = cf.prior_sigma_factors(sp, hp)
-        assert np.all(lam == 0.0) and np.all(theta == 0.0)
+        # sqrt(beta) eta_dec = 2 > 1.9
+        modes = cf.per_mode(sp.zeta_padded(2), 4.0, 1.0, 1.0, 1.0)
+        assert np.all(modes.decoder == 0.0) and np.all(modes.encoder == 0.0)
 
     def test_two_mode_instance_against_numeric_oracle(self, rng):
         """beta=4, zeta=(3,1): expected factors (sqrt(2), 0), (sqrt(1/2), 0);
@@ -150,11 +165,12 @@ class TestOptimalFactors:
         matrices from several starts."""
         sp = DataSpectrum.from_singular_values([3.0, 1.0], dim_y=2)
         hp = cf.Hyperparams(beta=4.0, latent_dim=2)
-        lam, theta = cf.prior_sigma_factors(sp, hp)
+        modes = cf.per_mode(sp.zeta_padded(2), hp.beta, hp.decvar, hp.eta_enc, np.ones(2))
+        lam, theta = modes.decoder, modes.encoder
         np.testing.assert_allclose(lam, [np.sqrt(2.0), 0.0], atol=1e-12)
         np.testing.assert_allclose(theta, [np.sqrt(0.5), 0.0], atol=1e-12)
 
-        problem = cf.reduce_to_factorization(sp, hp, np.ones(2))
+        problem = reduce_to_factorization(sp, hp, np.ones(2))
         objective = lambda p: problem.evaluate(p[:4].reshape(2, 2), p[4:].reshape(2, 2))
         best = min(
             (
@@ -163,8 +179,7 @@ class TestOptimalFactors:
             ),
             key=lambda r: r.fun,
         )
-        analytic = cf.min_factorization_value(sp, hp, np.ones(2))
-        assert best.fun == pytest.approx(analytic, abs=1e-7)
+        assert best.fun == pytest.approx(np.sum(modes.fit), abs=1e-7)
         u = best.x[:4].reshape(2, 2)
         v = best.x[4:].reshape(2, 2)
         np.testing.assert_allclose(
@@ -198,7 +213,7 @@ class TestOptimalSigma:
             sp = DataSpectrum.from_singular_values([zeta], dim_y=1)
             predicted = cf.optimal_sigma(sp, hp)[0]
             numeric = argmin_1d(
-                lambda s: cf.sigma_objective(hp, zeta, s),
+                lambda s: mode_objective(hp, zeta, s),
                 bracket=(1e-6 * hp.eta_enc, 0.9 * hp.eta_enc, 8.0 * hp.eta_enc),
             )
             assert numeric == pytest.approx(predicted, abs=1e-8)
@@ -322,7 +337,7 @@ class TestGlobalMinimum:
         closed-form point, target residual included, in both std modes."""
         ds, _ = make_instance(seed=seed, dim_x=5, dim_y=4)
         noise = 0.3 * np.random.default_rng(seed).standard_normal(ds.y.shape)
-        sp = compute_spectrum(center(replace_targets(ds, ds.y + noise))[0])
+        sp = compute_spectrum(center(Dataset(ds.x, ds.y + noise))[0])
         hp = cf.Hyperparams(
             beta=2.0, latent_dim=d1, eta_enc=eta_enc, eta_dec=eta_dec, sigma_mode=sigma_mode
         )
@@ -355,18 +370,18 @@ class TestMinimalValues:
     def test_zero_signal_zero_value(self):
         sp = DataSpectrum.from_singular_values([0.0], dim_y=1)
         hp = cf.Hyperparams(beta=1.0, latent_dim=1)
-        assert cf.min_factorization_value(sp, hp, np.ones(1)) == 0.0
+        assert least_residual(sp, hp, np.ones(1)) == 0.0
 
     def test_fully_clamped_value_is_total_power(self):
         sp = DataSpectrum.from_singular_values([1.5, 1.0], dim_y=2)
         hp = cf.Hyperparams(beta=9.0, latent_dim=2)
-        value = cf.min_factorization_value(sp, hp, np.ones(2))
+        value = least_residual(sp, hp, np.ones(2))
         assert value == pytest.approx(1.5**2 + 1.0)
 
     def test_truncated_tail_counts_fully(self):
         sp = DataSpectrum.from_singular_values([2.0, 1.0, 0.5], dim_y=3)
         hp = cf.Hyperparams(beta=1e-12, latent_dim=1)
-        value = cf.min_factorization_value(sp, hp, np.ones(1))
+        value = least_residual(sp, hp, np.ones(1))
         assert value == pytest.approx(1.0 + 0.25, abs=1e-5)
 
     def test_matches_evaluated_optimum(self, rng):
@@ -381,17 +396,17 @@ class TestMinimalValues:
                 eta_dec=float(rng.uniform(0.6, 1.5)),
             )
             sigma = rng.uniform(0.4, 1.4, size=hp.latent_dim)
-            lam, theta = cf.optimal_factors(sp, hp, sigma)
-            problem = cf.reduce_to_factorization(sp, hp, sigma)
             d1 = hp.latent_dim
+            modes = cf.per_mode(sp.zeta_padded(d1), hp.beta, hp.decvar, hp.eta_enc, sigma)
+            problem = reduce_to_factorization(sp, hp, sigma)
             u = np.zeros((sp.dim_y, d1))
             v = np.zeros((sp.rank, d1))
             k = min(d1, sp.n_modes)
-            u[:, :k] = sp.left_vectors[:, :k] * lam[:k]
-            v[:, :k] = sp.right_vectors[:, :k] * theta[:k]
+            u[:, :k] = sp.left_vectors[:, :k] * modes.decoder[:k]
+            v[:, :k] = sp.right_vectors[:, :k] * modes.encoder[:k]
             np.testing.assert_allclose(
                 problem.evaluate(u, v),
-                cf.min_factorization_value(sp, hp, sigma),
+                least_residual(sp, hp, sigma),
                 atol=1e-8,
             )
 
@@ -399,12 +414,12 @@ class TestMinimalValues:
         sp = DataSpectrum.from_singular_values([1.2, 0.9], dim_y=2)
         hp = cf.Hyperparams(beta=3.0, latent_dim=2, eta_dec=1.5)
         expected = np.sum(sp.singular_values**2) / (2 * 1.5**2)
-        assert cf.min_loss_value(sp, hp) == pytest.approx(expected)
+        assert cf.global_minimum(sp, hp).predicted_loss == pytest.approx(expected)
 
     def test_min_loss_vanishes_as_beta_to_zero(self):
         sp = DataSpectrum.from_singular_values([2.0, 1.0], dim_y=2)
         hp = cf.Hyperparams(beta=1e-8, latent_dim=2)
-        assert 0 <= cf.min_loss_value(sp, hp) < 1e-5
+        assert 0 <= cf.global_minimum(sp, hp).predicted_loss < 1e-5
 
 
 class TestInvariances:
@@ -426,9 +441,9 @@ class TestInvariances:
         results = []
         for beta, eta_dec in pairs:
             hp = cf.Hyperparams(beta=beta, latent_dim=3, eta_dec=eta_dec)
-            lam, theta = cf.prior_sigma_factors(sp, hp)
+            modes = cf.per_mode(sp.zeta_padded(3), beta, hp.decvar, hp.eta_enc, hp.eta_enc)
             flags = cf.global_minimum(sp, hp).collapse_flags
-            results.append((lam, theta, flags))
+            results.append((modes.decoder, modes.encoder, flags))
         for lam, theta, flags in results[1:]:
             np.testing.assert_allclose(lam, results[0][0], rtol=1e-12)
             np.testing.assert_allclose(theta, results[0][1], rtol=1e-12)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from collapse_lab import closed_form as cf
 from collapse_lab import collapse as cl
 from collapse_lab import decoder_variance as dv
-from collapse_lab.data import center, replace_targets
+from collapse_lab.data import Dataset, center
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
 from conftest import make_instance
+from oracles import minimize_profile, numeric_hessian_check
 
 PAPER_TOP5 = [5.12, 3.74, 3.25, 2.84, 2.57]
 
@@ -106,32 +107,29 @@ class TestNumericHessian:
         saddle_hp = cf.Hyperparams(beta=0.4, latent_dim=3)
         psd, min_q = cl.hessian_origin_test(sp, saddle_hp)
         assert not psd and min_q < -1e-4
-        assert cl.numeric_hessian_check(sp, saddle_hp) < 0
+        assert numeric_hessian_check(sp, saddle_hp) < 0
 
         flat_hp = cf.Hyperparams(beta=float(sp.singular_values[0] ** 2 * 3), latent_dim=3)
         psd, min_q = cl.hessian_origin_test(sp, flat_hp)
         assert psd and min_q > 1e-4
-        assert cl.numeric_hessian_check(sp, flat_hp) >= -1e-6
+        assert numeric_hessian_check(sp, flat_hp) >= -1e-6
 
     def test_zero_signal_pure_decoder_curvature(self):
         """With no signal the quadratic form along decoder-only directions
         is exactly twice the squared encoder std."""
         sp = DataSpectrum.from_singular_values([0.0, 0.0], dim_y=2)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2, eta_enc=1.4)
-        worst = cl.numeric_hessian_check(sp, hp, n_directions=64, seed=1)
+        worst = numeric_hessian_check(sp, hp, n_directions=64, seed=1)
         # every direction mixes decoder and encoder; the decoder part
         # contributes 2 sigma^2, the encoder part 2 beta decvar / eta_enc^2
         assert worst >= min(2 * 1.4**2, 2 * 1.0 / 1.4**2) - 1e-6
-        rng = np.random.default_rng(0)
-        du = rng.standard_normal((2, 2))
-        du /= np.linalg.norm(du)
-        params_curv = cl.numeric_hessian_check(sp, hp, n_directions=1, seed=3)
+        params_curv = numeric_hessian_check(sp, hp, n_directions=1, seed=3)
         assert params_curv > 0
 
     def test_rejects_bad_direction_count(self):
         _, sp = make_instance(seed=13)
         with pytest.raises(ValueError):
-            cl.numeric_hessian_check(sp, cf.Hyperparams(beta=1.0, latent_dim=2), 0)
+            numeric_hessian_check(sp, cf.Hyperparams(beta=1.0, latent_dim=2), 0)
 
 
 class TestBetaSweep:
@@ -274,7 +272,7 @@ class TestBetaSweep:
             else:
                 # an independent check: the numeric argmin of the profile
                 s = row.s_star
-                assert s == pytest.approx(dv.minimize_profile(sp, hp_b), rel=1e-6)
+                assert s == pytest.approx(minimize_profile(sp, hp_b), rel=1e-6)
             assert row.loss == dv.profile_loss(sp, hp_b, s) + cf.loss_offset(sp, s)
 
 
@@ -292,7 +290,7 @@ class TestInvariants:
     def test_target_scaling_scales_thresholds(self):
         ds, sp = make_instance(seed=37, dim_x=4, dim_y=3)
         c = 3.0
-        scaled, _, _ = center(replace_targets(ds, c * ds.y))
+        scaled, _, _ = center(Dataset(ds.x, c * ds.y))
         sp_scaled = compute_spectrum(scaled)
         np.testing.assert_allclose(
             sp_scaled.singular_values, c * sp.singular_values, atol=1e-9

@@ -43,6 +43,12 @@ def test_non_psd_second_moment_rejected():
         generate(spec)
 
 
+@pytest.mark.parametrize("dims, name", [((0, 5), "dim_x"), ((3, 0), "dim_y")])
+def test_zero_dimension_rejected(dims, name):
+    with pytest.raises(InvalidSpec, match=name):
+        generate(random_spec(*dims, n_samples=10, seed=1))
+
+
 def test_asymmetric_second_moment_rejected():
     a = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(InvalidSpec):

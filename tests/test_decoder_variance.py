@@ -8,6 +8,7 @@ from collapse_lab.errors import DomainError
 from collapse_lab.spectrum import DataSpectrum
 
 from conftest import random_case3_spectrum
+from oracles import minimize_profile, residual_power
 
 PAPER_TOP5 = [5.12, 3.74, 3.25, 2.84, 2.57]
 
@@ -66,7 +67,7 @@ class TestSolver:
             sol = dv.solve_decoder_variance(sp, hp)
             if sol.s_star is None:
                 continue
-            gap = sp.dim_y * sol.s_star - dv.residual_power(sp, hp, sol.s_star)
+            gap = sp.dim_y * sol.s_star - residual_power(sp, hp, sol.s_star)
             assert abs(gap) <= 1e-10 * max(1.0, sp.dim_y * sol.s_star)
 
     def test_unique_sign_change_of_derivative(self, rng):
@@ -86,7 +87,7 @@ class TestSolver:
             sol = dv.solve_decoder_variance(sp, hp)
             if sol.s_star is None:
                 continue
-            numeric = dv.minimize_profile(sp, hp)
+            numeric = minimize_profile(sp, hp)
             assert abs(numeric - sol.s_star) / sol.s_star <= 1e-6
 
     def test_complete_collapse_bullet(self):
@@ -99,7 +100,7 @@ class TestSolver:
         assert sol.surviving_modes == 0
         assert sol.s_star == pytest.approx(np.sum(zeta**2) / 4)
         assert sol.beta_interval[0] == pytest.approx(threshold)
-        numeric = dv.minimize_profile(sp, hp)
+        numeric = minimize_profile(sp, hp)
         assert numeric == pytest.approx(sol.s_star, rel=1e-6)
 
     def test_no_collapse_bullet(self):
@@ -114,7 +115,7 @@ class TestSolver:
         assert sol.surviving_modes == d1
         assert sol.s_star == pytest.approx(tail / (d2 - hp.beta * d1))
         assert sol.beta_interval == (0.0, pytest.approx(bound))
-        numeric = dv.minimize_profile(sp, hp)
+        numeric = minimize_profile(sp, hp)
         assert numeric == pytest.approx(sol.s_star, rel=1e-6)
 
     def test_partial_interval_and_membership(self, rng):
@@ -161,7 +162,7 @@ class TestSolver:
         assert sol.regime == dv.REGIME_ILL_POSED
         assert sol.s_star is None
         for s_lo in (1e-3, 1e-5, 1e-7):
-            argmin = dv.minimize_profile(sp, hp, s_range=(s_lo, 10.0))
+            argmin = minimize_profile(sp, hp, s_range=(s_lo, 10.0))
             assert argmin == pytest.approx(s_lo)
 
     def test_zero_spectrum_always_ill_posed(self):
@@ -322,6 +323,6 @@ class TestPinnedStds:
         assert dv.solve_decoder_variance(self.sp, learnable).s_star == pytest.approx(2.5)
 
     def test_profile_loss_follows_the_pinned_problem(self):
-        assert dv.minimize_profile(self.sp, self.hp) == pytest.approx(3.125, rel=1e-6)
+        assert minimize_profile(self.sp, self.hp) == pytest.approx(3.125, rel=1e-6)
         # stationarity: only the top mode survives, explaining 3 * sqrt(2 * 3.125)
-        assert dv.residual_power(self.sp, self.hp, 3.125) == pytest.approx(4 * 3.125)
+        assert residual_power(self.sp, self.hp, 3.125) == pytest.approx(4 * 3.125)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from collapse_lab.data import Dataset, center, generate, random_spec, replace_targets
+from collapse_lab.data import Dataset, center, generate, random_spec
 from collapse_lab.errors import DegenerateInput
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum, effective_counts
 
@@ -13,7 +13,7 @@ def test_autoencoding_singular_values_are_input_spectrum():
     the whitened cross-moment are exactly the input eigenvalues."""
     spec = random_spec(5, 5, 800, seed=21)
     ds = generate(spec)
-    ds, _, _ = center(replace_targets(ds, ds.x))
+    ds, _, _ = center(Dataset(ds.x, ds.x))
     sp = compute_spectrum(ds)
     np.testing.assert_allclose(sp.singular_values**2, sp.eigenvalues, atol=1e-8)
 
@@ -21,7 +21,7 @@ def test_autoencoding_singular_values_are_input_spectrum():
 def test_zero_target_spectrum():
     spec = random_spec(4, 3, 100, seed=2)
     ds = generate(spec)
-    ds, _, _ = center(replace_targets(ds, np.zeros((ds.n_samples, 3))))
+    ds, _, _ = center(Dataset(ds.x, np.zeros((ds.n_samples, 3))))
     sp = compute_spectrum(ds)
     assert np.all(sp.singular_values == 0.0)
     assert sp.effective_rank == 0
@@ -35,7 +35,7 @@ def test_linear_map_cross_moment_identity(rng):
     m /= np.linalg.norm(m, 2)
     spec = random_spec(4, 4, 500, seed=9)
     ds = generate(spec)
-    ds, _, _ = center(replace_targets(ds, gain * ds.x @ m.T))
+    ds, _, _ = center(Dataset(ds.x, gain * ds.x @ m.T))
     sp = compute_spectrum(ds)
     a = ds.x.T @ ds.x / ds.n_samples
     z = sp.cross_moment() @ (sp.basis * np.sqrt(sp.eigenvalues)).T  # undo whitening

@@ -13,6 +13,17 @@ from collapse_lab.errors import (
 from collapse_lab.spectrum import DataSpectrum
 
 from conftest import assert_sinks_below, make_instance, sink_run
+from oracles import ddv_inequality_check, eval_loss_monte_carlo
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("learning_rate", np.inf), ("learning_rate", np.nan), ("grad_tol", np.inf),
+     ("grad_tol", np.nan), ("grad_tol", -1.0)],
+)
+def test_train_config_rejects_bad_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        tr.TrainConfig(**{field: value})
 
 
 def pack_grad(params, hp, grad=None, src=None):
@@ -79,9 +90,9 @@ class TestEvalLoss:
         hp = cf.Hyperparams(beta=1.1, latent_dim=2)
         params = random_params(rng, 3, 3, 2)
         closed = tr.eval_loss(params, ds, hp)
-        mc, se = tr.eval_loss_monte_carlo(params, ds, hp, n_draws=3000, seed=11)
+        mc, se = eval_loss_monte_carlo(params, ds, hp, n_draws=3000, seed=11)
         assert abs(mc - closed) <= 3 * se
-        mc2, _ = tr.eval_loss_monte_carlo(params, ds, hp, n_draws=3000, seed=11)
+        mc2, _ = eval_loss_monte_carlo(params, ds, hp, n_draws=3000, seed=11)
         assert mc2 == mc  # deterministic for a fixed seed
 
     def test_loss_only_paths_share_terms_once(self, rng, monkeypatch):
@@ -101,7 +112,7 @@ class TestEvalLoss:
         assert len(calls) == 1
         assert loss == tr.value_and_grad(params, ds, hp)[0]
         calls.clear()
-        tr.eval_loss_monte_carlo(params, ds, hp, n_draws=2)
+        eval_loss_monte_carlo(params, ds, hp, n_draws=2)
         assert len(calls) == 1
 
     def test_solution_loss_matches_closed_form_value(self):
@@ -109,9 +120,7 @@ class TestEvalLoss:
         hp = cf.Hyperparams(beta=1.7, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
         loss = tr.eval_loss(tr.params_from_minimum(gm, hp), ds, hp)
-        assert loss == pytest.approx(
-            cf.min_loss_value(sp, hp) + cf.loss_offset(sp, hp.decvar), abs=1e-8
-        )
+        assert loss == pytest.approx(gm.predicted_loss, abs=1e-8)
 
     def test_shape_mismatch_raises(self, rng):
         ds, _ = make_instance(seed=9, dim_x=3, dim_y=2)
@@ -306,7 +315,7 @@ class TestDataDependentVariance:
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
         params = random_params(rng, 3, 2, 2, ddv=True)
         params.var_slope = np.zeros_like(params.var_slope)
-        lhs, rhs = tr.ddv_inequality_check(params, ds, hp)
+        lhs, rhs = ddv_inequality_check(params, ds, hp)
         assert lhs == rhs
 
     def test_inequality_holds_over_100_draws(self):
@@ -315,7 +324,7 @@ class TestDataDependentVariance:
         g = np.random.default_rng(61)
         for _ in range(100):
             params = random_params(g, 3, 2, 2, ddv=True)
-            lhs, rhs = tr.ddv_inequality_check(params, ds, hp)
+            lhs, rhs = ddv_inequality_check(params, ds, hp)
             assert lhs >= rhs - 1e-10
 
     def test_training_flattens_the_slope(self):
