@@ -78,6 +78,9 @@ def _parse_synthetic(text: str):
         d0, d2, n, seed = (int(v) for v in text.split(","))
     except ValueError:
         raise InvalidSpec(f"--synthetic wants d0,d2,n,seed; got {text!r}") from None
+    for name, value, least in (("d0", d0, 1), ("d2", d2, 1), ("n", n, 1), ("seed", seed, 0)):
+        if value < least:
+            raise InvalidSpec(f"--synthetic {name} must be >= {least}, got {value}")
     return generate(random_spec(d0, d2, n_samples=n, seed=seed))
 
 

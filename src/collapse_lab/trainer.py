@@ -13,7 +13,8 @@ needs sample access for its log term), and a learnable decoder variance
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -229,21 +230,30 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
             )
 
 
-def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams):
-    """Terms the loss and every gradient block share; the last is the
-    expected reconstruction term ``E||y - decode(z)||^2 / (2 s)``."""
+def _zero_mean(p: ModelParams, m: Moments) -> bool:
+    """Whether every mean and bias term is exactly zero, so the kernel skips them."""
+    no_bias = p.enc_bias is None and p.dec_bias is None
+    return no_bias and not (m.mean_x.any() or m.mean_y.any())
+
+
+def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
+    """Terms the loss and every gradient block share (``None`` where ``zero_mean`` skips
+    them); the last is the expected reconstruction ``E||y - decode(z)||^2 / (2 s)``."""
     k = p.decoder @ p.encoder.T
-    b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
-    b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
-    c = p.decoder @ b_e + b_d
-    recon = (
-        float(np.sum((k @ m.a) * k))
-        + 2.0 * float(c @ (k @ m.mean_x))
-        - 2.0 * float(np.sum(k * m.cross.T))
-        + float(c @ c)
-        - 2.0 * float(c @ m.mean_y)
-        + m.target_power
-    )
+    ka = k @ m.a
+    col_sq = np.add.reduce(p.decoder**2, axis=0)
+    recon = float(np.add.reduce(ka * k, None))
+    b_e = c = w_mean = None
+    if not zero_mean:
+        b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
+        b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
+        c = p.decoder @ b_e + b_d
+        w_mean = p.encoder.T @ m.mean_x
+        recon += 2.0 * float(c @ (k @ m.mean_x))
+    recon -= 2.0 * float(np.add.reduce(k * m.cross.T, None))
+    if not zero_mean:
+        recon = recon + float(c @ c) - 2.0 * float(c @ m.mean_y)
+    recon += m.target_power
     if p.ddv:
         t = m.samples_x @ p.var_slope.T + p.var_offset
         if np.any(t == 0.0):
@@ -252,32 +262,84 @@ def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams):
     else:
         t = None
         s2 = p.sigma**2
-    trace_term = float(np.sum(s2 * np.sum(p.decoder**2, axis=0)))
+    trace_term = float(np.add.reduce(s2 * col_sq))
     s = p.decvar if p.log_decvar is not None else hp.decvar
-    return k, b_e, c, s2, t, s, (recon + trace_term) / (2.0 * s)
+    fit = (recon + trace_term) / (2.0 * s)
+    return k, ka, col_sq, b_e, c, w_mean, s2, s2 / hp.eta_enc**2, t, s, fit
 
 
-def _loss(p: ModelParams, m: Moments, hp: Hyperparams):
+def _loss(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
     """Exact expected loss at ``p`` and the :func:`_core_terms` it was
-    built from, which :func:`value_and_grad` reuses for the gradient."""
-    _check_shapes(p, m, hp)
-    core = _core_terms(p, m, hp)
-    _, b_e, _, s2, t, s, fit = core
+    built from, which :func:`_value_and_grad` reuses for the gradient."""
+    core = _core_terms(p, m, hp, zero_mean)
+    _, _, _, b_e, _, w_mean, _, ratio, t, s, fit = core
     eta2 = hp.eta_enc**2
     if p.ddv:
-        kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
+        kl_terms = ratio - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
     else:
-        ratio = s2 / eta2
         kl_terms = ratio - 1.0 - np.log(ratio)
-    mean_term = (
-        float(np.sum((p.encoder.T @ m.a) * p.encoder.T))
-        + 2.0 * float(b_e @ (p.encoder.T @ m.mean_x))
-        + float(b_e @ b_e)
+    mean_term = float(np.add.reduce((p.encoder.T @ m.a) * p.encoder.T, None))
+    if not zero_mean:
+        mean_term = mean_term + 2.0 * float(b_e @ w_mean) + float(b_e @ b_e)
+    loss = fit + 0.5 * hp.beta / eta2 * mean_term + 0.5 * hp.beta * float(
+        np.add.reduce(kl_terms)
     )
-    loss = fit + 0.5 * hp.beta / eta2 * mean_term + 0.5 * hp.beta * float(np.sum(kl_terms))
     if p.log_decvar is not None:
         loss += 0.5 * m.dim_y * np.log(s)
     return float(loss), core
+
+
+def _value_and_grad(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean, grad) -> float:
+    """The loss-and-gradient kernel: returns the loss at ``p`` and writes
+    the gradient of each field named in the dict ``grad`` into its view."""
+    loss, core = _loss(p, m, hp, zero_mean)
+    k, ka, col_sq, b_e, c, w_mean, s2, ratio, t, s, fit = core
+    eta2 = hp.eta_enc**2
+    beta = hp.beta
+    if p.ddv:
+        n = m.samples_x.shape[0]
+        coef = col_sq / s + beta / eta2
+        grad["var_slope"][...] = coef[:, None] * (t.T @ m.samples_x / n) - beta * (
+            (1.0 / t).T @ m.samples_x / n
+        )
+        grad["var_offset"][...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
+    elif "log_sigma" in grad:
+        np.add(s2 / s * col_sq, beta * (ratio - 1.0), out=grad["log_sigma"])
+    if "log_decvar" in grad:
+        grad["log_decvar"][...] = -fit + 0.5 * m.dim_y
+
+    e_r_m = (ka - m.cross.T) @ p.encoder
+    e_x_r = m.a @ k.T
+    prior = m.a @ p.encoder
+    if not zero_mean:
+        r_mean = k @ m.mean_x + c - m.mean_y
+        e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
+        e_x_r = e_x_r + np.outer(m.mean_x, c)
+        prior = prior + np.outer(m.mean_x, b_e)
+        if "enc_bias" in grad:
+            grad["enc_bias"][...] = p.decoder.T @ r_mean / s + beta / eta2 * (w_mean + b_e)
+        if "dec_bias" in grad:
+            grad["dec_bias"][...] = r_mean / s
+    np.divide(e_r_m + p.decoder * s2, s, out=grad["decoder"])
+    np.add((e_x_r - m.cross) @ p.decoder / s, beta / eta2 * prior, out=grad["encoder"])
+    return loss
+
+
+def _flat(p: ModelParams, hp: Hyperparams | None = None) -> tuple[np.ndarray, dict]:
+    """``p``'s fields (given ``hp``, only those :func:`train` updates) copied into
+    one flat float64 buffer, and a view into it per field (0-d for a scalar)."""
+    fixed_sigma = hp is not None and (hp.sigma_mode != "learnable" or p.ddv)
+    names = [
+        f.name for f in fields(p)
+        if getattr(p, f.name) is not None and not (f.name == "log_sigma" and fixed_sigma)
+    ]
+    buf = np.concatenate([np.ravel(getattr(p, name)) for name in names])
+    views, offset = {}, 0
+    for name in names:
+        shape = np.shape(getattr(p, name))
+        views[name] = buf[offset : offset + math.prod(shape)].reshape(shape)
+        offset += math.prod(shape)
+    return buf, views
 
 
 def value_and_grad(
@@ -286,88 +348,25 @@ def value_and_grad(
     """Exact expected loss at ``p`` (noise expectation integrated out)
     and its analytic gradient, which has the same structure as ``p``."""
     m = _moments(src)
-    loss, (k, b_e, c, s2, t, s, fit) = _loss(p, m, hp)
-    eta2 = hp.eta_enc**2
-    beta = hp.beta
-    r_mean = k @ m.mean_x + c - m.mean_y
-    col_sq = np.sum(p.decoder**2, axis=0)
-
-    if p.ddv:
-        n = m.samples_x.shape[0]
-        coef = col_sq / s + beta / eta2
-        g_log_sigma = np.zeros_like(p.log_sigma)
-        g_slope = coef[:, None] * (t.T @ m.samples_x / n) - beta * (
-            (1.0 / t).T @ m.samples_x / n
-        )
-        g_offset = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
-    else:
-        g_log_sigma = s2 / s * col_sq + beta * (s2 / eta2 - 1.0)
-        g_slope = g_offset = None
-
-    g_log_decvar = None if p.log_decvar is None else -fit + 0.5 * m.dim_y
-
-    e_r_m = (k @ m.a - m.cross.T) @ p.encoder + np.outer(r_mean, b_e) + np.outer(
-        c, p.encoder.T @ m.mean_x
-    )
-    e_x_r = m.a @ k.T + np.outer(m.mean_x, c) - m.cross
-    grad = ModelParams(
-        decoder=(e_r_m + p.decoder * s2) / s,
-        encoder=e_x_r @ p.decoder / s
-        + beta / eta2 * (m.a @ p.encoder + np.outer(m.mean_x, b_e)),
-        log_sigma=g_log_sigma,
-        var_slope=g_slope,
-        var_offset=g_offset,
-        log_decvar=g_log_decvar,
-    )
-    if p.enc_bias is not None:
-        m_mean = p.encoder.T @ m.mean_x + b_e
-        grad.enc_bias = p.decoder.T @ r_mean / s + beta / eta2 * m_mean
-    if p.dec_bias is not None:
-        grad.dec_bias = r_mean / s
-    return loss, grad
+    _check_shapes(p, m, hp)
+    flat, grad = _flat(p)
+    flat[...] = 0.0  # the stds' slot stays zero under a data-dependent std
+    loss = _value_and_grad(p, m, hp, _zero_mean(p, m), grad)
+    if "log_decvar" in grad:
+        grad["log_decvar"] = float(grad["log_decvar"])
+    return loss, ModelParams(**grad)
 
 
 def eval_loss(p: ModelParams, src: DataSource, hp: Hyperparams) -> float:
     """Exact expected loss at ``p``; see :func:`value_and_grad`."""
-    return _loss(p, _moments(src), hp)[0]
+    m = _moments(src)
+    _check_shapes(p, m, hp)
+    return _loss(p, m, hp, _zero_mean(p, m))[0]
 
 
 def eval_grad(p: ModelParams, src: DataSource, hp: Hyperparams) -> ModelParams:
     """Analytic gradient at ``p``; see :func:`value_and_grad`."""
     return value_and_grad(p, src, hp)[1]
-
-
-def _trainable_fields(p: ModelParams, hp: Hyperparams) -> list[str]:
-    names = ["decoder", "encoder"]
-    if hp.sigma_mode == "learnable" and not p.ddv:
-        names.append("log_sigma")
-    for name in ("enc_bias", "dec_bias", "var_slope", "var_offset"):
-        if getattr(p, name) is not None:
-            names.append(name)
-    if p.log_decvar is not None:
-        names.append("log_decvar")
-    return names
-
-
-def _pack(p: ModelParams, names: list[str]) -> np.ndarray:
-    parts = []
-    for name in names:
-        value = getattr(p, name)
-        parts.append(np.atleast_1d(np.asarray(value, dtype=np.float64)).ravel())
-    return np.concatenate(parts)
-
-
-def _unpack(p: ModelParams, names: list[str], flat: np.ndarray) -> None:
-    offset = 0
-    for name in names:
-        value = getattr(p, name)
-        if name == "log_decvar":
-            p.log_decvar = float(flat[offset])
-            offset += 1
-        else:
-            size = value.size
-            value[...] = flat[offset : offset + size].reshape(value.shape)
-            offset += size
 
 
 def train(
@@ -382,16 +381,19 @@ def train(
 
     ``init`` is either explicit parameters or a seed for
     :func:`init_params`. Deterministic for a fixed seed. Raises
-    :class:`DivergenceError` if the loss leaves the float range.
-    """
+    :class:`DivergenceError` if the loss leaves the float range. Trained
+    fields are views into one flat buffer ``x``, updated in place."""
     m = _moments(src)
     params = init.copy() if isinstance(init, ModelParams) else init_params(
         m, hp, seed=init
     )
-    names = _trainable_fields(params, hp)
-    x = _pack(params, names)
+    _check_shapes(params, m, hp)
+    zero_mean = _zero_mean(params, m)
+    x, views = _flat(params, hp)
+    params = replace(params, **views)
+    (g, grad), (g_trial, grad_trial) = _flat(params, hp), _flat(params, hp)
 
-    loss, grad = value_and_grad(params, m, hp)
+    loss = _value_and_grad(params, m, hp, zero_mean, grad)
     if not np.isfinite(loss):
         raise DivergenceError(0)
     loss_trace = [loss] if trace else None
@@ -409,37 +411,36 @@ def train(
     grad_norm = np.inf
     steps = 0
     for step in range(1, cfg.max_steps + 1):
-        flat_grad = _pack(grad, names)
-        grad_norm = float(np.max(np.abs(flat_grad)))
+        grad_norm = float(np.maximum.reduce(np.abs(g)))
         if grad_norm <= cfg.grad_tol:
             converged = True
             break
         if cfg.optimizer == "adam":
-            adam_m = beta1 * adam_m + (1 - beta1) * flat_grad
-            adam_v = beta2 * adam_v + (1 - beta2) * flat_grad**2
+            adam_m = beta1 * adam_m + (1 - beta1) * g
+            adam_v = beta2 * adam_v + (1 - beta2) * g**2
             m_hat = adam_m / (1 - beta1**step)
             v_hat = adam_v / (1 - beta2**step)
-            x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
-            _unpack(params, names, x)
-            loss, grad = value_and_grad(params, m, hp)
+            x -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            loss = _value_and_grad(params, m, hp, zero_mean, grad)
         else:
-            # halving-on-increase line search, mild regrowth on success;
-            # the accepted trial's gradient drives the next step
+            # halving-on-increase line search from ``start``, mild regrowth
+            # on success; the accepted trial's gradient drives the next step
+            start = x.copy()
             trial = min(gd_step * 2.0, cfg.learning_rate * 1e6)
             accepted = False
             for _ in range(80):
-                candidate = x - trial * flat_grad
-                _unpack(params, names, candidate)
-                cand_loss, cand_grad = value_and_grad(params, m, hp)
+                np.subtract(start, trial * g, out=x)
+                cand_loss = _value_and_grad(params, m, hp, zero_mean, grad_trial)
                 if np.isfinite(cand_loss) and cand_loss <= loss:
-                    x, loss, grad = candidate, cand_loss, cand_grad
+                    loss = cand_loss
+                    g, g_trial, grad, grad_trial = g_trial, g, grad_trial, grad
                     gd_step = trial
                     accepted = True
                     break
                 trial *= 0.5
             if not accepted:
                 # no further descent at float precision; report honestly
-                _unpack(params, names, x)
+                x[...] = start
                 steps = step
                 break
         steps = step
@@ -450,6 +451,8 @@ def train(
             if decvar_trace is not None:
                 decvar_trace.append(params.decvar)
 
+    if params.log_decvar is not None:
+        params.log_decvar = float(params.log_decvar)
     return TrainResult(
         params=params,
         final_loss=loss,

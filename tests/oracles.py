@@ -124,7 +124,7 @@ def eval_loss_monte_carlo(
     passes; only the reconstruction expectation is sampled, every other
     term is analytic.
     """
-    loss, (_, _, c, _, t, s, fit) = tr._loss(p, tr.Moments.from_dataset(ds), hp)
+    loss, (_, _, _, _, c, _, _, _, t, s, fit) = tr._loss(p, tr.Moments.from_dataset(ds), hp)
     deterministic = loss - fit
     rng = np.random.default_rng(seed)
 

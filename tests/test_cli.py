@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,19 @@ def autoencode_csv(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Run the CLI in process; ``err`` is the stderr a shell would see.
+
+    pytest's own warning capture would swallow the Python warnings that
+    ``main`` lets through, so they are recorded here and appended to
+    ``err`` as ``main`` would have printed them.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        code = main(list(argv))
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    shown = "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return code, captured.out, captured.err + shown
 
 
 def test_import_leaves_scipy_out():
@@ -246,6 +257,9 @@ class TestSweepCommand:
         assert len(err.splitlines()) == 1 and "--beta-grid" in err
 
 
+NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "seed"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -275,14 +289,22 @@ class TestSweepCommand:
          "--grad-tol=-1", "--max-steps", "5"),
         ("spectrum", "--synthetic", "0,5,10,1"),
         ("spectrum", "--synthetic", "3,0,10,1"),
+        # negative fields are refused before anything is allocated
+        ("spectrum", "--synthetic=-1,3,10,1"),
+        ("spectrum", "--synthetic", "3,-2,10,1"),
+        ("spectrum", "--synthetic", "3,3,10,-1"),
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):
     """A bad option value is invalid input: exit 2 with one line on
-    stderr and nothing on stdout, never a traceback or NaN output."""
+    stderr (so no warning either) and nothing on stdout, never a
+    traceback or NaN output."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    field = NEGATIVE_SYNTHETIC_FIELD.get(argv[-1].removeprefix("--synthetic="))
+    if field:
+        assert "--synthetic" in err and f" {field} " in err, err
 
 
 def test_non_finite_json_exit_2(capsys, monkeypatch):

@@ -34,6 +34,9 @@ TRAIN_SHORT = [
     "train", *SYNTH, "--beta", "2", "--d1", "5", "--learnable-sigma",
     "--max-steps", "200", "--seed", "3",
 ]
+SWEEP_TRAIN_ZETA = [
+    "sweep", "--zeta", "2.0,1.2", "--d2", "3", "--d1", "3", "--learnable-sigma", "--train",
+]
 
 CASES = {
     # README examples (sweep printed to stdout instead of --out)
@@ -102,6 +105,12 @@ CASES = {
     "train_bias": [*TRAIN_SHORT, "--bias"],
     "train_ddv": [*TRAIN_SHORT, "--ddv"],
     "train_learnable_decvar": [*TRAIN_SHORT, "--learnable-decvar"],
+    # the oracle on zero-mean moments (no data, no bias): every row trained
+    # to the minimum, with fixed and with learnable decoder variance
+    "sweep_train_zeta": [*SWEEP_TRAIN_ZETA, "--beta-grid", "0.5:2.0:0.5"],
+    "sweep_train_zeta_decvar": [
+        *SWEEP_TRAIN_ZETA, "--learnable-decvar", "--beta-grid", "1.5:2.5:0.5",
+    ],
 }
 
 _FLOAT = re.compile(r"-?(?:nan|inf|\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,25 +28,25 @@ def test_train_config_rejects_bad_settings(field, value):
         tr.TrainConfig(**{field: value})
 
 
-def pack_grad(params, hp, grad=None, src=None):
-    names = tr._trainable_fields(params, hp)
-    if grad is None:
-        grad = tr.eval_grad(params, src, hp)
-    return names, tr._pack(grad, names)
+def pack_grad(params, hp, src):
+    names = list(tr._flat(params, hp)[1])
+    grad = tr.eval_grad(params, src, hp)
+    return names, np.concatenate([np.ravel(getattr(grad, name)) for name in names])
 
 
 def numeric_grad(params, src, hp, h=1e-6):
-    names = tr._trainable_fields(params, hp)
-    x0 = tr._pack(params, names)
+    x0 = tr._flat(params, hp)[0]
+
+    def loss_at(x):
+        flat, views = tr._flat(params, hp)
+        flat[...] = x
+        return tr.eval_loss(replace(params, **views), src, hp)
+
     out = np.zeros_like(x0)
     for j in range(x0.size):
         e = np.zeros_like(x0)
         e[j] = h
-        plus = params.copy()
-        tr._unpack(plus, names, x0 + e)
-        minus = params.copy()
-        tr._unpack(minus, names, x0 - e)
-        out[j] = (tr.eval_loss(plus, src, hp) - tr.eval_loss(minus, src, hp)) / (2 * h)
+        out[j] = (loss_at(x0 + e) - loss_at(x0 - e)) / (2 * h)
     return out
 
 
@@ -176,6 +178,21 @@ class TestEvalGrad:
             numeric = numeric_grad(params, ds, hp)
             scale = 1.0 + np.max(np.abs(numeric))
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
+
+    def test_zero_mean_path_matches_full_kernel(self, rng):
+        """On zero-mean moments without biases the kernel skips the mean
+        and bias terms; the full kernel, as reference, gives the same bits."""
+        _, sp = make_instance(seed=3, dim_x=4, dim_y=3)
+        m = tr.Moments.from_spectrum(sp)
+        hp = cf.Hyperparams(beta=0.9, latent_dim=3, decvar_mode="learnable")
+        params = random_params(rng, 4, 3, 3, log_s=0.3)
+        assert tr._zero_mean(params, m)
+        runs = []
+        for zero_mean in (True, False):
+            flat, grad = tr._flat(params)
+            runs.append((tr._value_and_grad(params, m, hp, zero_mean, grad), flat))
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
     def test_gradient_vanishes_at_optimal_biases(self, rng):
         """For any encoder/decoder, zeroing the bias gradient requires the
