@@ -44,8 +44,8 @@ class Hyperparams:
     def __post_init__(self):
         if not 0 < self.beta < np.inf:
             raise ValueError("beta must be finite and > 0")
-        if not (0 < self.eta_enc < np.inf and 0 < self.eta_dec < np.inf):
-            raise ValueError("eta_enc and eta_dec must be finite and > 0")
+        if not all(eta > 0 and 0 < eta * eta < np.inf for eta in (self.eta_enc, self.eta_dec)):
+            raise ValueError("eta_enc and eta_dec must be > 0 with a finite, nonzero square")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if self.sigma_mode not in _MODES or self.decvar_mode not in _MODES:

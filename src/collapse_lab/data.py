@@ -193,7 +193,8 @@ def load(path, fmt: str | None = None) -> Dataset:
     """Read a dataset written by :func:`save`.
 
     The ``centered`` flag is recomputed from the loaded column means.
-    Raises :class:`ParseError` for malformed content.
+    Raises :class:`ParseError` for malformed content, which includes a
+    NaN or infinite value (located by row and by column of ``x`` then ``y``).
     """
     fmt = fmt or _format_for(path)
     if fmt == "csv":
@@ -202,6 +203,9 @@ def load(path, fmt: str | None = None) -> Dataset:
         x, y = _load_binary(path)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    bad = np.argwhere(~np.isfinite(np.hstack([x, y])))
+    if bad.size:
+        raise ParseError("not a finite number", row=int(bad[0, 0]), col=int(bad[0, 1]))
     return Dataset(x=x, y=y, centered=_is_centered(x, y))
 
 

@@ -103,8 +103,9 @@ class DataSpectrum:
         zeta = np.asarray(zeta, dtype=np.float64).ravel()
         if zeta.size == 0:
             raise ValueError("need at least one singular value")
-        if not np.all(np.isfinite(zeta)):
-            raise ValueError("singular values must be finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(zeta * zeta)):
+                raise ValueError("singular values must have finite squares")
         if np.any(zeta < 0) or np.any(np.diff(zeta) > 0):
             raise ValueError("singular values must be non-negative, non-increasing")
         if dim_y < zeta.size:

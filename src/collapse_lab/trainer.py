@@ -33,7 +33,7 @@ class Moments:
     (which average a per-sample logarithm) may be needed.
     """
 
-    a: np.ndarray = field(repr=False)       # E[x x^T]
+    a: np.ndarray = field(repr=False)       # E[x x^T], exactly symmetric
     cross: np.ndarray = field(repr=False)   # E[x y^T]
     mean_x: np.ndarray = field(repr=False)
     mean_y: np.ndarray = field(repr=False)
@@ -58,10 +58,10 @@ class Moments:
 
     @classmethod
     def from_spectrum(cls, sp: DataSpectrum) -> "Moments":
-        scaled = sp.basis * sp.eigenvalues
+        h = sp.basis * np.sqrt(sp.eigenvalues)
         return cls(
-            a=scaled @ sp.basis.T,
-            cross=(sp.basis * np.sqrt(sp.eigenvalues)) @ sp.cross_moment().T,
+            a=h @ h.T,  # numpy forms h h^T with syrk, exactly symmetric
+            cross=h @ sp.cross_moment().T,
             mean_x=np.zeros(sp.ambient_dim),
             mean_y=np.zeros(sp.dim_y),
             target_power=sp.target_power,
@@ -238,21 +238,21 @@ def _zero_mean(p: ModelParams, m: Moments) -> bool:
 
 def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
     """Terms the loss and every gradient block share (``None`` where ``zero_mean`` skips
-    them); the last is the expected reconstruction ``E||y - decode(z)||^2 / (2 s)``."""
+    them), first the residual ``r = k a - cross^T`` with ``k = decoder encoder^T`` (its
+    transpose is ``a k^T - cross``, as ``a`` is exactly symmetric) and the prior's pull
+    ``a encoder``; the last is the expected reconstruction ``E||y - decode(z)||^2 / (2 s)``."""
     k = p.decoder @ p.encoder.T
-    ka = k @ m.a
+    r = k @ m.a - m.cross.T
     col_sq = np.add.reduce(p.decoder**2, axis=0)
-    recon = float(np.add.reduce(ka * k, None))
-    b_e = c = w_mean = None
+    recon = float(np.vdot(r - m.cross.T, k))  # <k a, k> - 2 <cross^T, k>
+    b_e = c = w_mean = r_mean = None
     if not zero_mean:
         b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
         b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
         c = p.decoder @ b_e + b_d
         w_mean = p.encoder.T @ m.mean_x
-        recon += 2.0 * float(c @ (k @ m.mean_x))
-    recon -= 2.0 * float(np.add.reduce(k * m.cross.T, None))
-    if not zero_mean:
-        recon = recon + float(c @ c) - 2.0 * float(c @ m.mean_y)
+        r_mean = k @ m.mean_x + c - m.mean_y
+        recon += float(c @ (2.0 * r_mean - c))
     recon += m.target_power
     if p.ddv:
         t = m.samples_x @ p.var_slope.T + p.var_offset
@@ -262,66 +262,64 @@ def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = F
     else:
         t = None
         s2 = p.sigma**2
-    trace_term = float(np.add.reduce(s2 * col_sq))
     s = p.decvar if p.log_decvar is not None else hp.decvar
-    fit = (recon + trace_term) / (2.0 * s)
-    return k, ka, col_sq, b_e, c, w_mean, s2, s2 / hp.eta_enc**2, t, s, fit
+    fit = (recon + float(s2 @ col_sq)) / (2.0 * s)
+    return r, m.a @ p.encoder, col_sq, b_e, c, w_mean, r_mean, s2, t, s, fit
 
 
 def _loss(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
     """Exact expected loss at ``p`` and the :func:`_core_terms` it was
     built from, which :func:`_value_and_grad` reuses for the gradient."""
     core = _core_terms(p, m, hp, zero_mean)
-    _, _, _, b_e, _, w_mean, _, ratio, t, s, fit = core
+    _, prior, _, b_e, _, w_mean, _, s2, t, s, fit = core
     eta2 = hp.eta_enc**2
     if p.ddv:
-        kl_terms = ratio - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
-    else:
-        kl_terms = ratio - 1.0 - np.log(ratio)
-    mean_term = float(np.add.reduce((p.encoder.T @ m.a) * p.encoder.T, None))
+        kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
+        kl = float(np.add.reduce(kl_terms))
+    else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma
+        sum_s2, sum_log_sigma = float(np.add.reduce(s2)), float(np.add.reduce(p.log_sigma))
+        kl = sum_s2 / eta2 - s2.size * (1.0 - math.log(eta2)) - 2.0 * sum_log_sigma
+    mean_term = float(np.vdot(prior, p.encoder))
     if not zero_mean:
         mean_term = mean_term + 2.0 * float(b_e @ w_mean) + float(b_e @ b_e)
-    loss = fit + 0.5 * hp.beta / eta2 * mean_term + 0.5 * hp.beta * float(
-        np.add.reduce(kl_terms)
-    )
+    loss = fit + 0.5 * hp.beta / eta2 * mean_term + 0.5 * hp.beta * kl
     if p.log_decvar is not None:
-        loss += 0.5 * m.dim_y * np.log(s)
-    return float(loss), core
+        loss += 0.5 * m.dim_y * math.log(s)
+    return loss, core
 
 
 def _value_and_grad(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean, grad) -> float:
     """The loss-and-gradient kernel: returns the loss at ``p`` and writes
     the gradient of each field named in the dict ``grad`` into its view."""
     loss, core = _loss(p, m, hp, zero_mean)
-    k, ka, col_sq, b_e, c, w_mean, s2, ratio, t, s, fit = core
+    r, prior, col_sq, b_e, c, w_mean, r_mean, s2, t, s, fit = core
     eta2 = hp.eta_enc**2
     beta = hp.beta
+    if p.ddv or "log_sigma" in grad:
+        coef = col_sq / s + beta / eta2  # 2 d loss / d s2, less the KL's log term
     if p.ddv:
         n = m.samples_x.shape[0]
-        coef = col_sq / s + beta / eta2
         grad["var_slope"][...] = coef[:, None] * (t.T @ m.samples_x / n) - beta * (
             (1.0 / t).T @ m.samples_x / n
         )
         grad["var_offset"][...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
     elif "log_sigma" in grad:
-        np.add(s2 / s * col_sq, beta * (ratio - 1.0), out=grad["log_sigma"])
+        np.subtract(coef * s2, beta, out=grad["log_sigma"])
     if "log_decvar" in grad:
         grad["log_decvar"][...] = -fit + 0.5 * m.dim_y
 
-    e_r_m = (ka - m.cross.T) @ p.encoder
-    e_x_r = m.a @ k.T
-    prior = m.a @ p.encoder
+    e_r_m = r @ p.encoder
+    e_r_d = r.T @ p.decoder
     if not zero_mean:
-        r_mean = k @ m.mean_x + c - m.mean_y
         e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
-        e_x_r = e_x_r + np.outer(m.mean_x, c)
+        e_r_d = e_r_d + np.outer(m.mean_x, p.decoder.T @ c)
         prior = prior + np.outer(m.mean_x, b_e)
         if "enc_bias" in grad:
             grad["enc_bias"][...] = p.decoder.T @ r_mean / s + beta / eta2 * (w_mean + b_e)
         if "dec_bias" in grad:
             grad["dec_bias"][...] = r_mean / s
     np.divide(e_r_m + p.decoder * s2, s, out=grad["decoder"])
-    np.add((e_x_r - m.cross) @ p.decoder / s, beta / eta2 * prior, out=grad["encoder"])
+    np.add(e_r_d / s, beta / eta2 * prior, out=grad["encoder"])
     return loss
 
 
@@ -394,15 +392,14 @@ def train(
     (g, grad), (g_trial, grad_trial) = _flat(params, hp), _flat(params, hp)
 
     loss = _value_and_grad(params, m, hp, zero_mean, grad)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise DivergenceError(0)
     loss_trace = [loss] if trace else None
     decvar_trace = (
         [params.decvar] if trace and params.log_decvar is not None else None
     )
 
-    adam_m = np.zeros_like(x)
-    adam_v = np.zeros_like(x)
+    adam_m, adam_v = np.zeros_like(x), np.zeros_like(x)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
     gd_step = cfg.learning_rate
@@ -410,46 +407,49 @@ def train(
     converged = False
     grad_norm = np.inf
     steps = 0
-    for step in range(1, cfg.max_steps + 1):
-        grad_norm = float(np.maximum.reduce(np.abs(g)))
-        if grad_norm <= cfg.grad_tol:
-            converged = True
-            break
-        if cfg.optimizer == "adam":
-            adam_m = beta1 * adam_m + (1 - beta1) * g
-            adam_v = beta2 * adam_v + (1 - beta2) * g**2
-            m_hat = adam_m / (1 - beta1**step)
-            v_hat = adam_v / (1 - beta2**step)
-            x -= lr * m_hat / (np.sqrt(v_hat) + eps)
-            loss = _value_and_grad(params, m, hp, zero_mean, grad)
-        else:
-            # halving-on-increase line search from ``start``, mild regrowth
-            # on success; the accepted trial's gradient drives the next step
-            start = x.copy()
-            trial = min(gd_step * 2.0, cfg.learning_rate * 1e6)
-            accepted = False
-            for _ in range(80):
-                np.subtract(start, trial * g, out=x)
-                cand_loss = _value_and_grad(params, m, hp, zero_mean, grad_trial)
-                if np.isfinite(cand_loss) and cand_loss <= loss:
-                    loss = cand_loss
-                    g, g_trial, grad, grad_trial = g_trial, g, grad_trial, grad
-                    gd_step = trial
-                    accepted = True
-                    break
-                trial *= 0.5
-            if not accepted:
-                # no further descent at float precision; report honestly
-                x[...] = start
-                steps = step
+    # a step that overflows shows up as a non-finite loss, reported as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.max_steps + 1):
+            grad_norm = float(np.maximum.reduce(np.abs(g)))
+            if grad_norm <= cfg.grad_tol:
+                converged = True
                 break
-        steps = step
-        if not np.isfinite(loss):
-            raise DivergenceError(step)
-        if trace:
-            loss_trace.append(loss)
-            if decvar_trace is not None:
-                decvar_trace.append(params.decvar)
+            if cfg.optimizer == "adam":
+                # moments and x in place, bias corrections folded into the scalars
+                adam_m += (1 - beta1) * (g - adam_m)
+                adam_v += (1 - beta2) * (g * g - adam_v)
+                x -= lr / (1 - beta1**step) * adam_m / (
+                    np.sqrt(adam_v) / math.sqrt(1 - beta2**step) + eps
+                )
+                loss = _value_and_grad(params, m, hp, zero_mean, grad)
+            else:
+                # halving-on-increase line search from ``start``, mild regrowth
+                # on success; the accepted trial's gradient drives the next step
+                start = x.copy()
+                trial = min(gd_step * 2.0, cfg.learning_rate * 1e6)
+                accepted = False
+                for _ in range(80):
+                    np.subtract(start, trial * g, out=x)
+                    cand_loss = _value_and_grad(params, m, hp, zero_mean, grad_trial)
+                    if math.isfinite(cand_loss) and cand_loss <= loss:
+                        loss = cand_loss
+                        g, g_trial, grad, grad_trial = g_trial, g, grad_trial, grad
+                        gd_step = trial
+                        accepted = True
+                        break
+                    trial *= 0.5
+                if not accepted:
+                    # no further descent at float precision; report honestly
+                    x[...] = start
+                    steps = step
+                    break
+            steps = step
+            if not math.isfinite(loss):
+                raise DivergenceError(step)
+            if trace:
+                loss_trace.append(loss)
+                if decvar_trace is not None:
+                    decvar_trace.append(params.decvar)
 
     if params.log_decvar is not None:
         params.log_decvar = float(params.log_decvar)

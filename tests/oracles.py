@@ -138,6 +138,71 @@ def eval_loss_monte_carlo(
     return deterministic + float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(n_draws))
 
 
+def reference_value_and_grad(
+    p: tr.ModelParams, m: tr.Moments, hp: Hyperparams
+) -> tuple[float, dict]:
+    """The exact loss and its gradient written term by term: every mean
+    and bias term kept, the reconstruction expanded in ``k a k^T`` and
+    ``a k^T``, and the KL summed mode by mode with its logarithm.
+
+    Returns the loss and a dict with the gradient of each field ``p``
+    carries (``log_sigma`` is zero under a data-dependent std).
+    """
+    dec, enc, a, cross = p.decoder, p.encoder, m.a, m.cross
+    b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
+    b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
+    k = dec @ enc.T
+    c = dec @ b_e + b_d
+    w_mean = enc.T @ m.mean_x
+    r_mean = k @ m.mean_x + c - m.mean_y
+    col_sq = np.sum(dec**2, axis=0)
+    if p.ddv:
+        t = m.samples_x @ p.var_slope.T + p.var_offset
+        s2 = np.mean(t**2, axis=0)
+    else:
+        s2 = np.exp(p.log_sigma) ** 2
+    s = hp.decvar if p.log_decvar is None else float(np.exp(p.log_decvar))
+    eta2 = hp.eta_enc**2
+    beta = hp.beta
+    recon = (
+        np.sum((k @ a) * k) + 2.0 * c @ (k @ m.mean_x) - 2.0 * np.sum(k * cross.T)
+        + c @ c - 2.0 * c @ m.mean_y + m.target_power
+    )
+    fit = (recon + np.sum(s2 * col_sq)) / (2.0 * s)
+    if p.ddv:
+        kl = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
+    else:
+        kl = s2 / eta2 - 1.0 - np.log(s2 / eta2)
+    mean_term = np.sum((enc.T @ a) * enc.T) + 2.0 * b_e @ w_mean + b_e @ b_e
+    loss = fit + 0.5 * beta / eta2 * mean_term + 0.5 * beta * np.sum(kl)
+    if p.log_decvar is not None:
+        loss += 0.5 * m.dim_y * np.log(s)
+
+    grad = {
+        "decoder": (
+            (k @ a - cross.T) @ enc + np.outer(r_mean, b_e) + np.outer(c, w_mean) + dec * s2
+        ) / s,
+        "encoder": (a @ k.T + np.outer(m.mean_x, c) - cross) @ dec / s
+        + beta / eta2 * (a @ enc + np.outer(m.mean_x, b_e)),
+        "log_sigma": np.zeros(hp.latent_dim) if p.ddv
+        else s2 / s * col_sq + beta * (s2 / eta2 - 1.0),
+    }
+    if p.enc_bias is not None:
+        grad["enc_bias"] = dec.T @ r_mean / s + beta / eta2 * (w_mean + b_e)
+    if p.dec_bias is not None:
+        grad["dec_bias"] = r_mean / s
+    if p.ddv:
+        n = m.samples_x.shape[0]
+        coef = col_sq / s + beta / eta2
+        grad["var_slope"] = (
+            coef[:, None] * (t.T @ m.samples_x) - beta * ((1.0 / t).T @ m.samples_x)
+        ) / n
+        grad["var_offset"] = coef * np.mean(t, axis=0) - beta * np.mean(1.0 / t, axis=0)
+    if p.log_decvar is not None:
+        grad["log_decvar"] = 0.5 * m.dim_y - fit
+    return float(loss), grad
+
+
 def ddv_inequality_check(
     p: tr.ModelParams, ds: Dataset, hp: Hyperparams
 ) -> tuple[float, float]:

@@ -293,6 +293,15 @@ NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "
         ("spectrum", "--synthetic=-1,3,10,1"),
         ("spectrum", "--synthetic", "3,-2,10,1"),
         ("spectrum", "--synthetic", "3,3,10,-1"),
+        # an eta whose square underflows or overflows
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2",
+         "--eta-enc", "1e-200", "--max-steps", "5"),
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2",
+         "--eta-dec", "1e200", "--max-steps", "5"),
+        # finite inputs whose squares overflow: no warning before the error
+        ("solve", "--zeta", "1e200,1", "--d2", "2", "--beta", "1", "--d1", "2"),
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--lr", "1e200",
+         "--max-steps", "5"),
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):
@@ -337,6 +346,12 @@ class TestTrainCommand:
         assert lines[0] == "step,loss"
         assert len(lines) == 2 + int(doc["steps"])  # header + init + per step
 
+    def test_same_argv_same_bytes(self, capsys):
+        argv = ("train", "--synthetic", "4,3,200,8", "--beta", "1.5", "--d1", "3",
+                "--learnable-sigma", "--learnable-decvar", "--max-steps", "300", "--seed", "2")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first[0] == 0 and first == second
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys, tmp_path):
@@ -351,6 +366,14 @@ class TestVerifyCommand:
             "collapse-lab/v1", "verify", True
         )
         assert len(doc["rows"]) == 3
+
+    def test_same_seed_same_bytes(self, capsys, tmp_path):
+        runs = []
+        for name in ("a.json", "b.json"):
+            argv = ("verify", "--instances", "1", "--learnable-decvar", "--seed", "5",
+                    "--out", str(tmp_path / name))
+            runs.append((run(capsys, *argv), (tmp_path / name).read_bytes()))
+        assert runs[0][0][0] == 0 and runs[0] == runs[1]
 
     def test_zero_instances_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "--instances", "0")

@@ -142,6 +142,26 @@ class TestIO:
             load(path)
         assert (err.value.row, err.value.col) == (0, 1)
 
+    @pytest.mark.parametrize("cell", ["nan", "1e400", "-inf"])
+    def test_csv_non_finite_reports_cell(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,x1,y0\n1.0,2.0,3.0\n1.0,2.0,{cell}\n4.0,{cell},5.0\n")
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            load(path)
+        assert (err.value.row, err.value.col) == (1, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_binary_non_finite_reports_cell(self, rng, tmp_path, value):
+        """Cells are counted across a row of x then y, as in the CSV."""
+        ds = Dataset(x=rng.normal(size=(4, 3)), y=rng.normal(size=(4, 2)))
+        ds.y[2, 1] = value
+        ds.x[3, 0] = value
+        path = tmp_path / "bad.bin"
+        save(ds, path)
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            load(path)
+        assert (err.value.row, err.value.col) == (2, 4)
+
     @pytest.mark.parametrize("name", ["empty.csv", "empty.bin"])
     def test_empty_file_rejected(self, tmp_path, name):
         path = tmp_path / name

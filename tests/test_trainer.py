@@ -15,7 +15,7 @@ from collapse_lab.errors import (
 from collapse_lab.spectrum import DataSpectrum
 
 from conftest import assert_sinks_below, make_instance, sink_run
-from oracles import ddv_inequality_check, eval_loss_monte_carlo
+from oracles import ddv_inequality_check, eval_loss_monte_carlo, reference_value_and_grad
 
 
 @pytest.mark.parametrize(
@@ -213,6 +213,52 @@ class TestEvalGrad:
             assert np.max(np.abs(grad.dec_bias)) <= 1e-8
 
 
+def test_second_moment_exactly_symmetric():
+    """The kernel's residual stands in for ``a k^T - cross`` only when
+    ``a`` equals its transpose to the bit, for either constructor."""
+    for seed in range(20):
+        ds, sp = make_instance(seed=seed, dim_x=2 + seed % 7, dim_y=3, n=50)
+        for m in (tr.Moments.from_dataset(ds), tr.Moments.from_spectrum(sp)):
+            assert np.array_equal(m.a, m.a.T)
+
+
+@pytest.mark.parametrize("decvar_mode", ["fixed", "learnable"])
+@pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
+@pytest.mark.parametrize("source,bias,ddv", [
+    ("spectrum", False, False),
+    ("dataset", False, False),
+    ("dataset", True, False),
+    ("dataset", False, True),
+    ("dataset", True, True),
+])
+def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, decvar_mode):
+    """The fused kernel, on the fields ``train`` updates, gives the loss and
+    gradient of the term-by-term reference to 1e-12 relative."""
+    g = np.random.default_rng(71)
+    ds, sp = make_instance(seed=73, dim_x=4, dim_y=3, n=120)
+    if source == "spectrum":
+        m = tr.Moments.from_spectrum(sp)
+    else:  # shifted, so every mean term is live
+        m = tr.Moments.from_dataset(
+            Dataset(x=ds.x + g.normal(size=4), y=ds.y + g.normal(size=3))
+        )
+    learn_s = decvar_mode == "learnable"
+    hp = cf.Hyperparams(
+        beta=1.3, latent_dim=3, eta_enc=0.8, eta_dec=1.2,
+        sigma_mode=sigma_mode, decvar_mode=decvar_mode,
+    )
+    for _ in range(3):
+        params = random_params(g, 4, 3, 3, bias=bias, ddv=ddv, log_s=0.2 if learn_s else None)
+        assert tr._zero_mean(params, m) == (source == "spectrum")
+        _, grad = tr._flat(params, hp)
+        loss = tr._value_and_grad(params, m, hp, tr._zero_mean(params, m), grad)
+        ref_loss, ref = reference_value_and_grad(params, m, hp)
+        assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+        for name, got in grad.items():
+            scale = max(1.0, float(np.max(np.abs(ref[name]))))
+            assert np.max(np.abs(got - ref[name])) <= 1e-12 * scale, name
+
+
 class TestTrain:
     def test_converges_at_solution_immediately(self):
         ds, sp = make_instance(seed=17, dim_x=4, dim_y=4)
@@ -272,14 +318,11 @@ class TestTrain:
     def test_divergence_raises_mid_run(self):
         """An absurd step size on the learnable decoder variance drives it
         to exact zero within a few steps; the 1/s term overflows and the
-        failing step is reported."""
+        failing step is reported, with no floating-point warning."""
         sp = DataSpectrum.from_singular_values([1.5, 1.0], dim_y=2)
         hp = cf.Hyperparams(beta=0.5, latent_dim=2, decvar_mode="learnable")
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(DivergenceError) as err:
-                tr.train(
-                    0, sp, hp, tr.TrainConfig("adam", 400.0, max_steps=50, grad_tol=0.0)
-                )
+        with pytest.raises(DivergenceError) as err:
+            tr.train(0, sp, hp, tr.TrainConfig("adam", 400.0, max_steps=50, grad_tol=0.0))
         assert err.value.step >= 1
 
     def test_deterministic_for_fixed_seed(self):
@@ -333,7 +376,9 @@ class TestDataDependentVariance:
         params = random_params(rng, 3, 2, 2, ddv=True)
         params.var_slope = np.zeros_like(params.var_slope)
         lhs, rhs = ddv_inequality_check(params, ds, hp)
-        assert lhs == rhs
+        # the twin's offset sqrt(mean(t^2)) equals the original one only to
+        # rounding, so the two losses agree to rounding, not to the bit
+        assert lhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
 
     def test_inequality_holds_over_100_draws(self):
         ds, _ = make_instance(seed=59, dim_x=3, dim_y=2, n=120)
