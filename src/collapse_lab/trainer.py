@@ -34,7 +34,7 @@ class Moments:
     """
 
     a: np.ndarray = field(repr=False)       # E[x x^T], exactly symmetric
-    cross: np.ndarray = field(repr=False)   # E[x y^T]
+    cross: np.ndarray = field(repr=False)   # E[x y^T], built so that cross.T is contiguous
     mean_x: np.ndarray = field(repr=False)
     mean_y: np.ndarray = field(repr=False)
     target_power: float
@@ -47,7 +47,7 @@ class Moments:
         n = ds.n_samples
         return cls(
             a=ds.x.T @ ds.x / n,
-            cross=ds.x.T @ ds.y / n,
+            cross=(ds.y.T @ ds.x / n).T,
             mean_x=ds.x.mean(axis=0),
             mean_y=ds.y.mean(axis=0),
             target_power=float(np.sum(ds.y**2) / n),
@@ -61,7 +61,7 @@ class Moments:
         h = sp.basis * np.sqrt(sp.eigenvalues)
         return cls(
             a=h @ h.T,  # numpy forms h h^T with syrk, exactly symmetric
-            cross=h @ sp.cross_moment().T,
+            cross=(sp.cross_moment() @ h.T).T,
             mean_x=np.zeros(sp.ambient_dim),
             mean_y=np.zeros(sp.dim_y),
             target_power=sp.target_power,
@@ -240,22 +240,23 @@ def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = F
     """Terms the loss and every gradient block share (``None`` where ``zero_mean`` skips
     them), first the residual ``r = k a - cross^T`` with ``k = decoder encoder^T`` (its
     transpose is ``a k^T - cross``, as ``a`` is exactly symmetric) and the prior's pull
-    ``a encoder``; the last is the expected reconstruction ``E||y - decode(z)||^2 / (2 s)``."""
-    k = p.decoder @ p.encoder.T
-    r = k @ m.a - m.cross.T
+    ``a encoder``; the last is the expected reconstruction ``E||y - decode(z)||^2 / (2 s)``.
+    Products use ``ndarray.dot``, which dispatches faster than ``@`` on small matrices."""
+    k = p.decoder.dot(p.encoder.T)
+    r = k.dot(m.a) - m.cross.T
     col_sq = np.add.reduce(p.decoder**2, axis=0)
     recon = float(np.vdot(r - m.cross.T, k))  # <k a, k> - 2 <cross^T, k>
     b_e = c = w_mean = r_mean = None
     if not zero_mean:
         b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
         b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
-        c = p.decoder @ b_e + b_d
-        w_mean = p.encoder.T @ m.mean_x
-        r_mean = k @ m.mean_x + c - m.mean_y
-        recon += float(c @ (2.0 * r_mean - c))
+        c = p.decoder.dot(b_e) + b_d
+        w_mean = p.encoder.T.dot(m.mean_x)
+        r_mean = k.dot(m.mean_x) + c - m.mean_y
+        recon += float(c.dot(2.0 * r_mean - c))
     recon += m.target_power
     if p.ddv:
-        t = m.samples_x @ p.var_slope.T + p.var_offset
+        t = m.samples_x.dot(p.var_slope.T) + p.var_offset
         if np.any(t == 0.0):
             raise DegenerateVariance("encoder std hit zero on a training sample")
         s2 = np.mean(t**2, axis=0)
@@ -263,8 +264,8 @@ def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = F
         t = None
         s2 = p.sigma**2
     s = p.decvar if p.log_decvar is not None else hp.decvar
-    fit = (recon + float(s2 @ col_sq)) / (2.0 * s)
-    return r, m.a @ p.encoder, col_sq, b_e, c, w_mean, r_mean, s2, t, s, fit
+    fit = (recon + float(s2.dot(col_sq))) / (2.0 * s)
+    return r, m.a.dot(p.encoder), col_sq, b_e, c, w_mean, r_mean, s2, t, s, fit
 
 
 def _loss(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
@@ -277,11 +278,11 @@ def _loss(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
         kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
         kl = float(np.add.reduce(kl_terms))
     else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma
-        sum_s2, sum_log_sigma = float(np.add.reduce(s2)), float(np.add.reduce(p.log_sigma))
+        sum_s2, sum_log_sigma = math.fsum(s2.tolist()), math.fsum(p.log_sigma.tolist())
         kl = sum_s2 / eta2 - s2.size * (1.0 - math.log(eta2)) - 2.0 * sum_log_sigma
     mean_term = float(np.vdot(prior, p.encoder))
     if not zero_mean:
-        mean_term = mean_term + 2.0 * float(b_e @ w_mean) + float(b_e @ b_e)
+        mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
     loss = fit + 0.5 * hp.beta / eta2 * mean_term + 0.5 * hp.beta * kl
     if p.log_decvar is not None:
         loss += 0.5 * m.dim_y * math.log(s)
@@ -299,8 +300,8 @@ def _value_and_grad(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean, grad
         coef = col_sq / s + beta / eta2  # 2 d loss / d s2, less the KL's log term
     if p.ddv:
         n = m.samples_x.shape[0]
-        grad["var_slope"][...] = coef[:, None] * (t.T @ m.samples_x / n) - beta * (
-            (1.0 / t).T @ m.samples_x / n
+        grad["var_slope"][...] = coef[:, None] * (t.T.dot(m.samples_x) / n) - beta * (
+            (1.0 / t).T.dot(m.samples_x) / n
         )
         grad["var_offset"][...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
     elif "log_sigma" in grad:
@@ -308,14 +309,14 @@ def _value_and_grad(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean, grad
     if "log_decvar" in grad:
         grad["log_decvar"][...] = -fit + 0.5 * m.dim_y
 
-    e_r_m = r @ p.encoder
-    e_r_d = r.T @ p.decoder
+    e_r_m = r.dot(p.encoder)
+    e_r_d = r.T.dot(p.decoder)
     if not zero_mean:
         e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
-        e_r_d = e_r_d + np.outer(m.mean_x, p.decoder.T @ c)
+        e_r_d = e_r_d + np.outer(m.mean_x, p.decoder.T.dot(c))
         prior = prior + np.outer(m.mean_x, b_e)
         if "enc_bias" in grad:
-            grad["enc_bias"][...] = p.decoder.T @ r_mean / s + beta / eta2 * (w_mean + b_e)
+            grad["enc_bias"][...] = p.decoder.T.dot(r_mean) / s + beta / eta2 * (w_mean + b_e)
         if "dec_bias" in grad:
             grad["dec_bias"][...] = r_mean / s
     np.divide(e_r_m + p.decoder * s2, s, out=grad["decoder"])
@@ -415,12 +416,12 @@ def train(
                 converged = True
                 break
             if cfg.optimizer == "adam":
-                # moments and x in place, bias corrections folded into the scalars
+                # moments and x in place; with c1 = 1 - beta1^t, c2 = 1 - beta2^t the step
+                # lr (m/c1) / (sqrt(v/c2) + eps) is lr sqrt(c2)/c1 m / (sqrt(v) + eps sqrt(c2))
                 adam_m += (1 - beta1) * (g - adam_m)
                 adam_v += (1 - beta2) * (g * g - adam_v)
-                x -= lr / (1 - beta1**step) * adam_m / (
-                    np.sqrt(adam_v) / math.sqrt(1 - beta2**step) + eps
-                )
+                rc2 = math.sqrt(1 - beta2**step)
+                x -= lr * rc2 / (1 - beta1**step) * adam_m / (np.sqrt(adam_v) + eps * rc2)
                 loss = _value_and_grad(params, m, hp, zero_mean, grad)
             else:
                 # halving-on-increase line search from ``start``, mild regrowth
