@@ -203,9 +203,9 @@ def load(path, fmt: str | None = None) -> Dataset:
         x, y = _load_binary(path)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    bad = np.argwhere(~np.isfinite(np.hstack([x, y])))
-    if bad.size:
-        raise ParseError("not a finite number", row=int(bad[0, 0]), col=int(bad[0, 1]))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        row, col = np.argwhere(~np.isfinite(np.hstack([x, y])))[0]
+        raise ParseError("not a finite number", row=int(row), col=int(col))
     return Dataset(x=x, y=y, centered=_is_centered(x, y))
 
 

@@ -277,13 +277,14 @@ def _loss(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
     if p.ddv:
         kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
         kl = float(np.add.reduce(kl_terms))
-    else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma
-        sum_s2, sum_log_sigma = math.fsum(s2.tolist()), math.fsum(p.log_sigma.tolist())
+    else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma; the
+        # builtin sum overflows to inf or nan, which train reports as divergence
+        sum_s2, sum_log_sigma = sum(s2.tolist()), sum(p.log_sigma.tolist())
         kl = sum_s2 / eta2 - s2.size * (1.0 - math.log(eta2)) - 2.0 * sum_log_sigma
     mean_term = float(np.vdot(prior, p.encoder))
     if not zero_mean:
         mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
-    loss = fit + 0.5 * hp.beta / eta2 * mean_term + 0.5 * hp.beta * kl
+    loss = fit + 0.5 * hp.beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
     if p.log_decvar is not None:
         loss += 0.5 * m.dim_y * math.log(s)
     return loss, core

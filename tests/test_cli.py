@@ -302,6 +302,9 @@ NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "
         ("solve", "--zeta", "1e200,1", "--d2", "2", "--beta", "1", "--d1", "2"),
         ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--lr", "1e200",
          "--max-steps", "5"),
+        # one Adam step puts both stds near 1.2e308, so their squares' sum overflows
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--learnable-sigma",
+         "--eta-enc", "10", "--lr", "354.7"),
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):

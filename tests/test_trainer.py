@@ -376,9 +376,7 @@ class TestDataDependentVariance:
         params = random_params(rng, 3, 2, 2, ddv=True)
         params.var_slope = np.zeros_like(params.var_slope)
         lhs, rhs = ddv_inequality_check(params, ds, hp)
-        # the twin's offset sqrt(mean(t^2)) equals the original one only to
-        # rounding, so the two losses agree to rounding, not to the bit
-        assert lhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
+        assert lhs == rhs
 
     def test_inequality_holds_over_100_draws(self):
         ds, _ = make_instance(seed=59, dim_x=3, dim_y=2, n=120)
