@@ -98,14 +98,11 @@ def _load_spectrum(args) -> DataSpectrum:
             raise InvalidSpec("--zeta needs --d2")
         values = [float(v) for v in args.zeta.split(",")]
         return DataSpectrum.from_singular_values(values, dim_y=args.d2)
-    ds, _, _ = _centered(_load_dataset(args))
-    return compute_spectrum(ds)
+    return compute_spectrum(_centered(_load_dataset(args)))
 
 
-def _centered(ds: Dataset):
-    if ds.centered:
-        return ds, np.zeros(ds.dim_x), np.zeros(ds.dim_y)
-    return center(ds)
+def _centered(ds: Dataset) -> Dataset:
+    return ds if ds.centered else center(ds)[0]
 
 
 def _hyperparams(args, need_beta: bool = True) -> cf.Hyperparams:
@@ -255,7 +252,7 @@ def cmd_train(args) -> int:
     ds = _load_dataset(args)
     hp = _hyperparams(args)
     if not args.bias:
-        ds, _, _ = _centered(ds)
+        ds = _centered(ds)
     init = tr.init_params(ds, hp, seed=args.seed, bias=args.bias, ddv=args.ddv)
     cfg = tr.TrainConfig(
         optimizer=args.optimizer,

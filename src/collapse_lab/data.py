@@ -174,35 +174,26 @@ def _is_centered(x: np.ndarray, y: np.ndarray) -> bool:
     )
 
 
-def _format_for(path) -> str:
-    return "csv" if Path(path).suffix.lower() == ".csv" else "binary"
+def _is_csv(path) -> bool:
+    return Path(path).suffix.lower() == ".csv"
 
 
-def save(ds: Dataset, path, fmt: str | None = None) -> None:
-    """Write a dataset to ``path``; format from suffix unless ``fmt`` given."""
-    fmt = fmt or _format_for(path)
-    if fmt == "csv":
+def save(ds: Dataset, path) -> None:
+    """Write a dataset to ``path``: CSV for a ``.csv`` suffix, else binary."""
+    if _is_csv(path):
         _save_csv(ds, path)
-    elif fmt == "binary":
-        _save_binary(ds, path)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        _save_binary(ds, path)
 
 
-def load(path, fmt: str | None = None) -> Dataset:
-    """Read a dataset written by :func:`save`.
+def load(path) -> Dataset:
+    """Read a dataset written by :func:`save`, in the format its suffix picks.
 
     The ``centered`` flag is recomputed from the loaded column means.
     Raises :class:`ParseError` for malformed content, which includes a
     NaN or infinite value (located by row and by column of ``x`` then ``y``).
     """
-    fmt = fmt or _format_for(path)
-    if fmt == "csv":
-        x, y = _load_csv(path)
-    elif fmt == "binary":
-        x, y = _load_binary(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    x, y = _load_csv(path) if _is_csv(path) else _load_binary(path)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         row, col = np.argwhere(~np.isfinite(np.hstack([x, y])))[0]
         raise ParseError("not a finite number", row=int(row), col=int(col))

@@ -41,7 +41,8 @@ class DomainError(CollapseLabError):
 
 
 class DegenerateVariance(CollapseLabError):
-    """A data-dependent encoder std hit exactly zero on some sample."""
+    """A variance hit exactly zero: the data-dependent encoder std on some
+    sample, or the learnable decoder variance."""
 
 
 class DivergenceError(CollapseLabError):

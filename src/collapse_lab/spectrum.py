@@ -2,10 +2,10 @@
 cross-moment, and the singular values that drive every closed form.
 
 Conventions: eigenvalues and singular values are stored non-increasing;
-values below ``tol`` times the largest are clamped to exactly zero; the
-sign of each left singular vector is fixed by making its
-largest-magnitude entry positive (the matching right vector is flipped
-with it), so repeated runs produce identical factors.
+values below ``DEFAULT_TOL`` (1e-10) times the largest are clamped to
+exactly zero; the sign of each left singular vector is fixed by making
+its largest-magnitude entry positive (the matching right vector is
+flipped with it), so repeated runs produce identical factors.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class DataSpectrum:
     effective_rank : int
         Count of strictly positive singular values.
     tol : float
-        Relative cutoff used for both clamps.
+        Relative cutoff used for both clamps, always ``DEFAULT_TOL``.
     target_power : float
         Mean squared norm of the target, used to reconcile losses that
         include the part of the target no linear map can explain.
@@ -92,7 +92,6 @@ class DataSpectrum:
         zeta,
         dim_y: int,
         target_power: float | None = None,
-        tol: float = DEFAULT_TOL,
     ) -> "DataSpectrum":
         """Spectrum with prescribed singular values and identity factors.
 
@@ -112,7 +111,7 @@ class DataSpectrum:
             raise ValueError(f"dim_y={dim_y} smaller than len(zeta)={zeta.size}")
         d0 = zeta.size
         zeta = zeta.copy()
-        zeta[zeta <= tol * max(zeta[0], 0.0)] = 0.0
+        zeta[zeta <= DEFAULT_TOL * max(zeta[0], 0.0)] = 0.0
         zeta[zeta * zeta == 0.0] = 0.0  # squares drive the theory; kill underflow
         if target_power is None:
             target_power = float(np.sum(zeta**2))
@@ -126,7 +125,7 @@ class DataSpectrum:
             right_vectors=np.eye(d0),
             singular_values=zeta,
             effective_rank=int(np.count_nonzero(zeta)),
-            tol=tol,
+            tol=DEFAULT_TOL,
             target_power=float(target_power),
         )
 
@@ -162,7 +161,7 @@ def _fix_signs(f: np.ndarray, g: np.ndarray, paired: int) -> tuple[np.ndarray, n
     return f, g
 
 
-def compute_spectrum(ds: Dataset, tol: float = DEFAULT_TOL) -> DataSpectrum:
+def compute_spectrum(ds: Dataset) -> DataSpectrum:
     """Eigendecompose the input second moment and SVD the whitened
     cross-moment.
 
@@ -182,9 +181,9 @@ def compute_spectrum(ds: Dataset, tol: float = DEFAULT_TOL) -> DataSpectrum:
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
     top = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    if not top > tol:
+    if not top > DEFAULT_TOL:
         raise DegenerateInput("input second moment is numerically zero")
-    keep = eigenvalues > tol * top
+    keep = eigenvalues > DEFAULT_TOL * top
     rank = int(np.count_nonzero(keep))
     eigenvalues = eigenvalues[:rank]
     basis = vectors[:, :rank]
@@ -195,7 +194,7 @@ def compute_spectrum(ds: Dataset, tol: float = DEFAULT_TOL) -> DataSpectrum:
     g = gt.T
     zeta = np.clip(zeta, 0.0, None)
     if zeta.size and zeta[0] > 0:
-        zeta[zeta <= tol * zeta[0]] = 0.0
+        zeta[zeta <= DEFAULT_TOL * zeta[0]] = 0.0
     zeta[zeta * zeta == 0.0] = 0.0
     f, g = _fix_signs(f, g, paired=zeta.size)
 
@@ -209,7 +208,7 @@ def compute_spectrum(ds: Dataset, tol: float = DEFAULT_TOL) -> DataSpectrum:
         right_vectors=g,
         singular_values=zeta,
         effective_rank=int(np.count_nonzero(zeta)),
-        tol=tol,
+        tol=DEFAULT_TOL,
         target_power=float(np.sum(ds.y**2) / n),
     )
 

@@ -236,17 +236,19 @@ def _zero_mean(p: ModelParams, m: Moments) -> bool:
     return no_bias and not (m.mean_x.any() or m.mean_y.any())
 
 
-def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
-    """Terms the loss and every gradient block share (``None`` where ``zero_mean`` skips
-    them), first the residual ``r = k a - cross^T`` with ``k = decoder encoder^T`` (its
-    transpose is ``a k^T - cross``, as ``a`` is exactly symmetric) and the prior's pull
-    ``a encoder``; the last is the expected reconstruction ``E||y - decode(z)||^2 / (2 s)``.
-    Products use ``ndarray.dot``, which dispatches faster than ``@`` on small matrices."""
+def _value_and_grad(
+    p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool, grad: dict | None = None
+) -> float:
+    """The loss-and-gradient kernel: returns the exact expected loss at ``p`` and, given
+    the dict ``grad``, writes the gradient of each field it names into its view. The
+    halves share the residual ``r = k a - cross^T``, ``k = decoder encoder^T`` (its
+    transpose is ``a k^T - cross``, as ``a`` is exactly symmetric), and the prior's pull
+    ``a encoder``. ``zero_mean`` skips the mean and bias terms. Products use
+    ``ndarray.dot``, which dispatches faster than ``@`` on small matrices."""
     k = p.decoder.dot(p.encoder.T)
     r = k.dot(m.a) - m.cross.T
     col_sq = np.add.reduce(p.decoder**2, axis=0)
     recon = float(np.vdot(r - m.cross.T, k))  # <k a, k> - 2 <cross^T, k>
-    b_e = c = w_mean = r_mean = None
     if not zero_mean:
         b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
         b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
@@ -261,19 +263,14 @@ def _core_terms(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = F
             raise DegenerateVariance("encoder std hit zero on a training sample")
         s2 = np.mean(t**2, axis=0)
     else:
-        t = None
         s2 = p.sigma**2
     s = p.decvar if p.log_decvar is not None else hp.decvar
-    fit = (recon + float(s2.dot(col_sq))) / (2.0 * s)
-    return r, m.a.dot(p.encoder), col_sq, b_e, c, w_mean, r_mean, s2, t, s, fit
-
-
-def _loss(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
-    """Exact expected loss at ``p`` and the :func:`_core_terms` it was
-    built from, which :func:`_value_and_grad` reuses for the gradient."""
-    core = _core_terms(p, m, hp, zero_mean)
-    _, prior, _, b_e, _, w_mean, _, s2, t, s, fit = core
+    if s == 0.0:
+        raise DegenerateVariance("decoder variance underflowed to zero")
+    fit = (recon + float(s2.dot(col_sq))) / (2.0 * s)  # E||y - decode(z)||^2 / (2 s)
+    prior = m.a.dot(p.encoder)
     eta2 = hp.eta_enc**2
+    beta = hp.beta
     if p.ddv:
         kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
         kl = float(np.add.reduce(kl_terms))
@@ -284,19 +281,12 @@ def _loss(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool = False):
     mean_term = float(np.vdot(prior, p.encoder))
     if not zero_mean:
         mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
-    loss = fit + 0.5 * hp.beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
+    loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
     if p.log_decvar is not None:
         loss += 0.5 * m.dim_y * math.log(s)
-    return loss, core
+    if grad is None:
+        return loss
 
-
-def _value_and_grad(p: ModelParams, m: Moments, hp: Hyperparams, zero_mean, grad) -> float:
-    """The loss-and-gradient kernel: returns the loss at ``p`` and writes
-    the gradient of each field named in the dict ``grad`` into its view."""
-    loss, core = _loss(p, m, hp, zero_mean)
-    r, prior, col_sq, b_e, c, w_mean, r_mean, s2, t, s, fit = core
-    eta2 = hp.eta_enc**2
-    beta = hp.beta
     if p.ddv or "log_sigma" in grad:
         coef = col_sq / s + beta / eta2  # 2 d loss / d s2, less the KL's log term
     if p.ddv:
@@ -361,7 +351,7 @@ def eval_loss(p: ModelParams, src: DataSource, hp: Hyperparams) -> float:
     """Exact expected loss at ``p``; see :func:`value_and_grad`."""
     m = _moments(src)
     _check_shapes(p, m, hp)
-    return _loss(p, m, hp, _zero_mean(p, m))[0]
+    return _value_and_grad(p, m, hp, _zero_mean(p, m))
 
 
 def eval_grad(p: ModelParams, src: DataSource, hp: Hyperparams) -> ModelParams:

@@ -22,6 +22,12 @@ from .spectrum import DataSpectrum, compute_spectrum
 # ``train`` stays bound here: bench/tests reach the trainer through ``verify.train``
 from .trainer import Moments, train, train_to_minimum  # noqa: F401
 
+# the release contract: the largest errors with which a verify instance passes
+LOSS_TOL = 1e-4
+SV_TOL = 1e-3
+SIGMA_TOL = 1e-3
+S_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class VerifyRow:
@@ -95,10 +101,6 @@ def run_oracle_suite(
     seed: int = 20260811,
     learnable_decvar: bool = False,
     beta_error: float = 1.0,
-    loss_tol: float = 1e-4,
-    sv_tol: float = 1e-3,
-    sigma_tol: float = 1e-3,
-    s_tol: float = 1e-3,
 ) -> VerificationReport:
     """Run the agreement suite; ``beta_error`` skews the analytic side's
     beta and exists so tests can prove a mismatch is actually caught."""
@@ -136,10 +138,10 @@ def run_oracle_suite(
                 note = f"decvar regime {sol.regime}: no finite s*, skipped"
 
         passed = (
-            loss_rel <= loss_tol
-            and sv_err <= sv_tol
-            and sigma_err <= sigma_tol
-            and (s_rel is None or s_rel <= s_tol)
+            loss_rel <= LOSS_TOL
+            and sv_err <= SV_TOL
+            and sigma_err <= SIGMA_TOL
+            and (s_rel is None or s_rel <= S_TOL)
         )
         rows.append(
             VerifyRow(

@@ -122,14 +122,18 @@ def eval_loss_monte_carlo(
 
     Returns (mean, standard error) over ``n_draws`` independent full
     passes; only the reconstruction expectation is sampled, every other
-    term is analytic.
+    term is analytic: ``eval_loss`` less the reconstruction expectation
+    taken over the samples, its noise part the trace ``sum std^2 col_sq``.
     """
-    loss, (_, _, _, _, c, _, _, _, t, s, fit) = tr._loss(p, tr.Moments.from_dataset(ds), hp)
-    deterministic = loss - fit
+    b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
+    b_d = p.dec_bias if p.dec_bias is not None else np.zeros(ds.dim_y)
+    mean_part = ds.x @ p.encoder @ p.decoder.T + p.decoder @ b_e + b_d - ds.y
+    std = ds.x @ p.var_slope.T + p.var_offset if p.ddv else np.exp(p.log_sigma)[None, :]
+    s = hp.decvar if p.log_decvar is None else float(np.exp(p.log_decvar))
+    col_sq = np.sum(p.decoder**2, axis=0)
+    sample_fit = np.mean(np.sum(mean_part**2, axis=1)) + np.mean(std**2, axis=0) @ col_sq
+    deterministic = tr.eval_loss(p, ds, hp) - sample_fit / (2.0 * s)
     rng = np.random.default_rng(seed)
-
-    mean_part = ds.x @ p.encoder @ p.decoder.T + c - ds.y
-    std = t if p.ddv else np.exp(p.log_sigma)[None, :]
     draws = np.empty(n_draws)
     for j in range(n_draws):
         eps = rng.standard_normal(size=(ds.n_samples, hp.latent_dim)) * std

@@ -305,6 +305,9 @@ NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "
         # one Adam step puts both stds near 1.2e308, so their squares' sum overflows
         ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--learnable-sigma",
          "--eta-enc", "10", "--lr", "354.7"),
+        # a huge step drives the learnable decoder variance to exactly zero
+        ("train", "--synthetic", "3,3,100,1", "--beta", "0.2", "--d1", "3", "--learnable-decvar",
+         "--learnable-sigma", "--lr", "1e5", "--max-steps", "300"),
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):

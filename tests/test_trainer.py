@@ -1,4 +1,6 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from collapse_lab.errors import (
 )
 from collapse_lab.spectrum import DataSpectrum
 
+import oracles
 from conftest import assert_sinks_below, make_instance, sink_run
 from oracles import ddv_inequality_check, eval_loss_monte_carlo, reference_value_and_grad
 
@@ -63,6 +66,44 @@ def random_params(rng, dim_x, dim_y, d1, scale=0.7, bias=False, ddv=False, log_s
     )
 
 
+def kernel_paths(test):
+    """Parametrize ``test`` over every path of the kernel: a zero-mean spectrum
+    or a shifted dataset, biases, a data-dependent std, and fixed or learnable
+    encoder stds and decoder variance."""
+    test = pytest.mark.parametrize("source,bias,ddv", [
+        ("spectrum", False, False),
+        ("dataset", False, False),
+        ("dataset", True, False),
+        ("dataset", False, True),
+        ("dataset", True, True),
+    ])(test)
+    test = pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])(test)
+    return pytest.mark.parametrize("decvar_mode", ["fixed", "learnable"])(test)
+
+
+def kernel_case(source, bias, ddv, sigma_mode, decvar_mode):
+    """Moments, hyperparameters and three random points for one kernel path;
+    the dataset is shifted, so every mean term is live."""
+    g = np.random.default_rng(71)
+    ds, sp = make_instance(seed=73, dim_x=4, dim_y=3, n=120)
+    if source == "spectrum":
+        m = tr.Moments.from_spectrum(sp)
+    else:
+        m = tr.Moments.from_dataset(
+            Dataset(x=ds.x + g.normal(size=4), y=ds.y + g.normal(size=3))
+        )
+    learn_s = decvar_mode == "learnable"
+    hp = cf.Hyperparams(
+        beta=1.3, latent_dim=3, eta_enc=0.8, eta_dec=1.2,
+        sigma_mode=sigma_mode, decvar_mode=decvar_mode,
+    )
+    draws = [
+        random_params(g, 4, 3, 3, bias=bias, ddv=ddv, log_s=0.2 if learn_s else None)
+        for _ in range(3)
+    ]
+    return m, hp, draws
+
+
 class TestEvalLoss:
     def test_origin_value_is_target_power(self):
         """At the zero model with prior stds, only the reconstruction of
@@ -97,25 +138,45 @@ class TestEvalLoss:
         mc2, _ = eval_loss_monte_carlo(params, ds, hp, n_draws=3000, seed=11)
         assert mc2 == mc  # deterministic for a fixed seed
 
-    def test_loss_only_paths_share_terms_once(self, rng, monkeypatch):
-        """The loss-only evaluations build the shared terms once and give
-        value_and_grad's loss to the bit."""
-        ds, _ = make_instance(seed=5, dim_x=3, dim_y=3, n=200)
-        hp = cf.Hyperparams(beta=1.1, latent_dim=2, decvar_mode="learnable")
-        params = random_params(rng, 3, 3, 2, bias=True, ddv=True, log_s=0.3)
-        calls, core = [], tr._core_terms
+    @kernel_paths
+    def test_loss_only_paths_share_terms_once(
+        self, monkeypatch, source, bias, ddv, sigma_mode, decvar_mode
+    ):
+        """eval_loss runs the one kernel once, with no gradient buffer, and
+        gives value_and_grad's loss to the bit."""
+        m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
+        calls, kernel = [], tr._value_and_grad
 
-        def counted(*args):
-            calls.append(1)
-            return core(*args)
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(tr, "_core_terms", counted)
-        loss = tr.eval_loss(params, ds, hp)
-        assert len(calls) == 1
-        assert loss == tr.value_and_grad(params, ds, hp)[0]
-        calls.clear()
-        eval_loss_monte_carlo(params, ds, hp, n_draws=2)
-        assert len(calls) == 1
+        monkeypatch.setattr(tr, "_value_and_grad", counted)
+        for params in draws:
+            calls.clear()
+            loss = tr.eval_loss(params, m, hp)
+            assert [(len(args), kwargs) for args, kwargs in calls] == [(4, {})]
+            assert loss == tr.value_and_grad(params, m, hp)[0]
+
+    def test_oracles_read_no_private_trainer_name(self):
+        """The references derive what they check: tests/oracles.py reads no
+        underscore-prefixed name of collapse_lab.trainer."""
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        aliases = {
+            alias.asname or alias.name for node in imports if node.module == "collapse_lab"
+            for alias in node.names if alias.name == "trainer"
+        }
+        assert aliases, "oracles.py no longer imports the trainer module"
+        private = [
+            alias.name for node in imports if node.module == "collapse_lab.trainer"
+            for alias in node.names if alias.name.startswith("_")
+        ] + [
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id in aliases
+        ]
+        assert private == []
 
     def test_solution_loss_matches_closed_form_value(self):
         ds, sp = make_instance(seed=7, dim_x=5, dim_y=4)
@@ -222,33 +283,12 @@ def test_second_moment_exactly_symmetric():
             assert np.array_equal(m.a, m.a.T)
 
 
-@pytest.mark.parametrize("decvar_mode", ["fixed", "learnable"])
-@pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
-@pytest.mark.parametrize("source,bias,ddv", [
-    ("spectrum", False, False),
-    ("dataset", False, False),
-    ("dataset", True, False),
-    ("dataset", False, True),
-    ("dataset", True, True),
-])
+@kernel_paths
 def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, decvar_mode):
     """The fused kernel, on the fields ``train`` updates, gives the loss and
     gradient of the term-by-term reference to 1e-12 relative."""
-    g = np.random.default_rng(71)
-    ds, sp = make_instance(seed=73, dim_x=4, dim_y=3, n=120)
-    if source == "spectrum":
-        m = tr.Moments.from_spectrum(sp)
-    else:  # shifted, so every mean term is live
-        m = tr.Moments.from_dataset(
-            Dataset(x=ds.x + g.normal(size=4), y=ds.y + g.normal(size=3))
-        )
-    learn_s = decvar_mode == "learnable"
-    hp = cf.Hyperparams(
-        beta=1.3, latent_dim=3, eta_enc=0.8, eta_dec=1.2,
-        sigma_mode=sigma_mode, decvar_mode=decvar_mode,
-    )
-    for _ in range(3):
-        params = random_params(g, 4, 3, 3, bias=bias, ddv=ddv, log_s=0.2 if learn_s else None)
+    m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
+    for params in draws:
         assert tr._zero_mean(params, m) == (source == "spectrum")
         _, grad = tr._flat(params, hp)
         loss = tr._value_and_grad(params, m, hp, tr._zero_mean(params, m), grad)
@@ -371,10 +411,16 @@ class TestTrain:
 
 class TestDataDependentVariance:
     def test_flat_twin_identical_when_slope_zero(self, rng):
+        """With zero slope the flat twin is the point itself. The offset is
+        chosen so that its squares and their mean are exact in binary; then
+        the twin's offset sqrt(mean(t^2)) is the original to the bit."""
         ds, _ = make_instance(seed=53, dim_x=3, dim_y=2, n=100)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
         params = random_params(rng, 3, 2, 2, ddv=True)
         params.var_slope = np.zeros_like(params.var_slope)
+        params.var_offset = np.array([0.75, 1.25])
+        t = ds.x @ params.var_slope.T + params.var_offset
+        assert np.array_equal(np.sqrt(np.mean(t**2, axis=0)), params.var_offset)
         lhs, rhs = ddv_inequality_check(params, ds, hp)
         assert lhs == rhs
 
