@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .verify import run_oracle_suite
 
 SCHEMA = "collapse-lab/v1"
 MAX_GRID_ROWS = 10**6
+# in these a non-finite float means "no value" and prints null
+NULL_IF_NON_FINITE = (dv.DecVarSolution, cl.SweepRow)
 
 
 def _add_source_args(p: argparse.ArgumentParser, allow_zeta: bool = True) -> None:
@@ -126,15 +129,36 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _emit_json(args, command: str, payload: dict) -> None:
-    doc = {"schema": SCHEMA, "command": command}
-    doc.update(payload)
+def _to_json(obj, null_non_finite: bool = False):
+    """``obj`` in JSON's types: a dataclass becomes a dict of its fields in
+    field order, arrays and tuples become lists. A non-finite float becomes
+    None inside a ``NULL_IF_NON_FINITE`` type or under ``null_non_finite``;
+    anywhere else it stays, for :func:`_emit_json` to refuse."""
+    if is_dataclass(obj):
+        null_non_finite = null_non_finite or isinstance(obj, NULL_IF_NON_FINITE)
+        return {f.name: _to_json(getattr(obj, f.name), null_non_finite) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _to_json(value, null_non_finite) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_json(value, null_non_finite) for value in obj]
+    if null_non_finite and isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _emit_json(args, command: str, payload) -> None:
+    doc = {"schema": SCHEMA, "command": command, **_to_json(payload)}
     # strict RFC 8259: a non-finite float raises ValueError (exit 2), never prints NaN
     _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def _collapse_json(report: cl.CollapseReport) -> dict:
+    # a fixed-variance report has no decvar key
+    return {k: v for k, v in _to_json(report).items() if not (k == "decvar" and v is None)}
 
 
 def _beta_grid(text: str) -> np.ndarray:
@@ -156,7 +180,7 @@ def cmd_spectrum(args) -> int:
     sp = _load_spectrum(args)
     if sp.effective_rank == 0:
         print("warning: all singular values are zero (no signal)", file=sys.stderr)
-    _emit_json(args, "spectrum", sp.to_json_dict())
+    _emit_json(args, "spectrum", sp)
     return 0
 
 
@@ -177,11 +201,7 @@ def cmd_solve(args) -> int:
         )
         rotation = make(hp.latent_dim, args.random_rotation)
     gm = cf.global_minimum(sp, hp, rotation=rotation)
-    _emit_json(
-        args,
-        "solve",
-        {"hyperparams": asdict(hp), **gm.to_json_dict(include_matrices=True)},
-    )
+    _emit_json(args, "solve", {"hyperparams": hp, **_to_json(gm)})
     return 0
 
 
@@ -189,13 +209,12 @@ def cmd_predict(args) -> int:
     sp = _load_spectrum(args)
     hp = _hyperparams(args)
     fixed = cl.predict(sp, replace(hp, decvar_mode="fixed"))
-    payload = {"hyperparams": asdict(hp), "fixed": fixed.to_json_dict()}
+    payload = {"hyperparams": hp, "fixed": _collapse_json(fixed)}
     if hp.decvar_mode == "learnable":
-        learnable = cl.predict(sp, hp)
-        payload["learnable"] = learnable.to_json_dict()
-        payload["learnable"]["beta_breakpoints"] = dv.json_safe(
-            dv.beta_breakpoints(sp, hp)
-        )
+        payload["learnable"] = {
+            **_collapse_json(cl.predict(sp, hp)),
+            "beta_breakpoints": _to_json(dv.beta_breakpoints(sp, hp), null_non_finite=True),
+        }
     _emit_json(args, "predict", payload)
     return 0
 
@@ -217,14 +236,13 @@ def cmd_sweep(args) -> int:
         ]
 
     if args.format == "json":
-        payload = {"hyperparams": asdict(hp), "rows": []}
-        for i, row in enumerate(rows):
-            d = row.to_json_dict()
-            if trained:
-                d["train_loss"] = trained[i].final_loss
-                d["train_sigma"] = np.sort(trained[i].params.sigma)[::-1].tolist()
-            payload["rows"].append(d)
-        _emit_json(args, "sweep", payload)
+        if trained:
+            rows = [
+                {**_to_json(row), "train_loss": t.final_loss,
+                 "train_sigma": np.sort(t.params.sigma)[::-1]}
+                for row, t in zip(rows, trained)
+            ]
+        _emit_json(args, "sweep", {"hyperparams": hp, "rows": rows})
         return 0
 
     d1 = hp.latent_dim
@@ -253,14 +271,15 @@ def cmd_train(args) -> int:
     hp = _hyperparams(args)
     if not args.bias:
         ds = _centered(ds)
-    init = tr.init_params(ds, hp, seed=args.seed, bias=args.bias, ddv=args.ddv)
+    moments = tr.Moments.from_dataset(ds)
+    init = tr.init_params(moments, hp, seed=args.seed, bias=args.bias, ddv=args.ddv)
     cfg = tr.TrainConfig(
         optimizer=args.optimizer,
         learning_rate=args.lr,
         max_steps=args.max_steps,
         grad_tol=args.grad_tol,
     )
-    result = tr.train(init, ds, hp, cfg, trace=bool(args.trace))
+    result = tr.train(init, moments, hp, cfg, trace=bool(args.trace))
     if args.trace:
         lines = ["step,loss" + (",decvar" if result.decvar_trace is not None else "")]
         for i, value in enumerate(result.loss_trace):
@@ -270,11 +289,11 @@ def cmd_train(args) -> int:
             lines.append(row)
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-    _emit_json(
-        args,
-        "train",
-        {"hyperparams": asdict(hp), **result.to_json_dict()},
-    )
+    _emit_json(args, "train", {
+        "hyperparams": hp, "final_loss": result.final_loss, "grad_norm": result.grad_norm,
+        "steps": result.steps, "converged": result.converged,
+        "sigma": result.params.sigma, "decvar": result.params.decvar,
+    })
     return 0
 
 
@@ -289,22 +308,25 @@ def cmd_verify(args) -> int:
     )
     print(report.format_table())
     if args.out:
-        _emit_json(args, "verify", report.to_json_dict())
+        _emit_json(args, "verify", report)
     return 0 if report.all_passed else 3
 
 
 def cmd_report(args) -> int:
     sp = _load_spectrum(args)
     hp = _hyperparams(args)
-    payload: dict = {"hyperparams": asdict(hp), "spectrum": sp.to_json_dict()}
-    solve_hp = replace(hp, decvar_mode="fixed")
-    payload["solution"] = cf.global_minimum(sp, solve_hp).to_json_dict(
-        include_matrices=False
-    )
-    payload["collapse"] = cl.predict(sp, replace(hp, decvar_mode="fixed")).to_json_dict()
+    fixed_hp = replace(hp, decvar_mode="fixed")
+    gm = cf.global_minimum(sp, fixed_hp)
+    payload = {
+        "hyperparams": hp,
+        "spectrum": sp,
+        # the solution without its matrices
+        "solution": {k: v for k, v in _to_json(gm).items() if k not in ("decoder", "encoder")},
+        "collapse": _collapse_json(cl.predict(sp, fixed_hp)),
+    }
     if hp.decvar_mode == "learnable":
-        payload["collapse_learnable_decvar"] = cl.predict(sp, hp).to_json_dict()
-        payload["beta_breakpoints"] = dv.json_safe(dv.beta_breakpoints(sp, hp))
+        payload["collapse_learnable_decvar"] = _collapse_json(cl.predict(sp, hp))
+        payload["beta_breakpoints"] = _to_json(dv.beta_breakpoints(sp, hp), null_non_finite=True)
     _emit_json(args, "report", payload)
     return 0
 
@@ -398,10 +420,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CollapseLabError, ValueError) as exc:

@@ -168,23 +168,10 @@ class GlobalMinimum:
     decoder_singvals: np.ndarray
     encoder_singvals: np.ndarray
     sigma: np.ndarray
+    collapse_flags: np.ndarray
+    predicted_loss: float
     decoder: np.ndarray = field(repr=False)
     encoder: np.ndarray = field(repr=False)
-    predicted_loss: float
-    collapse_flags: np.ndarray
-
-    def to_json_dict(self, include_matrices: bool = True) -> dict:
-        out = {
-            "decoder_singvals": self.decoder_singvals.tolist(),
-            "encoder_singvals": self.encoder_singvals.tolist(),
-            "sigma": self.sigma.tolist(),
-            "collapse_flags": [bool(b) for b in self.collapse_flags],
-            "predicted_loss": self.predicted_loss,
-        }
-        if include_matrices:
-            out["decoder"] = self.decoder.tolist()
-            out["encoder"] = self.encoder.tolist()
-        return out
 
 
 def random_rotation(d: int, seed: int) -> np.ndarray:

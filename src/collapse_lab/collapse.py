@@ -10,7 +10,7 @@ from local curvature alone (:func:`hessian_origin_test`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,18 +41,6 @@ class CollapseReport:
     hessian_psd: bool
     min_hessian_quadratic: float
     decvar: dv.DecVarSolution | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "mode_thresholds": self.mode_thresholds.tolist(),
-            "collapse_flags": [bool(b) for b in self.collapse_flags],
-            "regime": self.regime,
-            "hessian_psd": self.hessian_psd,
-            "min_hessian_quadratic": self.min_hessian_quadratic,
-        }
-        if self.decvar is not None:
-            out["decvar"] = self.decvar.to_json_dict()
-        return out
 
 
 def hessian_origin_test(sp: DataSpectrum, hp: Hyperparams) -> tuple[bool, float]:
@@ -116,9 +104,6 @@ class SweepRow:
     regime: str
     sigma: np.ndarray
     s_star: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return dv.json_safe(asdict(self))
 
 
 def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:

@@ -17,7 +17,7 @@ analytic solution with a numeric minimizer of :func:`profile_loss`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,23 +55,6 @@ class DecVarSolution:
     d1: int
     d2: int
     notes: str
-
-    def to_json_dict(self) -> dict:
-        return json_safe(asdict(self))
-
-
-def json_safe(obj):
-    """Copy of a JSON-bound structure with arrays and tuples as lists and
-    every non-finite float as None."""
-    if isinstance(obj, np.ndarray):
-        return json_safe(obj.tolist())
-    if isinstance(obj, float):
-        return obj if np.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {key: json_safe(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe(value) for value in obj]
-    return obj
 
 
 def profile_loss(sp: DataSpectrum, hp: Hyperparams, s) -> np.ndarray | float:

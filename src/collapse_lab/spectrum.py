@@ -34,35 +34,35 @@ class DataSpectrum:
         moment.
     dim_y : int
         Target dimension.
-    basis : (ambient_dim, rank) ndarray
-        Orthonormal eigenvectors of the input second moment.
+    tol : float
+        Relative cutoff used for both clamps, always ``DEFAULT_TOL``.
     eigenvalues : (rank,) ndarray
         Positive eigenvalues, non-increasing.
-    left_vectors : (dim_y, dim_y) ndarray
-    right_vectors : (rank, rank) ndarray
-        Orthogonal SVD factors of the whitened cross-moment.
     singular_values : (min(rank, dim_y),) ndarray
         Non-negative, non-increasing; sub-tolerance values clamped to 0.
     effective_rank : int
         Count of strictly positive singular values.
-    tol : float
-        Relative cutoff used for both clamps, always ``DEFAULT_TOL``.
     target_power : float
         Mean squared norm of the target, used to reconcile losses that
         include the part of the target no linear map can explain.
+    basis : (ambient_dim, rank) ndarray
+        Orthonormal eigenvectors of the input second moment.
+    left_vectors : (dim_y, dim_y) ndarray
+    right_vectors : (rank, rank) ndarray
+        Orthogonal SVD factors of the whitened cross-moment.
     """
 
     ambient_dim: int
     rank: int
     dim_y: int
-    basis: np.ndarray = field(repr=False)
+    tol: float
     eigenvalues: np.ndarray = field(repr=False)
-    left_vectors: np.ndarray = field(repr=False)
-    right_vectors: np.ndarray = field(repr=False)
     singular_values: np.ndarray
     effective_rank: int
-    tol: float
     target_power: float
+    basis: np.ndarray = field(repr=False)
+    left_vectors: np.ndarray = field(repr=False)
+    right_vectors: np.ndarray = field(repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -87,12 +87,7 @@ class DataSpectrum:
         return out[:d1]
 
     @classmethod
-    def from_singular_values(
-        cls,
-        zeta,
-        dim_y: int,
-        target_power: float | None = None,
-    ) -> "DataSpectrum":
+    def from_singular_values(cls, zeta, dim_y: int) -> "DataSpectrum":
         """Spectrum with prescribed singular values and identity factors.
 
         Stands in for a dataset whose whitened cross-moment is exactly
@@ -113,8 +108,6 @@ class DataSpectrum:
         zeta = zeta.copy()
         zeta[zeta <= DEFAULT_TOL * max(zeta[0], 0.0)] = 0.0
         zeta[zeta * zeta == 0.0] = 0.0  # squares drive the theory; kill underflow
-        if target_power is None:
-            target_power = float(np.sum(zeta**2))
         return cls(
             ambient_dim=d0,
             rank=d0,
@@ -126,23 +119,8 @@ class DataSpectrum:
             singular_values=zeta,
             effective_rank=int(np.count_nonzero(zeta)),
             tol=DEFAULT_TOL,
-            target_power=float(target_power),
+            target_power=float(np.sum(zeta**2)),
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "rank": self.rank,
-            "dim_y": self.dim_y,
-            "tol": self.tol,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "singular_values": self.singular_values.tolist(),
-            "effective_rank": self.effective_rank,
-            "target_power": self.target_power,
-            "basis": self.basis.tolist(),
-            "left_vectors": self.left_vectors.tolist(),
-            "right_vectors": self.right_vectors.tolist(),
-        }
 
 
 def _fix_signs(f: np.ndarray, g: np.ndarray, paired: int) -> tuple[np.ndarray, np.ndarray]:

@@ -160,16 +160,6 @@ class TrainResult:
     loss_trace: np.ndarray | None = None
     decvar_trace: np.ndarray | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "final_loss": self.final_loss,
-            "grad_norm": self.grad_norm,
-            "steps": self.steps,
-            "converged": self.converged,
-            "sigma": self.params.sigma.tolist(),
-            "decvar": self.params.decvar,
-        }
-
 
 def init_params(
     src: DataSource,
@@ -422,7 +412,10 @@ def train(
                 accepted = False
                 for _ in range(80):
                     np.subtract(start, trial * g, out=x)
-                    cand_loss = _value_and_grad(params, m, hp, zero_mean, grad_trial)
+                    try:
+                        cand_loss = _value_and_grad(params, m, hp, zero_mean, grad_trial)
+                    except DegenerateVariance:  # a variance of exactly 0: the loss is +inf
+                        cand_loss = math.inf
                     if math.isfinite(cand_loss) and cand_loss <= loss:
                         loss = cand_loss
                         g, g_trial, grad, grad_trial = g_trial, g, grad_trial, grad

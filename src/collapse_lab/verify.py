@@ -11,7 +11,7 @@ hit tight tolerances in bounded steps.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,17 +56,14 @@ class VerifyRow:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    rows: list[VerifyRow]
     all_passed: bool
+    rows: list[VerifyRow]
 
     def format_table(self) -> str:
         lines = [row.format() for row in self.rows]
         verdict = "ALL PASS" if self.all_passed else "FAILURES PRESENT"
         lines.append(f"{len(self.rows)} instances: {verdict}")
         return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {"all_passed": self.all_passed, "rows": [asdict(r) for r in self.rows]}
 
 
 def _draw_instance(rng: np.random.Generator, index: int):

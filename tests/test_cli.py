@@ -1,15 +1,18 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import collapse_lab
+from collapse_lab import cli
 from collapse_lab.cli import main
 from collapse_lab.data import Dataset, generate, random_spec, save
 
@@ -68,6 +71,19 @@ def test_package_imports_no_scipy_and_closed_forms_no_trainer():
     assert [name for name, found in imports.items() if "scipy" in found] == []
     for name in ("closed_form", "decoder_variance", "collapse"):
         assert "trainer" not in imports[name], name
+
+
+def test_only_cli_turns_results_into_json():
+    """The wire format is the CLI's one converter; no other module has
+    its own JSON writer or null-for-non-finite helper."""
+    package = Path(collapse_lab.__file__).resolve().parent
+    defined = [
+        (path.name, node.name)
+        for path in sorted(package.glob("*.py")) if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in ("to_json_dict", "json_safe")
+    ]
+    assert defined == []
 
 
 class TestSpectrumCommand:
@@ -325,9 +341,9 @@ def test_bad_argument_exit_2(capsys, argv):
 def test_non_finite_json_exit_2(capsys, monkeypatch):
     """JSON is written strictly: a non-finite float is an error, never
     ``NaN`` in the output."""
+    compute = cli.compute_spectrum
     monkeypatch.setattr(
-        "collapse_lab.spectrum.DataSpectrum.to_json_dict",
-        lambda self: {"singular_values": [float("nan")]},
+        cli, "compute_spectrum", lambda ds: replace(compute(ds), target_power=float("nan"))
     )
     code, out, err = run(capsys, "spectrum", "--synthetic", "3,3,50,1")
     assert code == 2 and out == ""
@@ -335,6 +351,22 @@ def test_non_finite_json_exit_2(capsys, monkeypatch):
 
 
 class TestTrainCommand:
+    def test_gd_rejects_a_trial_that_zeroes_the_decvar(self, capsys):
+        """A line-search trial that drives the decoder variance to exactly 0
+        has loss +inf: it is rejected and the step halved, the run goes on."""
+        code, out, err = run(
+            capsys, "train", "--synthetic", "3,3,100,1", "--beta", "0.2", "--d1", "3",
+            "--learnable-decvar", "--learnable-sigma", "--optimizer", "gd", "--lr", "1e5",
+            "--max-steps", "300",
+        )
+        assert code == 0 and err == ""
+
+        def refuse(constant):
+            raise ValueError(f"non-finite {constant} in the output")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["decvar"] > 0 and math.isfinite(doc["final_loss"])
+
     def test_train_json_and_trace(self, capsys, tmp_path):
         ds = generate(random_spec(3, 3, 300, seed=6))
         path = tmp_path / "d.bin"
