@@ -71,9 +71,8 @@ def _add_hyper_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_out_args(p: argparse.ArgumentParser, formats=("json",)) -> None:
+def _add_out_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _parse_synthetic(text: str):
@@ -372,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--train", action="store_true", help="add trained loss/sigma columns"
     )
     p.add_argument("--seed", type=int, default=0)
-    _add_out_args(p, formats=("csv", "json"))
+    _add_out_args(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("train", help="gradient-descent oracle run")

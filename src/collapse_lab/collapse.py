@@ -5,12 +5,12 @@ A latent mode collapses exactly when its signal strength falls to the
 regularization floor: ``zeta_i^2 <= beta * eta_dec^2`` for a fixed decoder
 variance. The origin of parameter space is either a saddle or the global
 minimum, never a merely-local minimum, so complete collapse is detectable
-from local curvature alone (:func:`hessian_origin_test`).
+from local curvature alone. Every verdict here is :func:`per_mode`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +43,24 @@ class CollapseReport:
     decvar: dv.DecVarSolution | None = None
 
 
-def hessian_origin_test(sp: DataSpectrum, hp: Hyperparams) -> tuple[bool, float]:
-    """Sign of the worst curvature of the loss at the all-zero model.
+def _origin_curvature(zeta: float, beta: float, s: float, eta_enc: float) -> float:
+    # sig_sq + b - sqrt((sig_sq - b)^2 + 4 z_sq); z_sq is per_mode's square, not a float's **
+    sig_sq, b, z_sq = eta_enc**2, beta * s / eta_enc**2, zeta * zeta
+    return float(4.0 * (beta * s - z_sq) / (sig_sq + b + np.sqrt((sig_sq - b) ** 2 + 4.0 * z_sq)))
 
-    With encoder stds at the prior value, the minimum of the origin
-    quadratic form over unit perturbations has the closed form below; it
-    is non-negative exactly when the origin is the global minimum.
-    """
-    zeta_max = float(sp.singular_values[0]) if sp.n_modes else 0.0
-    sig_sq, b = hp.eta_enc**2, hp.ridge
-    min_quadratic = sig_sq + b - np.sqrt((sig_sq - b) ** 2 + 4.0 * zeta_max**2)
-    return bool(min_quadratic >= 0.0), float(min_quadratic)
+
+def hessian_origin_test(sp: DataSpectrum, hp: Hyperparams) -> tuple[bool, float]:
+    """Worst curvature of the loss at the all-zero model, stds at the prior:
+    non-negative exactly when :func:`per_mode` collapses the top mode, that
+    is, when the origin is the global minimum. Returns (psd, curvature)."""
+    alive = per_mode(sp.singular_values[0], hp.beta, hp.decvar, hp.eta_enc).alive
+    return not alive, _origin_curvature(sp.singular_values[0], hp.beta, hp.decvar, hp.eta_enc)
 
 
 def _regime(flags: np.ndarray) -> np.ndarray:
-    # flags of the representable signal modes along the last axis
-    partial = np.where(flags.all(axis=-1), REGIME_COMPLETE, REGIME_PARTIAL)
-    return np.where(flags.any(axis=-1), partial, REGIME_NONE)
+    # flags of the representable signal modes on the last axis; none (zero spectrum) is complete
+    partial = np.where(flags.any(axis=-1), REGIME_PARTIAL, REGIME_NONE)
+    return np.where(flags.all(axis=-1), REGIME_COMPLETE, partial)
 
 
 def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
@@ -73,25 +74,24 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
 
     sol = None
     if hp.decvar_mode == "fixed":
-        thresholds = sp.singular_values**2 / hp.decvar
-        flags = ~per_mode(sp.singular_values, hp.beta, hp.decvar, hp.eta_enc).alive
+        s = hp.decvar
+        thresholds = sp.singular_values**2 / s
+        flags = ~per_mode(sp.singular_values, hp.beta, s, hp.eta_enc).alive
     else:
         bounds = dv.beta_bounds(sp, hp)
         sol = dv.solve_decoder_variance(sp, hp, bounds)
         thresholds = np.zeros(d_star)
         thresholds[: bounds.size] = bounds
         flags = np.arange(1, d_star + 1) > sol.surviving_modes
-    if sol is not None and sol.s_star is not None:
-        # curvature at the origin for the optimal decoder variance
-        hp = replace(hp, eta_dec=float(np.sqrt(sol.s_star)), decvar_mode="fixed")
-    psd, min_q = hessian_origin_test(sp, hp)
-
+        # the solver's s, not hp.eta_dec: s*, the flat interval's top, or s -> 0 (ill-posed)
+        s = sol.s_star if sol.s_star is not None else (sol.s_interval or (0.0, 0.0))[1]
+    signal = flags[:d1_hat]
     return CollapseReport(
         mode_thresholds=thresholds,
         collapse_flags=flags,
-        regime=str(_regime(flags[:d1_hat])),
-        hessian_psd=psd,
-        min_hessian_quadratic=min_q,
+        regime=str(_regime(signal)),
+        hessian_psd=bool(signal.all()),
+        min_hessian_quadratic=_origin_curvature(sp.singular_values[0], hp.beta, s, hp.eta_enc),
         decvar=sol,
     )
 

@@ -105,9 +105,7 @@ class DataSpectrum:
         if dim_y < zeta.size:
             raise ValueError(f"dim_y={dim_y} smaller than len(zeta)={zeta.size}")
         d0 = zeta.size
-        zeta = zeta.copy()
-        zeta[zeta <= DEFAULT_TOL * max(zeta[0], 0.0)] = 0.0
-        zeta[zeta * zeta == 0.0] = 0.0  # squares drive the theory; kill underflow
+        zeta = _clamp_zeros(zeta)
         return cls(
             ambient_dim=d0,
             rank=d0,
@@ -121,6 +119,13 @@ class DataSpectrum:
             tol=DEFAULT_TOL,
             target_power=float(np.sum(zeta**2)),
         )
+
+
+def _clamp_zeros(zeta: np.ndarray) -> np.ndarray:
+    zeta = np.clip(zeta, 0.0, None)
+    zeta[zeta <= DEFAULT_TOL * zeta.max(initial=0.0)] = 0.0
+    zeta[zeta * zeta == 0.0] = 0.0  # squares drive the theory; kill underflow
+    return zeta
 
 
 def _fix_signs(f: np.ndarray, g: np.ndarray, paired: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,10 +175,7 @@ def compute_spectrum(ds: Dataset) -> DataSpectrum:
     z = ds.y.T @ whitened / n
     f, zeta, gt = np.linalg.svd(z, full_matrices=True)
     g = gt.T
-    zeta = np.clip(zeta, 0.0, None)
-    if zeta.size and zeta[0] > 0:
-        zeta[zeta <= DEFAULT_TOL * zeta[0]] = 0.0
-    zeta[zeta * zeta == 0.0] = 0.0
+    zeta = _clamp_zeros(zeta)
     f, g = _fix_signs(f, g, paired=zeta.size)
 
     return DataSpectrum(

@@ -191,6 +191,51 @@ class TestPredictCommand:
         code, _, err = run(capsys, "predict", "--zeta", "1.0", "--d1", "1", "--beta", "1")
         assert code == 2 and "--d2" in err
 
+    def test_threshold_beta_reads_complete_and_psd(self, capsys):
+        """beta on the top threshold collapses every mode, and the origin
+        test says so with a curvature of the same sign."""
+        code, out, _ = run(
+            capsys, "predict", "--zeta", "3,2,1", "--d2", "3", "--d1", "3", "--beta", "9",
+            "--eta-enc", "0.7",
+        )
+        fixed = json.loads(out)["fixed"]
+        assert code == 0 and fixed["regime"] == "complete"
+        assert fixed["hessian_psd"] is True and fixed["min_hessian_quadratic"] >= 0
+
+    @pytest.mark.parametrize(
+        "argv, psd",
+        [
+            # ill-posed: the curvature is the s -> 0 limit
+            (("--d2", "3", "--beta", "0.5"), False),
+            # the predict_boundary golden: the top of the flat interval
+            (("--d2", "6", "--beta", "2"), False),
+        ],
+    )
+    def test_learnable_block_ignores_eta_dec(self, capsys, argv, psd):
+        """The learnable solver takes no decoder variance from the user, so
+        the learnable block reads the same bytes whatever --eta-dec says."""
+        blocks = []
+        for eta_dec in ("0.5", "1", "10"):
+            code, out, _ = run(
+                capsys, "predict", "--zeta", "3,2,1", "--d1", "3", *argv, "--learnable-sigma",
+                "--learnable-decvar", "--eta-dec", eta_dec,
+            )
+            assert code == 0
+            blocks.append(json.dumps(json.loads(out)["learnable"]))
+        assert blocks[0] == blocks[1] == blocks[2]
+        assert json.loads(blocks[0])["hessian_psd"] is psd
+
+    def test_zero_spectrum_is_complete(self, capsys):
+        code, out, _ = run(capsys, "predict", "--zeta", "0", "--d2", "2", "--d1", "1",
+                           "--beta", "1")
+        fixed = json.loads(out)["fixed"]
+        assert code == 0 and fixed["collapse_flags"] == [True]
+        assert fixed["regime"] == "complete" and fixed["hessian_psd"] is True
+        code, out, _ = run(capsys, "sweep", "--zeta", "0", "--d2", "2", "--d1", "1",
+                           "--beta-grid", "1:2:1")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and [row[3] for row in rows] == ["complete", "complete"]
+
 
 class TestSweepCommand:
     def test_csv_shape_and_monotone_rank(self, capsys, autoencode_csv):
@@ -336,6 +381,24 @@ def test_bad_argument_exit_2(capsys, argv):
     field = NEGATIVE_SYNTHETIC_FIELD.get(argv[-1].removeprefix("--synthetic="))
     if field:
         assert "--synthetic" in err and f" {field} " in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--synthetic", "5,5,2000,42"),
+        ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2"),
+        ("predict", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2"),
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2"),
+        ("report", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2"),
+    ],
+)
+def test_format_only_on_sweep(capsys, argv):
+    """Only sweep has two formats; elsewhere --format is an unknown option."""
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--format", "json"])
+    assert exited.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_non_finite_json_exit_2(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collapse_lab import closed_form as cf
@@ -99,6 +99,56 @@ class TestHessianOrigin:
             if psd != (report.regime == cl.REGIME_COMPLETE):
                 mismatches += 1
         assert mismatches == 0
+
+
+LOG_UNIFORM_ETA = st.floats(-1.0, 1.0).map(lambda u: 2.0**u)  # in [0.5, 2]
+
+
+def _assert_one_verdict(sp, hp, beta=None):
+    """Both blocks of ``predict``: the curvature verdict is complete
+    collapse, and in the fixed block the printed curvature has its sign.
+    With ``beta`` None, each block is queried at the top threshold it
+    printed."""
+    for decvar_mode in ("fixed", "learnable"):
+        block_hp = replace(hp, decvar_mode=decvar_mode)
+        if beta is None:
+            block_hp = replace(block_hp, beta=float(cl.predict(sp, block_hp).mode_thresholds[0]))
+        report = cl.predict(sp, block_hp)
+        assert report.hessian_psd == (report.regime == cl.REGIME_COMPLETE), decvar_mode
+        if decvar_mode == "fixed":
+            assert (report.min_hessian_quadratic >= 0) == report.hessian_psd
+
+
+class TestOneVerdict:
+    """The origin test, the regime and the flags read one survivor rule,
+    also with beta exactly on a printed threshold, where a curvature taken
+    as a difference of near-equal terms used to round to either sign."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4),
+        st.integers(0, 2),
+        st.integers(1, 5),
+        LOG_UNIFORM_ETA,
+        LOG_UNIFORM_ETA,
+    )
+    # here a float's ** rounds zeta^2 one ulp above the array square per_mode takes
+    @example([2.337234668120873], 0, 1, 0.5327110846408608, 1.535852100555914)
+    def test_verdict_at_top_threshold(self, zeta, extra_dims, d1, eta_enc, eta_dec):
+        sp = DataSpectrum.from_singular_values(sorted(zeta, reverse=True),
+                                               dim_y=len(zeta) + extra_dims)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=d1, eta_enc=eta_enc, eta_dec=eta_dec)
+        _assert_one_verdict(sp, hp)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.floats(0.05, 20.0),
+           LOG_UNIFORM_ETA, LOG_UNIFORM_ETA)
+    def test_zero_spectrum_is_complete(self, n_modes, d1, beta, eta_enc, eta_dec):
+        """Every threshold of a zero spectrum is 0, so any beta is past them."""
+        sp = DataSpectrum.from_singular_values([0.0] * n_modes, dim_y=n_modes)
+        hp = cf.Hyperparams(beta=beta, latent_dim=d1, eta_enc=eta_enc, eta_dec=eta_dec)
+        _assert_one_verdict(sp, hp, beta=beta)
+        assert cl.predict(sp, hp).regime == cl.REGIME_COMPLETE
 
 
 class TestNumericHessian:
