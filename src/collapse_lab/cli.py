@@ -100,11 +100,7 @@ def _load_spectrum(args) -> DataSpectrum:
             raise InvalidSpec("--zeta needs --d2")
         values = [float(v) for v in args.zeta.split(",")]
         return DataSpectrum.from_singular_values(values, dim_y=args.d2)
-    return compute_spectrum(_centered(_load_dataset(args)))
-
-
-def _centered(ds: Dataset) -> Dataset:
-    return ds if ds.centered else center(ds)[0]
+    return compute_spectrum(center(_load_dataset(args))[0])
 
 
 def _hyperparams(args, need_beta: bool = True) -> cf.Hyperparams:
@@ -269,7 +265,7 @@ def cmd_train(args) -> int:
     ds = _load_dataset(args)
     hp = _hyperparams(args)
     if not args.bias:
-        ds = _centered(ds)
+        ds = center(ds)[0]
     moments = tr.Moments.from_dataset(ds)
     init = tr.init_params(moments, hp, seed=args.seed, bias=args.bias, ddv=args.ddv)
     cfg = tr.TrainConfig(

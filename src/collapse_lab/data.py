@@ -7,12 +7,15 @@ seed reproduces a dataset byte for byte.
 File formats
 ------------
 CSV
-    Header row ``x0,...,x{dx-1},y0,...,y{dy-1}``, one sample per line,
-    values written with shortest round-trip ``repr``.
+    Header row exactly ``x0,...,x{dx-1},y0,...,y{dy-1}``, one sample per
+    line, values written with shortest round-trip ``repr``.
 binary
     16-byte header: 4-byte magic ``CLD1`` followed by little-endian
     uint32 ``n``, ``dim_x``, ``dim_y``; then the X block and the Y block
     as little-endian float64 in row-major order. Bit-exact round trip.
+
+Either format must hold at least one sample, one x column and one y
+column.
 """
 
 from __future__ import annotations
@@ -43,12 +46,10 @@ class Dataset:
     """Paired input/target sample matrices.
 
     ``x`` is (n, dim_x), ``y`` is (n, dim_y); row i of each is one sample.
-    ``centered`` asserts that every column mean is zero within 1e-10.
     """
 
     x: np.ndarray
     y: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x", _as_matrix(self.x, "x"))
@@ -59,15 +60,16 @@ class Dataset:
             )
         if self.x.shape[0] < 1:
             raise ValueError("dataset needs at least one sample")
-        if self.centered:
-            worst = max(
-                float(np.max(np.abs(self.x.mean(axis=0)))),
-                float(np.max(np.abs(self.y.mean(axis=0)))),
-            )
-            if worst > _CENTER_TOL:
-                raise ValueError(
-                    f"centered dataset has column mean {worst:g} > {_CENTER_TOL:g}"
-                )
+
+    @property
+    def centered(self) -> bool:
+        """Every column mean lies within ``1e-10 * max(1, largest |entry|
+        of that column)``, so the test reads the same in any units."""
+        for a in (self.x, self.y):
+            scale = np.maximum(1.0, np.abs(a).max(axis=0, initial=0.0))
+            if np.any(np.abs(a.mean(axis=0)) > _CENTER_TOL * scale):
+                return False
+        return True
 
     @property
     def n_samples(self) -> int:
@@ -147,7 +149,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     g = rng.standard_normal((spec.n_samples, spec.dim_x))
     x = g @ factor.T
     y = x @ spec.map_matrix.T
-    return Dataset(x=x, y=y, centered=False)
+    return Dataset(x=x, y=y)
 
 
 def center(ds: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
@@ -164,14 +166,7 @@ def center(ds: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
     # one more pass kills the O(eps * scale) residual of the first
     x -= x.mean(axis=0)
     y -= y.mean(axis=0)
-    return Dataset(x=x, y=y, centered=True), mean_x, mean_y
-
-
-def _is_centered(x: np.ndarray, y: np.ndarray) -> bool:
-    return (
-        float(np.max(np.abs(x.mean(axis=0)), initial=0.0)) <= _CENTER_TOL
-        and float(np.max(np.abs(y.mean(axis=0)), initial=0.0)) <= _CENTER_TOL
-    )
+    return Dataset(x=x, y=y), mean_x, mean_y
 
 
 def _is_csv(path) -> bool:
@@ -189,25 +184,28 @@ def save(ds: Dataset, path) -> None:
 def load(path) -> Dataset:
     """Read a dataset written by :func:`save`, in the format its suffix picks.
 
-    The ``centered`` flag is recomputed from the loaded column means.
     Raises :class:`ParseError` for malformed content, which includes a
-    NaN or infinite value (located by row and by column of ``x`` then ``y``).
+    file with no sample, no x column or no y column, and a NaN or infinite
+    value (located by row and by column of ``x`` then ``y``).
     """
     x, y = _load_csv(path) if _is_csv(path) else _load_binary(path)
+    if 0 in (*x.shape, y.shape[1]):
+        raise ParseError(
+            f"{path} has n={x.shape[0]}, dim_x={x.shape[1]}, dim_y={y.shape[1]}; "
+            "each must be >= 1"
+        )
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         row, col = np.argwhere(~np.isfinite(np.hstack([x, y])))[0]
         raise ParseError("not a finite number", row=int(row), col=int(col))
-    return Dataset(x=x, y=y, centered=_is_centered(x, y))
+    return Dataset(x=x, y=y)
 
 
 def _save_csv(ds: Dataset, path) -> None:
     names = [f"x{j}" for j in range(ds.dim_x)] + [f"y{j}" for j in range(ds.dim_y)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(ds.n_samples):
-            row = [repr(float(v)) for v in ds.x[i]]
-            row += [repr(float(v)) for v in ds.y[i]]
-            fh.write(",".join(row) + "\n")
+        for row in np.hstack([ds.x, ds.y]).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -217,12 +215,10 @@ def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(f"empty file: {path}")
     header = lines[0].split(",")
     dim_x = sum(1 for name in header if name.startswith("x"))
-    dim_y = sum(1 for name in header if name.startswith("y"))
-    if dim_x + dim_y != len(header) or dim_x == 0 or dim_y == 0:
+    dim_y = len(header) - dim_x
+    if header != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
         raise ParseError(f"bad header {lines[0]!r} in {path}")
     body = [line for line in lines[1:] if line]
-    if not body:
-        raise ParseError(f"no data rows in {path}")
     x = np.empty((len(body), dim_x))
     y = np.empty((len(body), dim_y))
     for i, line in enumerate(body):

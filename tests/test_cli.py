@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,8 @@ import pytest
 import collapse_lab
 from collapse_lab import cli
 from collapse_lab.cli import main
-from collapse_lab.data import Dataset, generate, random_spec, save
+from collapse_lab.data import Dataset, generate, load, random_spec, save
+from collapse_lab.errors import ParseError
 
 
 @pytest.fixture
@@ -119,6 +121,65 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--data", str(path))
         assert code == 2
         assert "error" in err
+
+
+def _refuse(constant):
+    raise ValueError(f"non-finite {constant} in the output")
+
+
+@pytest.fixture
+def large_units_csv(tmp_path):
+    """x = 1e7 N(0, 1) + 3e7, y = x M: centering leaves column means far
+    above 1e-10 in absolute terms, though tiny against the entries."""
+    g = np.random.default_rng(0)
+    x = 1e7 * g.standard_normal((2000, 4)) + 3e7
+    path = tmp_path / "large.csv"
+    save(Dataset(x, x @ g.standard_normal((4, 3))), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum",),
+        ("solve", "--beta", "1", "--d1", "2"),
+        ("predict", "--beta", "1", "--d1", "2"),
+        ("report", "--beta", "1", "--d1", "2"),
+        ("sweep", "--d1", "2", "--beta-grid", "1:2:1"),
+        ("train", "--beta", "1", "--d1", "2", "--max-steps", "50"),
+    ],
+)
+def test_data_in_large_units(capsys, large_units_csv, argv):
+    code, out, err = run(capsys, argv[0], "--data", str(large_units_csv), *argv[1:])
+    assert code == 0 and err == ""
+    if argv[0] == "sweep":
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert header[:4] == ["beta", "loss", "rank", "regime"] and len(rows) == 2
+        assert all(len(row) == len(header) and math.isfinite(float(row[1])) for row in rows)
+    else:
+        assert json.loads(out, parse_constant=_refuse)["command"] == argv[0]
+
+
+EMPTY_FILES = {
+    "n0.bin": b"CLD1" + struct.pack("<III", 0, 3, 2),
+    "dx0.bin": b"CLD1" + struct.pack("<III", 4, 0, 2) + bytes(8 * 4 * 2),
+    "dy0.bin": b"CLD1" + struct.pack("<III", 4, 3, 0) + bytes(8 * 4 * 3),
+    "rows0.csv": b"x0,x1,y0\n",
+    "y0.csv": b"x0,x1\n1.0,2.0\n",
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_FILES)
+def test_file_without_samples_or_columns_exit_1(capsys, tmp_path, name):
+    """Both readers share one check: at least one sample, one x column and
+    one y column, else a ParseError naming the file."""
+    path = tmp_path / name
+    path.write_bytes(EMPTY_FILES[name])
+    with pytest.raises(ParseError, match=name):
+        load(path)
+    code, out, err = run(capsys, "spectrum", "--data", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
 
 
 class TestSolveCommand:

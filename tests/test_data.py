@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from collapse_lab.data import (
     save,
 )
 from collapse_lab.errors import InvalidSpec, ParseError
+from collapse_lab.spectrum import compute_spectrum
 
 
 def test_identity_second_moment_law_of_large_numbers():
@@ -74,7 +78,7 @@ class TestCenter:
         x = rng.normal(size=(20, 3))
         x -= x.mean(axis=0)
         x -= x.mean(axis=0)
-        ds = Dataset(x=x, y=x.copy(), centered=True)
+        ds = Dataset(x=x, y=x.copy())
         out, mean_x, mean_y = center(ds)
         np.testing.assert_allclose(out.x, ds.x, atol=1e-15)
         np.testing.assert_allclose(mean_x, 0.0, atol=1e-15)
@@ -104,6 +108,22 @@ class TestCenter:
         np.testing.assert_allclose(twice.x, once.x, atol=1e-12)
         np.testing.assert_allclose(twice.y, once.y, atol=1e-12)
 
+    def test_units_scale_the_spectrum(self, rng):
+        """The same data in other units is centered and gives the same
+        spectrum, scaled: the centering test reads each column's size."""
+        x = rng.normal(size=(500, 4))
+        y = x @ rng.normal(size=(4, 3))
+        reference = None
+        for s in (1.0, 1e3, 1e6, 1e8):
+            ds, _, _ = center(Dataset(s * x + 3 * s, s * y))
+            assert ds.centered
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = compute_spectrum(ds).singular_values
+            if reference is None:
+                reference = values
+            np.testing.assert_allclose(values, s * reference, rtol=1e-12, atol=0)
+
 
 class TestIO:
     def test_binary_round_trip_bit_exact(self, rng, tmp_path):
@@ -127,6 +147,21 @@ class TestIO:
         path = tmp_path / "c.csv"
         save(ds, path)
         assert load(path).centered
+
+    @pytest.mark.parametrize("header", ["y0,x0", "x1,x0,y0", "x0,y0,x1", "x0,y1"])
+    def test_csv_header_must_be_exact(self, tmp_path, header):
+        path = tmp_path / "swapped.csv"
+        path.write_text(header + "\n" + ",".join(["1.0"] * len(header.split(","))) + "\n")
+        with pytest.raises(ParseError, match="bad header"):
+            load(path)
+
+    def test_csv_text_pinned(self, tmp_path):
+        ds = Dataset(x=[[-0.0, 1 / 3], [2.0, -1.5]], y=[[1e-300], [100.0]])
+        path = tmp_path / "pinned.csv"
+        save(ds, path)
+        assert path.read_bytes() == (
+            b"x0,x1,y0\n-0.0,0.3333333333333333,1e-300\n2.0,-1.5,100.0\n"
+        )
 
     def test_csv_ragged_row_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -184,8 +219,15 @@ class TestIO:
             load(path)
 
 
+def test_centered_is_derived_from_the_data():
+    assert [f.name for f in fields(Dataset)] == ["x", "y"]
+    ds = Dataset(x=np.zeros((3, 2)), y=np.ones((3, 1)))
+    assert not ds.centered
+    with pytest.raises(AttributeError):
+        ds.centered = True
+    assert center(ds)[0].centered
+
+
 def test_dataset_invariants_enforced(rng):
     with pytest.raises(ValueError):
         Dataset(x=rng.normal(size=(3, 2)), y=rng.normal(size=(4, 2)))
-    with pytest.raises(ValueError):
-        Dataset(x=np.ones((3, 2)), y=np.zeros((3, 1)), centered=True)

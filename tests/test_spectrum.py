@@ -75,7 +75,7 @@ def test_sample_space_rotation_invariance(rng):
     the spectrum untouched."""
     ds, sp = make_instance(seed=51, dim_x=4, dim_y=4, n=60)
     perm = rng.permutation(ds.n_samples)
-    sp_perm = compute_spectrum(Dataset(ds.x[perm], ds.y[perm], centered=True))
+    sp_perm = compute_spectrum(Dataset(ds.x[perm], ds.y[perm]))
     np.testing.assert_allclose(
         sp_perm.singular_values, sp.singular_values, atol=1e-8
     )
@@ -94,7 +94,7 @@ def test_rank_deficient_input_detected():
 
 
 def test_zero_input_raises_degenerate():
-    ds = Dataset(x=np.zeros((10, 3)), y=np.zeros((10, 2)), centered=True)
+    ds = Dataset(x=np.zeros((10, 3)), y=np.zeros((10, 2)))
     with pytest.raises(DegenerateInput):
         compute_spectrum(ds)
 

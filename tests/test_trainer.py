@@ -201,7 +201,7 @@ class TestEvalLoss:
 
     def test_ddv_zero_std_sample_raises(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        ds = Dataset(x=x, y=x.copy(), centered=True)
+        ds = Dataset(x=x, y=x.copy())
         hp = cf.Hyperparams(beta=1.0, latent_dim=1)
         params = tr.ModelParams(
             decoder=np.zeros((2, 1)),
