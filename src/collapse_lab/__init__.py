@@ -3,10 +3,10 @@ latent-variable models, verified against an in-package gradient-descent
 oracle."""
 
 from .closed_form import GlobalMinimum, Hyperparams, global_minimum, optimal_sigma
-from .collapse import CollapseReport, beta_sweep, hessian_origin_test, predict
+from .collapse import CollapseReport, beta_sweep, predict
 from .data import Dataset, SyntheticSpec, center, generate, load, save
 from .decoder_variance import DecVarSolution, profile_loss, solve_decoder_variance
-from .spectrum import DataSpectrum, compute_spectrum, effective_counts
+from .spectrum import DataSpectrum, compute_spectrum
 from .trainer import (
     ModelParams,
     TrainConfig,
@@ -34,12 +34,10 @@ __all__ = [
     "beta_sweep",
     "center",
     "compute_spectrum",
-    "effective_counts",
     "eval_grad",
     "eval_loss",
     "generate",
     "global_minimum",
-    "hessian_origin_test",
     "load",
     "optimal_sigma",
     "predict",

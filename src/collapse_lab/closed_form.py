@@ -57,11 +57,6 @@ class Hyperparams:
         return self.eta_dec**2
 
     @property
-    def ridge(self) -> float:
-        """Coefficient beta * eta_dec^2 / eta_enc^2 on the encoder factor."""
-        return self.beta * self.eta_dec**2 / self.eta_enc**2
-
-    @property
     def pinned_sigma(self) -> np.ndarray | None:
         """Encoder stds held at the prior in fixed-sigma mode; None when
         they are learnable."""

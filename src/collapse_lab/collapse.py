@@ -16,7 +16,7 @@ import numpy as np
 
 from . import decoder_variance as dv
 from .closed_form import Hyperparams, loss_at_optimum, loss_offset, per_mode
-from .spectrum import DataSpectrum, effective_counts
+from .spectrum import DataSpectrum
 
 REGIME_NONE = "none"
 REGIME_PARTIAL = "partial"
@@ -31,8 +31,11 @@ class CollapseReport:
     ``collapse_flags`` marks modes collapsed at the queried beta. Both
     run over the ``min(rank, dim_y)`` data modes. ``regime`` summarizes
     the representable signal modes: none / partial / complete.
-    ``decvar`` carries the learnable-decoder-variance classification when
-    that mode was requested, else None.
+    ``hessian_psd`` is the origin test, True exactly when the origin is the
+    global minimum; ``min_hessian_quadratic`` is the worst curvature there,
+    stds at the prior, at the solver's decoder variance. ``decvar`` carries
+    the learnable-decoder-variance classification when that mode was
+    requested, else None.
     """
 
     mode_thresholds: np.ndarray
@@ -49,14 +52,6 @@ def _origin_curvature(zeta: float, beta: float, s: float, eta_enc: float) -> flo
     return float(4.0 * (beta * s - z_sq) / (sig_sq + b + np.sqrt((sig_sq - b) ** 2 + 4.0 * z_sq)))
 
 
-def hessian_origin_test(sp: DataSpectrum, hp: Hyperparams) -> tuple[bool, float]:
-    """Worst curvature of the loss at the all-zero model, stds at the prior:
-    non-negative exactly when :func:`per_mode` collapses the top mode, that
-    is, when the origin is the global minimum. Returns (psd, curvature)."""
-    alive = per_mode(sp.singular_values[0], hp.beta, hp.decvar, hp.eta_enc).alive
-    return not alive, _origin_curvature(sp.singular_values[0], hp.beta, hp.decvar, hp.eta_enc)
-
-
 def _regime(flags: np.ndarray) -> np.ndarray:
     # flags of the representable signal modes on the last axis; none (zero spectrum) is complete
     partial = np.where(flags.any(axis=-1), REGIME_PARTIAL, REGIME_NONE)
@@ -70,7 +65,7 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
     the profile-loss analysis instead of the fixed-variance rule, and the
     classification is attached under ``decvar``.
     """
-    d_star, _, d1_hat = effective_counts(sp, hp.latent_dim)
+    d_star, d1_hat = sp.n_modes, sp.signal_modes(hp.latent_dim)
 
     sol = None
     if hp.decvar_mode == "fixed":
@@ -135,9 +130,8 @@ def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
     sigma[ok] = np.sort(modes.sigma, axis=-1)[..., ::-1]
 
     if hp.decvar_mode == "fixed":
-        _, _, d1_hat = effective_counts(sp, d1)
         ranks = np.count_nonzero(modes.alive, axis=-1).tolist()
-        regimes = _regime(~modes.alive[:, :d1_hat]).tolist()
+        regimes = _regime(~modes.alive[:, : sp.signal_modes(d1)]).tolist()
         s_stars = [None] * grid.size
     else:
         ranks = found.surviving_modes.tolist()

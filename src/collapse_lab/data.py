@@ -7,8 +7,9 @@ seed reproduces a dataset byte for byte.
 File formats
 ------------
 CSV
-    Header row exactly ``x0,...,x{dx-1},y0,...,y{dy-1}``, one sample per
-    line, values written with shortest round-trip ``repr``.
+    ASCII text: header row exactly ``x0,...,x{dx-1},y0,...,y{dy-1}``, one
+    sample per line, values written with shortest round-trip ``repr``. Any
+    other byte, a UTF-8 byte-order mark included, is a :class:`ParseError`.
 binary
     16-byte header: 4-byte magic ``CLD1`` followed by little-endian
     uint32 ``n``, ``dim_x``, ``dim_y``; then the X block and the Y block
@@ -209,8 +210,10 @@ def _save_csv(ds: Dataset, path) -> None:
 
 
 def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        lines = Path(path).read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte at offset {exc.start} in {path}") from None
     if not lines:
         raise ParseError(f"empty file: {path}")
     header = lines[0].split(",")

@@ -25,7 +25,7 @@ import numpy as np
 from . import closed_form as cf
 from .closed_form import Hyperparams
 from .errors import DomainError
-from .spectrum import DataSpectrum, effective_counts
+from .spectrum import DataSpectrum
 
 REGIME_ILL_POSED = "ill_posed_zero"
 REGIME_BOUNDARY = "boundary_interval"
@@ -83,8 +83,8 @@ def beta_bounds(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
             "the learnable decoder variance analysis needs learnable encoder "
             "stds (sigma_mode 'learnable', --learnable-sigma)"
         )
-    _, d_star_hat, d1_hat = effective_counts(sp, hp.latent_dim)
-    zsq = sp.singular_values[:d_star_hat] ** 2
+    d1_hat = sp.signal_modes(hp.latent_dim)
+    zsq = sp.singular_values[: sp.effective_rank] ** 2
     # power of the modes below mode p, for p = 1..d1_hat
     below = np.append(np.cumsum(zsq[::-1])[::-1], 0.0)[1 : d1_hat + 1]
     return sp.dim_y / (np.arange(1, d1_hat + 1) + below / zsq[:d1_hat])

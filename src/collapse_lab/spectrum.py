@@ -69,9 +69,9 @@ class DataSpectrum:
         """min(rank, dim_y): length of the singular value vector."""
         return self.singular_values.shape[0]
 
-    def whiten(self, x: np.ndarray) -> np.ndarray:
-        """Rotate and rescale inputs so their second moment is identity."""
-        return (x @ self.basis) / np.sqrt(self.eigenvalues)
+    def signal_modes(self, d1: int) -> int:
+        """Count of strictly positive singular values among the first ``d1``."""
+        return int(np.count_nonzero(self.singular_values[:d1]))
 
     def cross_moment(self) -> np.ndarray:
         """Reassemble the whitened cross-moment from its SVD factors."""
@@ -129,19 +129,12 @@ def _clamp_zeros(zeta: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(f: np.ndarray, g: np.ndarray, paired: int) -> tuple[np.ndarray, np.ndarray]:
-    # Largest-magnitude entry of each left vector made positive; paired
-    # right vectors flip along so the product is unchanged.
-    f = f.copy()
-    g = g.copy()
-    for j in range(f.shape[1]):
-        sign = 1.0 if f[np.argmax(np.abs(f[:, j])), j] >= 0 else -1.0
-        f[:, j] *= sign
-        if j < paired:
-            g[:, j] *= sign
-    for j in range(paired, g.shape[1]):
-        sign = 1.0 if g[np.argmax(np.abs(g[:, j])), j] >= 0 else -1.0
-        g[:, j] *= sign
-    return f, g
+    # Largest-magnitude entry of each column made positive; the first
+    # ``paired`` right vectors take their left vectors' signs instead.
+    top = lambda a: a[np.argmax(np.abs(a), axis=0), np.arange(a.shape[1])]
+    f_sign, g_sign = np.where(top(f) >= 0, 1.0, -1.0), np.where(top(g) >= 0, 1.0, -1.0)
+    g_sign[:paired] = f_sign[:paired]
+    return f * f_sign, g * g_sign
 
 
 def compute_spectrum(ds: Dataset) -> DataSpectrum:
@@ -192,16 +185,3 @@ def compute_spectrum(ds: Dataset) -> DataSpectrum:
         target_power=float(np.sum(ds.y**2) / n),
     )
 
-
-def effective_counts(sp: DataSpectrum, d1: int) -> tuple[int, int, int]:
-    """(n_modes, effective_rank, effective latent rank) for latent size d1.
-
-    The last count is the number of strictly positive singular values
-    among the first ``d1`` modes; it never exceeds the effective rank.
-    """
-    if d1 < 1:
-        raise ValueError("d1 must be >= 1")
-    d_star = sp.n_modes
-    d_star_hat = sp.effective_rank
-    d1_hat = int(np.count_nonzero(sp.singular_values[: min(d1, d_star)]))
-    return d_star, d_star_hat, d1_hat

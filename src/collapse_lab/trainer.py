@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .closed_form import GlobalMinimum, Hyperparams
+from .closed_form import Hyperparams
 from .data import Dataset
 from .errors import DegenerateVariance, DivergenceError, ShapeError
 from .spectrum import DataSpectrum
@@ -115,19 +115,6 @@ class ModelParams:
     def ddv(self) -> bool:
         return self.var_slope is not None
 
-    def copy(self) -> "ModelParams":
-        dup = lambda a: None if a is None else np.array(a, copy=True)
-        return ModelParams(
-            decoder=np.array(self.decoder, copy=True),
-            encoder=np.array(self.encoder, copy=True),
-            log_sigma=np.array(self.log_sigma, copy=True),
-            enc_bias=dup(self.enc_bias),
-            dec_bias=dup(self.dec_bias),
-            var_slope=dup(self.var_slope),
-            var_offset=dup(self.var_offset),
-            log_decvar=self.log_decvar,
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -189,16 +176,6 @@ def init_params(
         dec_bias=np.zeros(m.dim_y) if bias else None,
         var_slope=small(d1, m.dim_x) if ddv else None,
         var_offset=rng.uniform(0.9, 1.1, size=d1) if ddv else None,
-        log_decvar=float(np.log(hp.decvar)) if hp.decvar_mode == "learnable" else None,
-    )
-
-
-def params_from_minimum(gm: GlobalMinimum, hp: Hyperparams) -> ModelParams:
-    """ModelParams sitting exactly at a closed-form minimum."""
-    return ModelParams(
-        decoder=np.array(gm.decoder, copy=True),
-        encoder=np.array(gm.encoder, copy=True),
-        log_sigma=np.log(gm.sigma),
         log_decvar=float(np.log(hp.decvar)) if hp.decvar_mode == "learnable" else None,
     )
 
@@ -362,15 +339,15 @@ def train(
     ``init`` is either explicit parameters or a seed for
     :func:`init_params`. Deterministic for a fixed seed. Raises
     :class:`DivergenceError` if the loss leaves the float range. Trained
-    fields are views into one flat buffer ``x``, updated in place."""
+    fields are views into one flat buffer ``x``, updated in place; the
+    result shares no memory with ``init``."""
     m = _moments(src)
-    params = init.copy() if isinstance(init, ModelParams) else init_params(
-        m, hp, seed=init
-    )
+    params = init if isinstance(init, ModelParams) else init_params(m, hp, seed=init)
     _check_shapes(params, m, hp)
     zero_mean = _zero_mean(params, m)
     x, views = _flat(params, hp)
-    params = replace(params, **views)
+    # _flat copied the trained fields; the stds are copied in case they are not trained
+    params = replace(params, **{"log_sigma": params.log_sigma.copy(), **views})
     (g, grad), (g_trial, grad_trial) = _flat(params, hp), _flat(params, hp)
 
     loss = _value_and_grad(params, m, hp, zero_mean, grad)

@@ -6,6 +6,7 @@ import pytest
 from collapse_lab import closed_form as cf
 from collapse_lab.data import center, generate, random_spec
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum
+from collapse_lab.trainer import ModelParams
 
 
 def make_instance(seed, dim_x=4, dim_y=4, n=600, scale=1.5, rank=None):
@@ -13,6 +14,16 @@ def make_instance(seed, dim_x=4, dim_y=4, n=600, scale=1.5, rank=None):
     spec = random_spec(dim_x, dim_y, n_samples=n, seed=seed, rank=rank, signal_scale=scale)
     ds, _, _ = center(generate(spec))
     return ds, compute_spectrum(ds)
+
+
+def params_from_minimum(gm: cf.GlobalMinimum, hp: cf.Hyperparams) -> ModelParams:
+    """ModelParams sitting exactly at a closed-form minimum."""
+    return ModelParams(
+        decoder=np.array(gm.decoder, copy=True),
+        encoder=np.array(gm.encoder, copy=True),
+        log_sigma=np.log(gm.sigma),
+        log_decvar=float(np.log(hp.decvar)) if hp.decvar_mode == "learnable" else None,
+    )
 
 
 def random_case3_spectrum(rng, n_modes=None, d1=None, d2=None):

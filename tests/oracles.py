@@ -51,7 +51,7 @@ def reduce_to_factorization(
     return FactorizationProblem(
         z=sp.cross_moment(),
         sigma=np.asarray(sigma, dtype=np.float64),
-        ridge=hp.ridge,
+        ridge=hp.beta * hp.eta_dec**2 / hp.eta_enc**2,
         basis=sp.basis,
         eigenvalues=sp.eigenvalues,
     )

@@ -17,7 +17,7 @@ from collapse_lab.data import Dataset
 from collapse_lab.spectrum import DataSpectrum
 from collapse_lab.verify import _learned_singvals, run_oracle_suite
 
-from conftest import assert_sinks_below, make_instance, sink_run
+from conftest import assert_sinks_below, make_instance, params_from_minimum, sink_run
 from oracles import ddv_inequality_check, minimize_profile, numeric_hessian_check
 from test_closed_form import argmin_1d, mode_objective
 
@@ -143,8 +143,9 @@ def test_criterion_4_hessian_criterion():
             eta_enc=float(rng.choice([0.25, 1.0, 4.0])),
             eta_dec=float(rng.uniform(0.5, 1.5)),
         )
-        psd, _ = cl.hessian_origin_test(sp, hp)
-        if psd != (cl.predict(sp, hp).regime == cl.REGIME_COMPLETE):
+        r = cl.predict(sp, hp)
+        complete = r.regime == cl.REGIME_COMPLETE
+        if (r.min_hessian_quadratic >= 0) != complete or r.hessian_psd != complete:
             mismatches += 1
 
     sign_checks = 0
@@ -154,7 +155,8 @@ def test_criterion_4_hessian_criterion():
         zeta = np.sort(g.uniform(0.1, 2.0, size=3))[::-1]
         sp = DataSpectrum.from_singular_values(zeta, dim_y=3)
         hp = cf.Hyperparams(beta=float(g.uniform(0.1, 8.0)), latent_dim=3)
-        psd, min_q = cl.hessian_origin_test(sp, hp)
+        r = cl.predict(sp, hp)
+        psd, min_q = r.hessian_psd, r.min_hessian_quadratic
         if abs(min_q) <= 1e-4:
             continue
         numeric = numeric_hessian_check(sp, hp, n_directions=16, seed=seed)
@@ -389,18 +391,18 @@ def test_criterion_8_invariances():
     # permutations with per-mode stds
     hp_fixed = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="fixed")
     base = tr.eval_loss(
-        tr.params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), ds, hp_fixed
+        params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), ds, hp_fixed
     )
     worst_rot = 0.0
     for seed in range(5):
         gm = cf.global_minimum(sp, hp_fixed, rotation=cf.random_rotation(3, seed))
         worst_rot = max(
             worst_rot,
-            abs(tr.eval_loss(tr.params_from_minimum(gm, hp_fixed), ds, hp_fixed) - base),
+            abs(tr.eval_loss(params_from_minimum(gm, hp_fixed), ds, hp_fixed) - base),
         )
     hp_learn = cf.Hyperparams(beta=0.7, latent_dim=3)
     base_l = tr.eval_loss(
-        tr.params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), ds, hp_learn
+        params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), ds, hp_learn
     )
     for seed in range(5):
         gm = cf.global_minimum(
@@ -408,7 +410,7 @@ def test_criterion_8_invariances():
         )
         worst_rot = max(
             worst_rot,
-            abs(tr.eval_loss(tr.params_from_minimum(gm, hp_learn), ds, hp_learn) - base_l),
+            abs(tr.eval_loss(params_from_minimum(gm, hp_learn), ds, hp_learn) - base_l),
         )
     checks["latent_basis_freedom"] = worst_rot <= 1e-10
 

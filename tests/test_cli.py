@@ -182,6 +182,26 @@ def test_file_without_samples_or_columns_exit_1(capsys, tmp_path, name):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
 
 
+NON_ASCII_FILES = {
+    "bom.csv": (b"\xef\xbb\xbfx0,y0\n1,2\n2,3\n", 0),
+    "latin1.csv": (b"x0,y0\n1,2\n2\xe9,3\n", 11),
+}
+
+
+@pytest.mark.parametrize("name", NON_ASCII_FILES)
+def test_non_ascii_csv_exit_1(capsys, tmp_path, name):
+    """A CSV is ASCII: a byte-order mark or any other non-ASCII byte is a
+    ParseError naming the file and the byte's offset."""
+    raw, offset = NON_ASCII_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=f"offset {offset} in .*{name}"):
+        load(path)
+    code, out, err = run(capsys, "spectrum", "--data", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
+
+
 class TestSolveCommand:
     def test_output_is_deterministic(self, capsys, autoencode_csv):
         argv = (

@@ -9,7 +9,7 @@ from collapse_lab import trainer as tr
 from collapse_lab.data import Dataset, center
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
-from conftest import make_instance
+from conftest import make_instance, params_from_minimum
 from oracles import reduce_to_factorization
 
 
@@ -267,34 +267,34 @@ class TestGlobalMinimum:
 
         hp_fixed = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="fixed")
         base = tr.eval_loss(
-            tr.params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), ds, hp_fixed
+            params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), ds, hp_fixed
         )
         for seed in range(5):
             gm_rot = cf.global_minimum(
                 sp, hp_fixed, rotation=cf.random_rotation(3, seed)
             )
-            rotated = tr.eval_loss(tr.params_from_minimum(gm_rot, hp_fixed), ds, hp_fixed)
+            rotated = tr.eval_loss(params_from_minimum(gm_rot, hp_fixed), ds, hp_fixed)
             assert abs(rotated - base) <= 1e-10
 
         hp_learn = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="learnable")
         base = tr.eval_loss(
-            tr.params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), ds, hp_learn
+            params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), ds, hp_learn
         )
         for seed in range(5):
             gm_rot = cf.global_minimum(
                 sp, hp_learn, rotation=cf.random_signed_permutation(3, seed)
             )
-            rotated = tr.eval_loss(tr.params_from_minimum(gm_rot, hp_learn), ds, hp_learn)
+            rotated = tr.eval_loss(params_from_minimum(gm_rot, hp_learn), ds, hp_learn)
             assert abs(rotated - base) <= 1e-10
 
         # complete collapse: the model is zero, stds isotropic, any P works
         hp_big = cf.Hyperparams(beta=200.0, latent_dim=3, sigma_mode="learnable")
         base = tr.eval_loss(
-            tr.params_from_minimum(cf.global_minimum(sp, hp_big), hp_big), ds, hp_big
+            params_from_minimum(cf.global_minimum(sp, hp_big), hp_big), ds, hp_big
         )
         gm_rot = cf.global_minimum(sp, hp_big, rotation=cf.random_rotation(3, 9))
         assert abs(
-            tr.eval_loss(tr.params_from_minimum(gm_rot, hp_big), ds, hp_big) - base
+            tr.eval_loss(params_from_minimum(gm_rot, hp_big), ds, hp_big) - base
         ) <= 1e-10
 
         with pytest.raises(ValueError):
@@ -342,7 +342,7 @@ class TestGlobalMinimum:
             beta=2.0, latent_dim=d1, eta_enc=eta_enc, eta_dec=eta_dec, sigma_mode=sigma_mode
         )
         gm = cf.global_minimum(sp, hp)
-        loss = tr.eval_loss(tr.params_from_minimum(gm, hp), sp, hp)
+        loss = tr.eval_loss(params_from_minimum(gm, hp), sp, hp)
         assert sp.target_power > np.sum(sp.singular_values**2)
         assert np.any(gm.collapse_flags) and not np.all(gm.collapse_flags)
         assert gm.predicted_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
@@ -351,7 +351,7 @@ class TestGlobalMinimum:
         ds, sp = make_instance(seed=47, dim_x=5, dim_y=4)
         hp = cf.Hyperparams(beta=1.4, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
-        grad = tr.eval_grad(tr.params_from_minimum(gm, hp), ds, hp)
+        grad = tr.eval_grad(params_from_minimum(gm, hp), ds, hp)
         worst = max(
             np.max(np.abs(grad.decoder)),
             np.max(np.abs(grad.encoder)),

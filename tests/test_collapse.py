@@ -71,17 +71,19 @@ class TestPredictFixed:
 class TestHessianOrigin:
     def test_zero_signal_is_psd(self):
         sp = DataSpectrum.from_singular_values([0.0], dim_y=2)
-        psd, min_q = cl.hessian_origin_test(sp, cf.Hyperparams(beta=1.0, latent_dim=1))
+        report = cl.predict(sp, cf.Hyperparams(beta=1.0, latent_dim=1))
+        psd, min_q = report.hessian_psd, report.min_hessian_quadratic
         # pure regularizer: worst curvature is 2 min(sigma^2, ridge)
         assert psd and min_q == pytest.approx(2.0)
 
     def test_boundary_equality_gives_zero_quadratic(self):
         sp = DataSpectrum.from_singular_values([2.0], dim_y=1)
-        psd, min_q = cl.hessian_origin_test(sp, cf.Hyperparams(beta=4.0, latent_dim=1))
+        report = cl.predict(sp, cf.Hyperparams(beta=4.0, latent_dim=1))
+        psd, min_q = report.hessian_psd, report.min_hessian_quadratic
         assert min_q == 0.0 and psd
 
     def test_psd_iff_complete_collapse_on_200_instances(self, rng):
-        """The local curvature test at the origin and the global collapse
+        """The sign of the curvature at the origin and the global collapse
         predicate agree exactly, with no tolerance."""
         mismatches = 0
         for _ in range(200):
@@ -94,9 +96,9 @@ class TestHessianOrigin:
                 eta_enc=float(rng.choice([0.25, 1.0, 4.0])),
                 eta_dec=float(rng.uniform(0.5, 1.5)),
             )
-            psd, _ = cl.hessian_origin_test(sp, hp)
             report = cl.predict(sp, hp)
-            if psd != (report.regime == cl.REGIME_COMPLETE):
+            complete = report.regime == cl.REGIME_COMPLETE
+            if (report.min_hessian_quadratic >= 0) != complete or report.hessian_psd != complete:
                 mismatches += 1
         assert mismatches == 0
 
@@ -155,12 +157,14 @@ class TestNumericHessian:
     def test_sign_agreement_both_ways(self):
         _, sp = make_instance(seed=11, dim_x=4, dim_y=4)
         saddle_hp = cf.Hyperparams(beta=0.4, latent_dim=3)
-        psd, min_q = cl.hessian_origin_test(sp, saddle_hp)
+        report = cl.predict(sp, saddle_hp)
+        psd, min_q = report.hessian_psd, report.min_hessian_quadratic
         assert not psd and min_q < -1e-4
         assert numeric_hessian_check(sp, saddle_hp) < 0
 
         flat_hp = cf.Hyperparams(beta=float(sp.singular_values[0] ** 2 * 3), latent_dim=3)
-        psd, min_q = cl.hessian_origin_test(sp, flat_hp)
+        report = cl.predict(sp, flat_hp)
+        psd, min_q = report.hessian_psd, report.min_hessian_quadratic
         assert psd and min_q > 1e-4
         assert numeric_hessian_check(sp, flat_hp) >= -1e-6
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from collapse_lab.closed_form import Hyperparams
 from collapse_lab.data import Dataset, center, generate, random_spec
 from collapse_lab.errors import DegenerateInput
-from collapse_lab.spectrum import DataSpectrum, compute_spectrum, effective_counts
+from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
 from conftest import make_instance
 
@@ -46,14 +47,14 @@ def test_linear_map_cross_moment_identity(rng):
 
 def test_whitened_second_moment_is_identity():
     ds, sp = make_instance(seed=31, dim_x=6, dim_y=3)
-    white = sp.whiten(ds.x)
+    white = (ds.x @ sp.basis) / np.sqrt(sp.eigenvalues)
     emp = white.T @ white / ds.n_samples
     np.testing.assert_allclose(emp, np.eye(sp.rank), atol=1e-8)
 
 
 def test_cross_moment_power_matches_singular_values():
     ds, sp = make_instance(seed=13, dim_x=5, dim_y=4)
-    z = ds.y.T @ sp.whiten(ds.x) / ds.n_samples
+    z = ds.y.T @ ((ds.x @ sp.basis) / np.sqrt(sp.eigenvalues)) / ds.n_samples
     np.testing.assert_allclose(
         np.sum(z**2), np.sum(sp.singular_values**2), atol=1e-8
     )
@@ -65,7 +66,7 @@ def test_factors_orthogonal_and_reconstruct():
     np.testing.assert_allclose(f.T @ f, np.eye(f.shape[1]), atol=1e-10)
     np.testing.assert_allclose(g.T @ g, np.eye(g.shape[1]), atol=1e-10)
     np.testing.assert_allclose(sp.basis.T @ sp.basis, np.eye(sp.rank), atol=1e-10)
-    z = ds.y.T @ sp.whiten(ds.x) / ds.n_samples
+    z = ds.y.T @ ((ds.x @ sp.basis) / np.sqrt(sp.eigenvalues)) / ds.n_samples
     np.testing.assert_allclose(sp.cross_moment(), z, atol=1e-8)
 
 
@@ -116,20 +117,19 @@ def test_spectrum_deterministic():
 class TestEffectiveCounts:
     def test_trailing_zeros(self):
         sp = DataSpectrum.from_singular_values([3.0, 2.0, 0.0, 0.0], dim_y=4)
-        assert effective_counts(sp, 3) == (4, 2, 2)
+        assert (sp.n_modes, sp.effective_rank, sp.signal_modes(3)) == (4, 2, 2)
 
     def test_latent_smaller_than_rank(self):
         sp = DataSpectrum.from_singular_values([3.0, 2.0, 1.0], dim_y=3)
-        assert effective_counts(sp, 1) == (3, 3, 1)
+        assert (sp.n_modes, sp.effective_rank, sp.signal_modes(1)) == (3, 3, 1)
 
     def test_all_zero(self):
         sp = DataSpectrum.from_singular_values([0.0, 0.0], dim_y=2)
-        assert effective_counts(sp, 2) == (2, 0, 0)
+        assert (sp.n_modes, sp.effective_rank, sp.signal_modes(2)) == (2, 0, 0)
 
     def test_rejects_bad_latent(self):
-        sp = DataSpectrum.from_singular_values([1.0], dim_y=1)
-        with pytest.raises(ValueError):
-            effective_counts(sp, 0)
+        with pytest.raises(ValueError, match="latent_dim"):
+            Hyperparams(beta=1.0, latent_dim=0)
 
 
 def test_from_singular_values_validation():

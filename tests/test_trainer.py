@@ -1,5 +1,6 @@
 import ast
-from dataclasses import replace
+from copy import deepcopy
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from collapse_lab.errors import (
 from collapse_lab.spectrum import DataSpectrum
 
 import oracles
-from conftest import assert_sinks_below, make_instance, sink_run
+from conftest import assert_sinks_below, make_instance, params_from_minimum, sink_run
 from oracles import ddv_inequality_check, eval_loss_monte_carlo, reference_value_and_grad
 
 
@@ -182,7 +183,7 @@ class TestEvalLoss:
         ds, sp = make_instance(seed=7, dim_x=5, dim_y=4)
         hp = cf.Hyperparams(beta=1.7, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
-        loss = tr.eval_loss(tr.params_from_minimum(gm, hp), ds, hp)
+        loss = tr.eval_loss(params_from_minimum(gm, hp), ds, hp)
         assert loss == pytest.approx(gm.predicted_loss, abs=1e-8)
 
     def test_shape_mismatch_raises(self, rng):
@@ -305,9 +306,28 @@ class TestTrain:
         hp = cf.Hyperparams(beta=1.2, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
         result = tr.train(
-            tr.params_from_minimum(gm, hp), ds, hp, tr.TrainConfig(grad_tol=1e-7)
+            params_from_minimum(gm, hp), ds, hp, tr.TrainConfig(grad_tol=1e-7)
         )
         assert result.converged and result.steps == 0
+
+    @pytest.mark.parametrize("optimizer", ["adam", "gd"])
+    @pytest.mark.parametrize(
+        "sigma_mode, decvar_mode, bias, ddv",
+        [("fixed", "fixed", False, False), ("learnable", "fixed", False, False),
+         ("learnable", "learnable", True, False), ("learnable", "fixed", False, True)],
+    )
+    def test_init_is_never_written_or_shared(self, optimizer, sigma_mode, decvar_mode, bias, ddv):
+        ds, _ = make_instance(seed=7, dim_x=3, dim_y=3, n=60)
+        hp = cf.Hyperparams(beta=0.8, latent_dim=2, sigma_mode=sigma_mode, decvar_mode=decvar_mode)
+        init = tr.init_params(ds, hp, seed=1, bias=bias, ddv=ddv)
+        before = {f.name: deepcopy(getattr(init, f.name)) for f in fields(init)}
+        result = tr.train(init, ds, hp, tr.TrainConfig(optimizer, 1e-2, max_steps=20, grad_tol=0.0))
+        assert result.steps > 0
+        for name, old in before.items():
+            now, trained = getattr(init, name), getattr(result.params, name)
+            assert np.array_equal(now, old) if old is not None else now is None, name
+            if isinstance(now, np.ndarray):
+                assert not np.shares_memory(now, trained), name
 
     def test_recovers_closed_form_minimum(self):
         ds, sp = make_instance(seed=19, dim_x=5, dim_y=5, scale=1.2)
@@ -385,9 +405,10 @@ class TestTrain:
         base = tr.eval_loss(result.params, ds, hp)
         for seed in range(4):
             rot = cf.random_rotation(3, seed)
-            rotated = result.params.copy()
-            rotated.decoder = result.params.decoder @ rot
-            rotated.encoder = result.params.encoder @ rot
+            rotated = replace(
+                result.params, decoder=result.params.decoder @ rot,
+                encoder=result.params.encoder @ rot,
+            )
             assert abs(tr.eval_loss(rotated, ds, hp) - base) <= 1e-10
 
     def test_trained_biases_land_on_optimal_values(self):
