@@ -15,7 +15,6 @@ from .trainer import (
     eval_loss,
     train,
     train_to_minimum,
-    value_and_grad,
 )
 
 __version__ = "0.1.0"
@@ -46,5 +45,4 @@ __all__ = [
     "solve_decoder_variance",
     "train",
     "train_to_minimum",
-    "value_and_grad",
 ]

@@ -419,8 +419,8 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CollapseLabError, ValueError) as exc:
-        # the package raises ValueError only for an argument outside its domain
+    except (CollapseLabError, ValueError, MemoryError) as exc:
+        # ValueError: an argument outside the package's domain; MemoryError: an array too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,7 +197,7 @@ def load(path) -> Dataset:
         )
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         row, col = np.argwhere(~np.isfinite(np.hstack([x, y])))[0]
-        raise ParseError("not a finite number", row=int(row), col=int(col))
+        raise ParseError(f"not a finite number in {path}", row=int(row), col=int(col))
     return Dataset(x=x, y=y)
 
 
@@ -211,10 +211,11 @@ def _save_csv(ds: Dataset, path) -> None:
 
 def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     try:
-        lines = Path(path).read_bytes().decode("ascii").splitlines()
+        # a row ends at "\n" or "\r\n"; str.splitlines would also end one at \v, \f, \x1c-\x1e
+        lines = Path(path).read_bytes().decode("ascii").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"non-ASCII byte at offset {exc.start} in {path}") from None
-    if not lines:
+    if lines == [""]:
         raise ParseError(f"empty file: {path}")
     header = lines[0].split(",")
     dim_x = sum(1 for name in header if name.startswith("x"))
@@ -227,14 +228,12 @@ def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     for i, line in enumerate(body):
         parts = line.split(",")
         if len(parts) != dim_x + dim_y:
-            raise ParseError(
-                f"expected {dim_x + dim_y} fields, got {len(parts)}", row=i
-            )
+            raise ParseError(f"expected {len(header)} fields, got {len(parts)} in {path}", row=i)
         for j, part in enumerate(parts):
             try:
                 value = float(part)
             except ValueError:
-                raise ParseError(f"not a number: {part!r}", row=i, col=j) from None
+                raise ParseError(f"not a number: {part!r} in {path}", row=i, col=j) from None
             if j < dim_x:
                 x[i, j] = value
             else:
@@ -261,7 +260,7 @@ def _load_binary(path) -> tuple[np.ndarray, np.ndarray]:
     if len(raw) != expected:
         raise ParseError(
             f"file size {len(raw)} does not match header "
-            f"(n={n}, dim_x={dim_x}, dim_y={dim_y} wants {expected})"
+            f"(n={n}, dim_x={dim_x}, dim_y={dim_y} wants {expected}) in {path}"
         )
     flat = np.frombuffer(raw, dtype="<f8", offset=16)
     x = flat[: n * dim_x].reshape(n, dim_x).astype(np.float64)

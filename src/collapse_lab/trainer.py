@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Union
 
 import numpy as np
 
@@ -29,8 +28,8 @@ from .spectrum import DataSpectrum
 class Moments:
     """Second-moment summary of a dataset, enough to evaluate the loss.
 
-    ``samples_x`` is kept only when the data-dependent variance terms
-    (which average a per-sample logarithm) may be needed.
+    ``samples_x`` holds the samples the data-dependent variance terms average a
+    logarithm over: :meth:`from_dataset` keeps them, :meth:`from_spectrum` cannot.
     """
 
     a: np.ndarray = field(repr=False)       # E[x x^T], exactly symmetric
@@ -68,19 +67,6 @@ class Moments:
             dim_x=sp.ambient_dim,
             dim_y=sp.dim_y,
         )
-
-
-DataSource = Union[Dataset, DataSpectrum, Moments]
-
-
-def _moments(src: DataSource) -> Moments:
-    if isinstance(src, Moments):
-        return src
-    if isinstance(src, Dataset):
-        return Moments.from_dataset(src)
-    if isinstance(src, DataSpectrum):
-        return Moments.from_spectrum(src)
-    raise TypeError(f"cannot evaluate against {type(src).__name__}")
 
 
 @dataclass
@@ -148,8 +134,14 @@ class TrainResult:
     decvar_trace: np.ndarray | None = None
 
 
+def _require_moments(m: Moments) -> None:
+    if not isinstance(m, Moments):
+        hint = "build them with Moments.from_dataset or Moments.from_spectrum"
+        raise TypeError(f"the trainer takes Moments, not {type(m).__name__}: {hint}")
+
+
 def init_params(
-    src: DataSource,
+    m: Moments,
     hp: Hyperparams,
     seed: int = 0,
     bias: bool = False,
@@ -161,7 +153,7 @@ def init_params(
     learnable decoder variance (created when ``hp.decvar_mode`` is
     learnable) starts at ``hp.eta_dec**2``.
     """
-    m = _moments(src)
+    _require_moments(m)
     rng = np.random.default_rng(seed)
     d1 = hp.latent_dim
     small = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
@@ -181,6 +173,7 @@ def init_params(
 
 
 def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
+    _require_moments(m)
     d1 = hp.latent_dim
     if p.decoder.shape != (m.dim_y, d1):
         raise ShapeError(f"decoder {p.decoder.shape} != ({m.dim_y}, {d1})")
@@ -193,7 +186,8 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
             raise ShapeError("data-dependent variance parameter shapes are off")
         if m.samples_x is None:
             raise ShapeError(
-                "data-dependent variance needs sample access; pass a Dataset"
+                "data-dependent variance needs sample access; build the Moments "
+                "with Moments.from_dataset"
             )
 
 
@@ -299,36 +293,26 @@ def _flat(p: ModelParams, hp: Hyperparams | None = None) -> tuple[np.ndarray, di
     return buf, views
 
 
-def value_and_grad(
-    p: ModelParams, src: DataSource, hp: Hyperparams
-) -> tuple[float, ModelParams]:
-    """Exact expected loss at ``p`` (noise expectation integrated out)
-    and its analytic gradient, which has the same structure as ``p``."""
-    m = _moments(src)
-    _check_shapes(p, m, hp)
-    flat, grad = _flat(p)
-    flat[...] = 0.0  # the stds' slot stays zero under a data-dependent std
-    loss = _value_and_grad(p, m, hp, _zero_mean(p, m), grad)
-    if "log_decvar" in grad:
-        grad["log_decvar"] = float(grad["log_decvar"])
-    return loss, ModelParams(**grad)
-
-
-def eval_loss(p: ModelParams, src: DataSource, hp: Hyperparams) -> float:
-    """Exact expected loss at ``p``; see :func:`value_and_grad`."""
-    m = _moments(src)
+def eval_loss(p: ModelParams, m: Moments, hp: Hyperparams) -> float:
+    """Exact expected loss at ``p``, the noise expectation integrated out."""
     _check_shapes(p, m, hp)
     return _value_and_grad(p, m, hp, _zero_mean(p, m))
 
 
-def eval_grad(p: ModelParams, src: DataSource, hp: Hyperparams) -> ModelParams:
-    """Analytic gradient at ``p``; see :func:`value_and_grad`."""
-    return value_and_grad(p, src, hp)[1]
+def eval_grad(p: ModelParams, m: Moments, hp: Hyperparams) -> ModelParams:
+    """Analytic gradient of :func:`eval_loss` at ``p``, with the same structure as ``p``."""
+    _check_shapes(p, m, hp)
+    flat, grad = _flat(p)
+    flat[...] = 0.0  # the stds' slot stays zero under a data-dependent std
+    _value_and_grad(p, m, hp, _zero_mean(p, m), grad)
+    if "log_decvar" in grad:
+        grad["log_decvar"] = float(grad["log_decvar"])
+    return ModelParams(**grad)
 
 
 def train(
     init: ModelParams | int,
-    src: DataSource,
+    m: Moments,
     hp: Hyperparams,
     cfg: TrainConfig = TrainConfig(),
     trace: bool = False,
@@ -341,7 +325,6 @@ def train(
     :class:`DivergenceError` if the loss leaves the float range. Trained
     fields are views into one flat buffer ``x``, updated in place; the
     result shares no memory with ``init``."""
-    m = _moments(src)
     params = init if isinstance(init, ModelParams) else init_params(m, hp, seed=init)
     _check_shapes(params, m, hp)
     zero_mean = _zero_mean(params, m)
@@ -426,9 +409,7 @@ def train(
     )
 
 
-def train_to_minimum(
-    init: ModelParams | int, src: DataSource, hp: Hyperparams
-) -> TrainResult:
+def train_to_minimum(init: ModelParams | int, m: Moments, hp: Hyperparams) -> TrainResult:
     """The oracle's schedule: Adam with a step-down, then line-searched
     descent, with up to three more Adam/descent rounds while the gradient
     max-norm stays above 1e-6.
@@ -440,12 +421,12 @@ def train_to_minimum(
     """
     adam = lambda lr, steps: TrainConfig("adam", lr, max_steps=steps, grad_tol=1e-9)
     descent = TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9)
-    stage1 = train(init, src, hp, adam(1e-2, 6000))
-    stage2 = train(stage1.params, src, hp, adam(5e-4, 4000))
-    result = train(stage2.params, src, hp, descent)
+    stage1 = train(init, m, hp, adam(1e-2, 6000))
+    stage2 = train(stage1.params, m, hp, adam(5e-4, 4000))
+    result = train(stage2.params, m, hp, descent)
     for _ in range(3):
         if result.grad_norm <= 1e-6:
             break
-        refined = train(result.params, src, hp, adam(1e-4, 6000))
-        result = train(refined.params, src, hp, descent)
+        refined = train(result.params, m, hp, adam(1e-4, 6000))
+        result = train(refined.params, m, hp, descent)
     return result

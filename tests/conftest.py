@@ -40,17 +40,17 @@ def random_case3_spectrum(rng, n_modes=None, d1=None, d2=None):
     return sp, hp
 
 
-def sink_run(src, hp, seed, phases=((2e-2, 2000), (4e-3, 2000), (8e-4, 2000))):
+def sink_run(sp, hp, seed, phases=((2e-2, 2000), (4e-3, 2000), (8e-4, 2000))):
     """Train with a stepped-down learning rate (the conditioning of the
     loss diverges as the decoder variance sinks, so a fixed step cannot
     follow it down) and return the concatenated variance trace."""
     from collapse_lab import trainer as tr
 
     traces = []
-    params = seed
+    params, m = seed, tr.Moments.from_spectrum(sp)
     for lr, steps in phases:
         result = tr.train(
-            params, src, hp,
+            params, m, hp,
             tr.TrainConfig("adam", lr, max_steps=steps, grad_tol=0.0),
             trace=True,
         )

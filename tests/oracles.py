@@ -79,6 +79,7 @@ def numeric_hessian_check(
     s = hp.decvar
     log_sigma = np.full(d1, np.log(hp.eta_enc))
     inv_root = sp.basis / np.sqrt(sp.eigenvalues)
+    m = tr.Moments.from_spectrum(sp)
 
     def curvature(delta_u: np.ndarray, delta_v: np.ndarray) -> float:
         scale = np.sqrt(np.sum(delta_u**2) + np.sum(delta_v**2))
@@ -89,7 +90,7 @@ def numeric_hessian_check(
             params = tr.ModelParams(
                 decoder=t * delta_u, encoder=t * delta_w, log_sigma=log_sigma
             )
-            return 2.0 * s * tr.eval_loss(params, sp, hp)
+            return 2.0 * s * tr.eval_loss(params, m, hp)
 
         return (f(step) - 2.0 * f(0.0) + f(-step)) / step**2
 
@@ -132,7 +133,7 @@ def eval_loss_monte_carlo(
     s = hp.decvar if p.log_decvar is None else float(np.exp(p.log_decvar))
     col_sq = np.sum(p.decoder**2, axis=0)
     sample_fit = np.mean(np.sum(mean_part**2, axis=1)) + np.mean(std**2, axis=0) @ col_sq
-    deterministic = tr.eval_loss(p, ds, hp) - sample_fit / (2.0 * s)
+    deterministic = tr.eval_loss(p, tr.Moments.from_dataset(ds), hp) - sample_fit / (2.0 * s)
     rng = np.random.default_rng(seed)
     draws = np.empty(n_draws)
     for j in range(n_draws):
@@ -222,7 +223,8 @@ def ddv_inequality_check(
     flat = replace(
         p, var_slope=np.zeros_like(p.var_slope), var_offset=np.sqrt(np.mean(t**2, axis=0))
     )
-    return tr.eval_loss(p, ds, hp), tr.eval_loss(flat, ds, hp)
+    m = tr.Moments.from_dataset(ds)
+    return tr.eval_loss(p, m, hp), tr.eval_loss(flat, m, hp)
 
 
 def residual_power(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:

@@ -286,6 +286,7 @@ def test_criterion_6_biases():
         x = g.normal(size=(60, 3)) + g.normal(size=3) * 2.0
         y = g.normal(size=(60, 2)) + g.normal(size=2) * 2.0
         ds = Dataset(x=x, y=y)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=float(g.uniform(0.5, 3.0)), latent_dim=2)
         params = tr.ModelParams(
             decoder=g.normal(size=(2, 2)),
@@ -296,7 +297,7 @@ def test_criterion_6_biases():
         )
         params.enc_bias = -params.encoder.T @ x.mean(axis=0)
         params.dec_bias = y.mean(axis=0)
-        grad = tr.eval_grad(params, ds, hp)
+        grad = tr.eval_grad(params, m, hp)
         worst_grad = max(
             worst_grad,
             float(np.max(np.abs(grad.enc_bias))),
@@ -307,9 +308,10 @@ def test_criterion_6_biases():
     x = g.normal(size=(100, 3)) + np.array([1.0, -2.0, 0.5])
     y = (x @ g.normal(size=(2, 3)).T) + np.array([0.8, -1.2])
     ds = Dataset(x=x, y=y)
+    m = tr.Moments.from_dataset(ds)
     hp = cf.Hyperparams(beta=1.0, latent_dim=2)
-    init = tr.init_params(ds, hp, seed=1, bias=True)
-    result = tr.train_to_minimum(init, ds, hp)
+    init = tr.init_params(m, hp, seed=1, bias=True)
+    result = tr.train_to_minimum(init, m, hp)
     p = result.params
     trained_err = max(
         float(np.max(np.abs(p.enc_bias + p.encoder.T @ x.mean(axis=0)))),
@@ -330,6 +332,7 @@ def test_criterion_6_biases():
 
 def test_criterion_7_data_dependent_variance():
     ds, _ = make_instance(seed=59, dim_x=3, dim_y=2, n=120)
+    m = tr.Moments.from_dataset(ds)
     hp = cf.Hyperparams(beta=1.4, latent_dim=2)
     g = np.random.default_rng(17)
     worst_gap = np.inf
@@ -344,8 +347,8 @@ def test_criterion_7_data_dependent_variance():
         lhs, rhs = ddv_inequality_check(params, ds, hp)
         worst_gap = min(worst_gap, lhs - rhs)
 
-    init = tr.init_params(ds, hp, seed=3, ddv=True)
-    result = tr.train_to_minimum(init, ds, hp)
+    init = tr.init_params(m, hp, seed=3, ddv=True)
+    result = tr.train_to_minimum(init, m, hp)
     slope_norm = float(np.linalg.norm(result.params.var_slope))
     report(
         7,
@@ -362,6 +365,7 @@ def test_criterion_7_data_dependent_variance():
 
 def test_criterion_8_invariances():
     ds, sp = make_instance(seed=61, dim_x=4, dim_y=4)
+    m = tr.Moments.from_dataset(ds)
     checks = {}
 
     flags_ref = None
@@ -391,18 +395,18 @@ def test_criterion_8_invariances():
     # permutations with per-mode stds
     hp_fixed = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="fixed")
     base = tr.eval_loss(
-        params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), ds, hp_fixed
+        params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), m, hp_fixed
     )
     worst_rot = 0.0
     for seed in range(5):
         gm = cf.global_minimum(sp, hp_fixed, rotation=cf.random_rotation(3, seed))
         worst_rot = max(
             worst_rot,
-            abs(tr.eval_loss(params_from_minimum(gm, hp_fixed), ds, hp_fixed) - base),
+            abs(tr.eval_loss(params_from_minimum(gm, hp_fixed), m, hp_fixed) - base),
         )
     hp_learn = cf.Hyperparams(beta=0.7, latent_dim=3)
     base_l = tr.eval_loss(
-        params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), ds, hp_learn
+        params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), m, hp_learn
     )
     for seed in range(5):
         gm = cf.global_minimum(
@@ -410,7 +414,7 @@ def test_criterion_8_invariances():
         )
         worst_rot = max(
             worst_rot,
-            abs(tr.eval_loss(params_from_minimum(gm, hp_learn), ds, hp_learn) - base_l),
+            abs(tr.eval_loss(params_from_minimum(gm, hp_learn), m, hp_learn) - base_l),
         )
     checks["latent_basis_freedom"] = worst_rot <= 1e-10
 

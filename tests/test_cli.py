@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -200,6 +201,20 @@ def test_non_ascii_csv_exit_1(capsys, tmp_path, name):
     code, out, err = run(capsys, "spectrum", "--data", str(path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize("byte", [b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e"])
+def test_csv_control_byte_does_not_split_a_row(capsys, tmp_path, byte):
+    """A row ends at a newline only: a control byte that str.splitlines would
+    break at leaves a ragged row 0, a ParseError naming the file."""
+    path = tmp_path / "control.csv"
+    path.write_bytes(b"x0,y0\n1,2" + byte + b"2,3\n3,5\n")
+    with pytest.raises(ParseError, match=re.escape(f"fields, got 3 in {path}")) as err:
+        load(path)
+    assert err.value.row == 0
+    code, out, err = run(capsys, "spectrum", "--data", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
 
 
 class TestSolveCommand:
@@ -450,6 +465,12 @@ NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "
         # a huge step drives the learnable decoder variance to exactly zero
         ("train", "--synthetic", "3,3,100,1", "--beta", "0.2", "--d1", "3", "--learnable-decvar",
          "--learnable-sigma", "--lr", "1e5", "--max-steps", "300"),
+        # sizes the machine cannot allocate: numpy refuses 10**15 float64s before
+        # touching memory (10**8 would allocate gigabytes before it failed)
+        ("solve", "--zeta", "3,2,1", "--d2", "3", "--beta", "1", "--d1", "1000000000000000"),
+        ("sweep", "--zeta", "3,2,1", "--d2", "3", "--d1", "1000000000000000",
+         "--beta-grid", "1:2:1"),
+        ("spectrum", "--synthetic", "2,2,1000000000000000,1"),
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):

@@ -79,6 +79,7 @@ class TestFactorizationReduction:
         minus its std-only term, shifted by the data constant, for any
         parameter pair, not just optimal ones."""
         ds, sp = make_instance(seed=7, dim_x=4, dim_y=4)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.3, latent_dim=3, eta_dec=0.8, eta_enc=1.2)
         sigma = rng.uniform(0.5, 1.5, size=3)
         problem = reduce_to_factorization(sp, hp, sigma)
@@ -89,7 +90,7 @@ class TestFactorizationReduction:
             params = tr.ModelParams(
                 decoder=u, encoder=problem.w_from_v(v), log_sigma=np.log(sigma)
             )
-            full = tr.eval_loss(params, ds, hp)
+            full = tr.eval_loss(params, m, hp)
             reduced = problem.evaluate(u, v)
             expected = 2 * hp.decvar * (full - kl_var_term(hp, sigma)) - constant
             np.testing.assert_allclose(reduced, expected, atol=1e-8)
@@ -264,37 +265,38 @@ class TestGlobalMinimum:
         signed permutations when they are not (diagonal covariances do not
         survive dense rotations)."""
         ds, sp = make_instance(seed=31, dim_x=4, dim_y=4)
+        m = tr.Moments.from_dataset(ds)
 
         hp_fixed = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="fixed")
         base = tr.eval_loss(
-            params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), ds, hp_fixed
+            params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), m, hp_fixed
         )
         for seed in range(5):
             gm_rot = cf.global_minimum(
                 sp, hp_fixed, rotation=cf.random_rotation(3, seed)
             )
-            rotated = tr.eval_loss(params_from_minimum(gm_rot, hp_fixed), ds, hp_fixed)
+            rotated = tr.eval_loss(params_from_minimum(gm_rot, hp_fixed), m, hp_fixed)
             assert abs(rotated - base) <= 1e-10
 
         hp_learn = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="learnable")
         base = tr.eval_loss(
-            params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), ds, hp_learn
+            params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), m, hp_learn
         )
         for seed in range(5):
             gm_rot = cf.global_minimum(
                 sp, hp_learn, rotation=cf.random_signed_permutation(3, seed)
             )
-            rotated = tr.eval_loss(params_from_minimum(gm_rot, hp_learn), ds, hp_learn)
+            rotated = tr.eval_loss(params_from_minimum(gm_rot, hp_learn), m, hp_learn)
             assert abs(rotated - base) <= 1e-10
 
         # complete collapse: the model is zero, stds isotropic, any P works
         hp_big = cf.Hyperparams(beta=200.0, latent_dim=3, sigma_mode="learnable")
         base = tr.eval_loss(
-            params_from_minimum(cf.global_minimum(sp, hp_big), hp_big), ds, hp_big
+            params_from_minimum(cf.global_minimum(sp, hp_big), hp_big), m, hp_big
         )
         gm_rot = cf.global_minimum(sp, hp_big, rotation=cf.random_rotation(3, 9))
         assert abs(
-            tr.eval_loss(params_from_minimum(gm_rot, hp_big), ds, hp_big) - base
+            tr.eval_loss(params_from_minimum(gm_rot, hp_big), m, hp_big) - base
         ) <= 1e-10
 
         with pytest.raises(ValueError):
@@ -318,6 +320,7 @@ class TestGlobalMinimum:
         """Sample 100 random parameter settings; none may beat the
         predicted minimum."""
         ds, sp = make_instance(seed=43, dim_x=4, dim_y=3)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.2, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
         for _ in range(100):
@@ -326,7 +329,7 @@ class TestGlobalMinimum:
                 encoder=rng.normal(size=(4, 3)) * rng.uniform(0.1, 3),
                 log_sigma=rng.uniform(-2, 1, size=3),
             )
-            assert tr.eval_loss(params, ds, hp) >= gm.predicted_loss - 1e-10
+            assert tr.eval_loss(params, m, hp) >= gm.predicted_loss - 1e-10
 
     @pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
     @pytest.mark.parametrize(
@@ -338,20 +341,22 @@ class TestGlobalMinimum:
         ds, _ = make_instance(seed=seed, dim_x=5, dim_y=4)
         noise = 0.3 * np.random.default_rng(seed).standard_normal(ds.y.shape)
         sp = compute_spectrum(center(Dataset(ds.x, ds.y + noise))[0])
+        m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(
             beta=2.0, latent_dim=d1, eta_enc=eta_enc, eta_dec=eta_dec, sigma_mode=sigma_mode
         )
         gm = cf.global_minimum(sp, hp)
-        loss = tr.eval_loss(params_from_minimum(gm, hp), sp, hp)
+        loss = tr.eval_loss(params_from_minimum(gm, hp), m, hp)
         assert sp.target_power > np.sum(sp.singular_values**2)
         assert np.any(gm.collapse_flags) and not np.all(gm.collapse_flags)
         assert gm.predicted_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
 
     def test_gradient_vanishes_at_minimum(self):
         ds, sp = make_instance(seed=47, dim_x=5, dim_y=4)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.4, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
-        grad = tr.eval_grad(params_from_minimum(gm, hp), ds, hp)
+        grad = tr.eval_grad(params_from_minimum(gm, hp), m, hp)
         worst = max(
             np.max(np.abs(grad.decoder)),
             np.max(np.abs(grad.encoder)),

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import fields
 
@@ -196,6 +197,25 @@ class TestIO:
         with pytest.raises(ParseError, match="not a finite number") as err:
             load(path)
         assert (err.value.row, err.value.col) == (2, 4)
+
+    def test_csv_crlf_loads_like_lf(self, rng, tmp_path):
+        ds = Dataset(x=rng.normal(size=(5, 2)), y=rng.normal(size=(5, 3)))
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        save(ds, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = load(lf), load(crlf)
+        assert (a.x.tobytes(), a.y.tobytes()) == (b.x.tobytes(), b.y.tobytes())
+
+    @pytest.mark.parametrize(
+        "name, raw",
+        [("ragged.csv", b"x0,y0\n1,2,3\n"), ("word.csv", b"x0,y0\n1,oops\n"),
+         ("nan.csv", b"x0,y0\n1,nan\n"), ("short.bin", b"CLD1" + bytes([1, 0, 0, 0] * 3))],
+    )
+    def test_every_parse_error_names_the_file(self, tmp_path, name, raw):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=re.escape(f"in {path}")):
+            load(path)
 
     @pytest.mark.parametrize("name", ["empty.csv", "empty.bin"])
     def test_empty_file_rejected(self, tmp_path, name):

@@ -32,19 +32,19 @@ def test_train_config_rejects_bad_settings(field, value):
         tr.TrainConfig(**{field: value})
 
 
-def pack_grad(params, hp, src):
+def pack_grad(params, hp, m):
     names = list(tr._flat(params, hp)[1])
-    grad = tr.eval_grad(params, src, hp)
+    grad = tr.eval_grad(params, m, hp)
     return names, np.concatenate([np.ravel(getattr(grad, name)) for name in names])
 
 
-def numeric_grad(params, src, hp, h=1e-6):
+def numeric_grad(params, m, hp, h=1e-6):
     x0 = tr._flat(params, hp)[0]
 
     def loss_at(x):
         flat, views = tr._flat(params, hp)
         flat[...] = x
-        return tr.eval_loss(replace(params, **views), src, hp)
+        return tr.eval_loss(replace(params, **views), m, hp)
 
     out = np.zeros_like(x0)
     for j in range(x0.size):
@@ -110,6 +110,7 @@ class TestEvalLoss:
         """At the zero model with prior stds, only the reconstruction of
         nothing remains: E||y||^2 / (2 eta_dec^2)."""
         ds, sp = make_instance(seed=2, dim_x=3, dim_y=3)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.3, latent_dim=2, eta_dec=1.4)
         params = tr.ModelParams(
             decoder=np.zeros((3, 2)),
@@ -117,23 +118,24 @@ class TestEvalLoss:
             log_sigma=np.full(2, np.log(hp.eta_enc)),
         )
         expected = sp.target_power / (2 * hp.decvar)
-        assert tr.eval_loss(params, ds, hp) == pytest.approx(expected, rel=1e-12)
+        assert tr.eval_loss(params, m, hp) == pytest.approx(expected, rel=1e-12)
 
     def test_spectrum_and_dataset_agree(self, rng):
         ds, sp = make_instance(seed=3, dim_x=4, dim_y=3)
         hp = cf.Hyperparams(beta=0.9, latent_dim=3)
         params = random_params(rng, 4, 3, 3)
-        a = tr.eval_loss(params, ds, hp)
-        b = tr.eval_loss(params, sp, hp)
+        a = tr.eval_loss(params, tr.Moments.from_dataset(ds), hp)
+        b = tr.eval_loss(params, tr.Moments.from_spectrum(sp), hp)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_monte_carlo_validates_noise_reduction(self, rng):
         """Sampled encoder noise reproduces the integrated-out loss within
         three standard errors."""
         ds, _ = make_instance(seed=5, dim_x=3, dim_y=3, n=200)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.1, latent_dim=2)
         params = random_params(rng, 3, 3, 2)
-        closed = tr.eval_loss(params, ds, hp)
+        closed = tr.eval_loss(params, m, hp)
         mc, se = eval_loss_monte_carlo(params, ds, hp, n_draws=3000, seed=11)
         assert abs(mc - closed) <= 3 * se
         mc2, _ = eval_loss_monte_carlo(params, ds, hp, n_draws=3000, seed=11)
@@ -144,7 +146,7 @@ class TestEvalLoss:
         self, monkeypatch, source, bias, ddv, sigma_mode, decvar_mode
     ):
         """eval_loss runs the one kernel once, with no gradient buffer, and
-        gives value_and_grad's loss to the bit."""
+        gives to the bit the loss the kernel returns when it writes a gradient."""
         m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
         calls, kernel = [], tr._value_and_grad
 
@@ -157,7 +159,8 @@ class TestEvalLoss:
             calls.clear()
             loss = tr.eval_loss(params, m, hp)
             assert [(len(args), kwargs) for args, kwargs in calls] == [(4, {})]
-            assert loss == tr.value_and_grad(params, m, hp)[0]
+            _, grad = tr._flat(params)
+            assert loss == kernel(params, m, hp, tr._zero_mean(params, m), grad)
 
     def test_oracles_read_no_private_trainer_name(self):
         """The references derive what they check: tests/oracles.py reads no
@@ -181,28 +184,32 @@ class TestEvalLoss:
 
     def test_solution_loss_matches_closed_form_value(self):
         ds, sp = make_instance(seed=7, dim_x=5, dim_y=4)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.7, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
-        loss = tr.eval_loss(params_from_minimum(gm, hp), ds, hp)
+        loss = tr.eval_loss(params_from_minimum(gm, hp), m, hp)
         assert loss == pytest.approx(gm.predicted_loss, abs=1e-8)
 
     def test_shape_mismatch_raises(self, rng):
         ds, _ = make_instance(seed=9, dim_x=3, dim_y=2)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
         params = random_params(rng, 4, 2, 2)  # wrong input dim
         with pytest.raises(ShapeError):
-            tr.eval_loss(params, ds, hp)
+            tr.eval_loss(params, m, hp)
 
     def test_ddv_needs_samples(self, rng):
         _, sp = make_instance(seed=11, dim_x=3, dim_y=2)
+        m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
         params = random_params(rng, 3, 2, 2, ddv=True)
         with pytest.raises(ShapeError):
-            tr.eval_loss(params, sp, hp)
+            tr.eval_loss(params, m, hp)
 
     def test_ddv_zero_std_sample_raises(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ds = Dataset(x=x, y=x.copy())
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.0, latent_dim=1)
         params = tr.ModelParams(
             decoder=np.zeros((2, 1)),
@@ -212,7 +219,7 @@ class TestEvalLoss:
             var_offset=np.array([1.0]),  # |x0 + 1| = 0 on the second sample
         )
         with pytest.raises(DegenerateVariance):
-            tr.eval_loss(params, ds, hp)
+            tr.eval_loss(params, m, hp)
 
 
 class TestEvalGrad:
@@ -225,6 +232,7 @@ class TestEvalGrad:
     ])
     def test_matches_central_finite_differences(self, rng, bias, ddv, learn_s):
         ds, _ = make_instance(seed=13, dim_x=4, dim_y=3, n=150)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(
             beta=1.4,
             latent_dim=3,
@@ -236,8 +244,8 @@ class TestEvalGrad:
             params = random_params(
                 rng, 4, 3, 3, bias=bias, ddv=ddv, log_s=0.3 if learn_s else None
             )
-            names, analytic = pack_grad(params, hp, src=ds)
-            numeric = numeric_grad(params, ds, hp)
+            names, analytic = pack_grad(params, hp, m)
+            numeric = numeric_grad(params, m, hp)
             scale = 1.0 + np.max(np.abs(numeric))
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
 
@@ -266,13 +274,34 @@ class TestEvalGrad:
             x = g.normal(size=(n, dim_x)) + g.normal(size=dim_x) * 2.0
             y = g.normal(size=(n, dim_y)) + g.normal(size=dim_y) * 2.0
             ds = Dataset(x=x, y=y)
+            m = tr.Moments.from_dataset(ds)
             hp = cf.Hyperparams(beta=1.2, latent_dim=d1)
             params = random_params(g, dim_x, dim_y, d1, bias=True)
             params.enc_bias = -params.encoder.T @ x.mean(axis=0)
             params.dec_bias = y.mean(axis=0)
-            grad = tr.eval_grad(params, ds, hp)
+            grad = tr.eval_grad(params, m, hp)
             assert np.max(np.abs(grad.enc_bias)) <= 1e-8
             assert np.max(np.abs(grad.dec_bias)) <= 1e-8
+
+
+@pytest.mark.parametrize("source", ["dataset", "spectrum"])
+@pytest.mark.parametrize("entry", ["init_params", "eval_loss", "eval_grad", "train", "train_seed"])
+def test_entries_take_only_moments(source, entry):
+    """Every trainer entry refuses raw data with one TypeError that names the
+    two Moments constructors, instead of failing deep inside the kernel."""
+    ds, sp = make_instance(seed=3, dim_x=4, dim_y=3)
+    data = ds if source == "dataset" else sp
+    hp = cf.Hyperparams(beta=0.9, latent_dim=3)
+    params = tr.init_params(tr.Moments.from_dataset(ds), hp)
+    calls = {
+        "init_params": lambda: tr.init_params(data, hp),
+        "eval_loss": lambda: tr.eval_loss(params, data, hp),
+        "eval_grad": lambda: tr.eval_grad(params, data, hp),
+        "train": lambda: tr.train(params, data, hp),
+        "train_seed": lambda: tr.train(0, data, hp),
+    }
+    with pytest.raises(TypeError, match="Moments.from_dataset or Moments.from_spectrum"):
+        calls[entry]()
 
 
 def test_second_moment_exactly_symmetric():
@@ -303,10 +332,11 @@ def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, de
 class TestTrain:
     def test_converges_at_solution_immediately(self):
         ds, sp = make_instance(seed=17, dim_x=4, dim_y=4)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.2, latent_dim=3)
         gm = cf.global_minimum(sp, hp)
         result = tr.train(
-            params_from_minimum(gm, hp), ds, hp, tr.TrainConfig(grad_tol=1e-7)
+            params_from_minimum(gm, hp), m, hp, tr.TrainConfig(grad_tol=1e-7)
         )
         assert result.converged and result.steps == 0
 
@@ -318,10 +348,11 @@ class TestTrain:
     )
     def test_init_is_never_written_or_shared(self, optimizer, sigma_mode, decvar_mode, bias, ddv):
         ds, _ = make_instance(seed=7, dim_x=3, dim_y=3, n=60)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=0.8, latent_dim=2, sigma_mode=sigma_mode, decvar_mode=decvar_mode)
-        init = tr.init_params(ds, hp, seed=1, bias=bias, ddv=ddv)
+        init = tr.init_params(m, hp, seed=1, bias=bias, ddv=ddv)
         before = {f.name: deepcopy(getattr(init, f.name)) for f in fields(init)}
-        result = tr.train(init, ds, hp, tr.TrainConfig(optimizer, 1e-2, max_steps=20, grad_tol=0.0))
+        result = tr.train(init, m, hp, tr.TrainConfig(optimizer, 1e-2, max_steps=20, grad_tol=0.0))
         assert result.steps > 0
         for name, old in before.items():
             now, trained = getattr(init, name), getattr(result.params, name)
@@ -331,24 +362,26 @@ class TestTrain:
 
     def test_recovers_closed_form_minimum(self):
         ds, sp = make_instance(seed=19, dim_x=5, dim_y=5, scale=1.2)
+        m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(beta=1.1, latent_dim=4)
         gm = cf.global_minimum(sp, hp)
         first = tr.train(
-            0, sp, hp, tr.TrainConfig("adam", 5e-3, max_steps=8000, grad_tol=1e-9)
+            0, m, hp, tr.TrainConfig("adam", 5e-3, max_steps=8000, grad_tol=1e-9)
         )
         result = tr.train(
-            first.params, sp, hp, tr.TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9)
+            first.params, m, hp, tr.TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9)
         )
         rel = abs(result.final_loss - gm.predicted_loss) / (1 + abs(gm.predicted_loss))
         assert rel < 1e-6
 
     def test_complete_collapse_training_zeroes_model(self):
         ds, sp = make_instance(seed=23, dim_x=4, dim_y=4)
+        m = tr.Moments.from_spectrum(sp)
         top = float(sp.singular_values[0] ** 2)
         hp = cf.Hyperparams(beta=top * 1.3, latent_dim=3)
-        first = tr.train(1, sp, hp, tr.TrainConfig("adam", 5e-3, max_steps=6000, grad_tol=1e-10))
+        first = tr.train(1, m, hp, tr.TrainConfig("adam", 5e-3, max_steps=6000, grad_tol=1e-10))
         result = tr.train(
-            first.params, sp, hp, tr.TrainConfig("gd", 0.05, max_steps=2000, grad_tol=1e-10)
+            first.params, m, hp, tr.TrainConfig("gd", 0.05, max_steps=2000, grad_tol=1e-10)
         )
         assert np.linalg.norm(result.params.decoder) <= 1e-3
         v = (sp.basis * np.sqrt(sp.eigenvalues)).T @ result.params.encoder
@@ -357,22 +390,24 @@ class TestTrain:
 
     def test_plain_gd_descends_monotonically(self):
         ds, sp = make_instance(seed=29, dim_x=4, dim_y=3)
+        m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(beta=0.8, latent_dim=2)
         result = tr.train(
-            3, sp, hp, tr.TrainConfig("gd", 0.5, max_steps=400, grad_tol=0.0), trace=True
+            3, m, hp, tr.TrainConfig("gd", 0.5, max_steps=400, grad_tol=0.0), trace=True
         )
         diffs = np.diff(result.loss_trace)
         assert np.all(diffs <= 0.0)
 
     def test_divergence_raises_at_bad_init(self):
         ds, sp = make_instance(seed=31, dim_x=3, dim_y=3)
+        m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
-        bad = tr.init_params(sp, hp, seed=0)
+        bad = tr.init_params(m, hp, seed=0)
         bad.log_sigma = np.full(2, 800.0)  # sigma^2 overflows to inf
         bad.decoder = np.ones((3, 2))
         with pytest.warns(RuntimeWarning):
             with pytest.raises(DivergenceError) as err:
-                tr.train(bad, sp, hp, tr.TrainConfig("adam", 1e-3, max_steps=10))
+                tr.train(bad, m, hp, tr.TrainConfig("adam", 1e-3, max_steps=10))
         assert err.value.step == 0
 
     def test_divergence_raises_mid_run(self):
@@ -380,17 +415,19 @@ class TestTrain:
         to exact zero within a few steps; the 1/s term overflows and the
         failing step is reported, with no floating-point warning."""
         sp = DataSpectrum.from_singular_values([1.5, 1.0], dim_y=2)
+        m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(beta=0.5, latent_dim=2, decvar_mode="learnable")
         with pytest.raises(DivergenceError) as err:
-            tr.train(0, sp, hp, tr.TrainConfig("adam", 400.0, max_steps=50, grad_tol=0.0))
+            tr.train(0, m, hp, tr.TrainConfig("adam", 400.0, max_steps=50, grad_tol=0.0))
         assert err.value.step >= 1
 
     def test_deterministic_for_fixed_seed(self):
         ds, sp = make_instance(seed=37, dim_x=3, dim_y=3)
+        m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
         cfg = tr.TrainConfig("adam", 1e-3, max_steps=300, grad_tol=1e-12)
-        a = tr.train(5, sp, hp, cfg)
-        b = tr.train(5, sp, hp, cfg)
+        a = tr.train(5, m, hp, cfg)
+        b = tr.train(5, m, hp, cfg)
         assert a.final_loss == b.final_loss
         assert a.params.decoder.tobytes() == b.params.decoder.tobytes()
 
@@ -400,28 +437,31 @@ class TestTrain:
         ds, sp = make_instance(seed=43, dim_x=4, dim_y=3)
         hp = cf.Hyperparams(beta=0.9, latent_dim=3, sigma_mode="fixed")
         result = tr.train(
-            2, sp, hp, tr.TrainConfig("adam", 5e-3, max_steps=4000, grad_tol=1e-9)
+            2, tr.Moments.from_spectrum(sp), hp,
+            tr.TrainConfig("adam", 5e-3, max_steps=4000, grad_tol=1e-9),
         )
-        base = tr.eval_loss(result.params, ds, hp)
+        m = tr.Moments.from_dataset(ds)
+        base = tr.eval_loss(result.params, m, hp)
         for seed in range(4):
             rot = cf.random_rotation(3, seed)
             rotated = replace(
                 result.params, decoder=result.params.decoder @ rot,
                 encoder=result.params.encoder @ rot,
             )
-            assert abs(tr.eval_loss(rotated, ds, hp) - base) <= 1e-10
+            assert abs(tr.eval_loss(rotated, m, hp) - base) <= 1e-10
 
     def test_trained_biases_land_on_optimal_values(self):
         g = np.random.default_rng(47)
         x = g.normal(size=(80, 3)) + np.array([2.0, -1.0, 0.5])
         m = g.normal(size=(2, 3))
         y = x @ m.T + np.array([1.5, -0.7])
-        ds = Dataset(x=x, y=y)
+        moments = tr.Moments.from_dataset(Dataset(x=x, y=y))
         hp = cf.Hyperparams(beta=0.8, latent_dim=2)
-        init = tr.init_params(ds, hp, seed=0, bias=True)
-        first = tr.train(init, ds, hp, tr.TrainConfig("adam", 5e-3, max_steps=6000, grad_tol=1e-10))
+        init = tr.init_params(moments, hp, seed=0, bias=True)
+        cfg = tr.TrainConfig("adam", 5e-3, max_steps=6000, grad_tol=1e-10)
+        first = tr.train(init, moments, hp, cfg)
         result = tr.train(
-            first.params, ds, hp, tr.TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-10)
+            first.params, moments, hp, tr.TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-10)
         )
         p = result.params
         np.testing.assert_allclose(
@@ -456,11 +496,12 @@ class TestDataDependentVariance:
 
     def test_training_flattens_the_slope(self):
         ds, _ = make_instance(seed=67, dim_x=3, dim_y=3, n=200)
+        m = tr.Moments.from_dataset(ds)
         hp = cf.Hyperparams(beta=1.2, latent_dim=2)
-        init = tr.init_params(ds, hp, seed=4, ddv=True)
-        first = tr.train(init, ds, hp, tr.TrainConfig("adam", 5e-3, max_steps=8000, grad_tol=1e-10))
+        init = tr.init_params(m, hp, seed=4, ddv=True)
+        first = tr.train(init, m, hp, tr.TrainConfig("adam", 5e-3, max_steps=8000, grad_tol=1e-10))
         result = tr.train(
-            first.params, ds, hp, tr.TrainConfig("gd", 0.05, max_steps=3000, grad_tol=1e-10)
+            first.params, m, hp, tr.TrainConfig("gd", 0.05, max_steps=3000, grad_tol=1e-10)
         )
         assert np.linalg.norm(result.params.var_slope) <= 1e-3
 
@@ -469,11 +510,12 @@ class TestLearnableDecoderVariance:
     def test_converges_to_profile_optimum(self):
         zeta = np.array([2.2, 1.6, 0.9, 0.5])
         sp = DataSpectrum.from_singular_values(zeta, dim_y=5)
+        m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2, decvar_mode="learnable")
         sol = dv.solve_decoder_variance(sp, hp)
-        first = tr.train(0, sp, hp, tr.TrainConfig("adam", 5e-3, max_steps=8000, grad_tol=1e-10))
+        first = tr.train(0, m, hp, tr.TrainConfig("adam", 5e-3, max_steps=8000, grad_tol=1e-10))
         result = tr.train(
-            first.params, sp, hp, tr.TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-10)
+            first.params, m, hp, tr.TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-10)
         )
         assert abs(result.params.decvar - sol.s_star) / sol.s_star <= 1e-3
 
