@@ -191,26 +191,20 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
             )
 
 
-def _zero_mean(p: ModelParams, m: Moments) -> bool:
-    """Whether every mean and bias term is exactly zero, so the kernel skips them."""
-    no_bias = p.enc_bias is None and p.dec_bias is None
-    return no_bias and not (m.mean_x.any() or m.mean_y.any())
-
-
 def _value_and_grad(
-    p: ModelParams, m: Moments, hp: Hyperparams, zero_mean: bool, grad: dict | None = None
+    p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = None
 ) -> float:
     """The loss-and-gradient kernel: returns the exact expected loss at ``p`` and, given
-    the dict ``grad``, writes the gradient of each field it names into its view. The
-    halves share the residual ``r = k a - cross^T``, ``k = decoder encoder^T`` (its
-    transpose is ``a k^T - cross``, as ``a`` is exactly symmetric), and the prior's pull
-    ``a encoder``. ``zero_mean`` skips the mean and bias terms. Products use
-    ``ndarray.dot``, which dispatches faster than ``@`` on small matrices."""
+    the dict ``grad``, writes the gradient of each field it names into its view. The halves
+    share the residual ``r = k a - cross^T``, ``k = decoder encoder^T`` (its transpose is
+    ``a k^T - cross``, as ``a`` is exactly symmetric), and the prior's pull ``a encoder``.
+    Products use ``ndarray.dot``, which dispatches faster than ``@`` on small matrices."""
     k = p.decoder.dot(p.encoder.T)
     r = k.dot(m.a) - m.cross.T
     col_sq = np.add.reduce(p.decoder**2, axis=0)
     recon = float(np.vdot(r - m.cross.T, k))  # <k a, k> - 2 <cross^T, k>
-    if not zero_mean:
+    biased = p.enc_bias is not None or p.dec_bias is not None  # else each mean term is 0
+    if biased:
         b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
         b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
         c = p.decoder.dot(b_e) + b_d
@@ -240,7 +234,7 @@ def _value_and_grad(
         sum_s2, sum_log_sigma = sum(s2.tolist()), sum(p.log_sigma.tolist())
         kl = sum_s2 / eta2 - s2.size * (1.0 - math.log(eta2)) - 2.0 * sum_log_sigma
     mean_term = float(np.vdot(prior, p.encoder))
-    if not zero_mean:
+    if biased:
         mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
     loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
     if p.log_decvar is not None:
@@ -263,7 +257,7 @@ def _value_and_grad(
 
     e_r_m = r.dot(p.encoder)
     e_r_d = r.T.dot(p.decoder)
-    if not zero_mean:
+    if biased:
         e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
         e_r_d = e_r_d + np.outer(m.mean_x, p.decoder.T.dot(c))
         prior = prior + np.outer(m.mean_x, b_e)
@@ -296,7 +290,7 @@ def _flat(p: ModelParams, hp: Hyperparams | None = None) -> tuple[np.ndarray, di
 def eval_loss(p: ModelParams, m: Moments, hp: Hyperparams) -> float:
     """Exact expected loss at ``p``, the noise expectation integrated out."""
     _check_shapes(p, m, hp)
-    return _value_and_grad(p, m, hp, _zero_mean(p, m))
+    return _value_and_grad(p, m, hp)
 
 
 def eval_grad(p: ModelParams, m: Moments, hp: Hyperparams) -> ModelParams:
@@ -304,7 +298,7 @@ def eval_grad(p: ModelParams, m: Moments, hp: Hyperparams) -> ModelParams:
     _check_shapes(p, m, hp)
     flat, grad = _flat(p)
     flat[...] = 0.0  # the stds' slot stays zero under a data-dependent std
-    _value_and_grad(p, m, hp, _zero_mean(p, m), grad)
+    _value_and_grad(p, m, hp, grad)
     if "log_decvar" in grad:
         grad["log_decvar"] = float(grad["log_decvar"])
     return ModelParams(**grad)
@@ -327,13 +321,12 @@ def train(
     result shares no memory with ``init``."""
     params = init if isinstance(init, ModelParams) else init_params(m, hp, seed=init)
     _check_shapes(params, m, hp)
-    zero_mean = _zero_mean(params, m)
     x, views = _flat(params, hp)
     # _flat copied the trained fields; the stds are copied in case they are not trained
     params = replace(params, **{"log_sigma": params.log_sigma.copy(), **views})
     (g, grad), (g_trial, grad_trial) = _flat(params, hp), _flat(params, hp)
 
-    loss = _value_and_grad(params, m, hp, zero_mean, grad)
+    loss = _value_and_grad(params, m, hp, grad)
     if not math.isfinite(loss):
         raise DivergenceError(0)
     loss_trace = [loss] if trace else None
@@ -363,7 +356,7 @@ def train(
                 adam_v += (1 - beta2) * (g * g - adam_v)
                 rc2 = math.sqrt(1 - beta2**step)
                 x -= lr * rc2 / (1 - beta1**step) * adam_m / (np.sqrt(adam_v) + eps * rc2)
-                loss = _value_and_grad(params, m, hp, zero_mean, grad)
+                loss = _value_and_grad(params, m, hp, grad)
             else:
                 # halving-on-increase line search from ``start``, mild regrowth
                 # on success; the accepted trial's gradient drives the next step
@@ -373,7 +366,7 @@ def train(
                 for _ in range(80):
                     np.subtract(start, trial * g, out=x)
                     try:
-                        cand_loss = _value_and_grad(params, m, hp, zero_mean, grad_trial)
+                        cand_loss = _value_and_grad(params, m, hp, grad_trial)
                     except DegenerateVariance:  # a variance of exactly 0: the loss is +inf
                         cand_loss = math.inf
                     if math.isfinite(cand_loss) and cand_loss <= loss:

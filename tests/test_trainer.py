@@ -158,9 +158,9 @@ class TestEvalLoss:
         for params in draws:
             calls.clear()
             loss = tr.eval_loss(params, m, hp)
-            assert [(len(args), kwargs) for args, kwargs in calls] == [(4, {})]
+            assert [(len(args), kwargs) for args, kwargs in calls] == [(3, {})]
             _, grad = tr._flat(params)
-            assert loss == kernel(params, m, hp, tr._zero_mean(params, m), grad)
+            assert loss == kernel(params, m, hp, grad)
 
     def test_oracles_read_no_private_trainer_name(self):
         """The references derive what they check: tests/oracles.py reads no
@@ -249,20 +249,23 @@ class TestEvalGrad:
             scale = 1.0 + np.max(np.abs(numeric))
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
 
-    def test_zero_mean_path_matches_full_kernel(self, rng):
-        """On zero-mean moments without biases the kernel skips the mean
-        and bias terms; the full kernel, as reference, gives the same bits."""
-        _, sp = make_instance(seed=3, dim_x=4, dim_y=3)
-        m = tr.Moments.from_spectrum(sp)
-        hp = cf.Hyperparams(beta=0.9, latent_dim=3, decvar_mode="learnable")
-        params = random_params(rng, 4, 3, 3, log_s=0.3)
-        assert tr._zero_mean(params, m)
-        runs = []
-        for zero_mean in (True, False):
-            flat, grad = tr._flat(params)
-            runs.append((tr._value_and_grad(params, m, hp, zero_mean, grad), flat))
-        assert runs[0][0] == runs[1][0]
-        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+    @pytest.mark.parametrize("ddv", [False, True])
+    @pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
+    @pytest.mark.parametrize("decvar_mode", ["fixed", "learnable"])
+    def test_no_bias_skip_matches_zero_biases(self, ddv, sigma_mode, decvar_mode):
+        """Without biases the kernel skips the mean terms even though the
+        shifted data's means are nonzero; zero biases run them in full, and
+        give the same loss and, on every shared field, the same gradient bits."""
+        m, hp, draws = kernel_case("dataset", False, ddv, sigma_mode, decvar_mode)
+        assert m.mean_x.all() and m.mean_y.all()
+        for params in draws:
+            zero_bias = replace(params, enc_bias=np.zeros(3), dec_bias=np.zeros(3))
+            (_, grad), (_, full) = tr._flat(params), tr._flat(zero_bias)
+            assert tr._value_and_grad(params, m, hp, grad) == tr._value_and_grad(
+                zero_bias, m, hp, full
+            )
+            for name, got in grad.items():
+                assert got.tobytes() == full[name].tobytes(), name
 
     def test_gradient_vanishes_at_optimal_biases(self, rng):
         """For any encoder/decoder, zeroing the bias gradient requires the
@@ -319,9 +322,8 @@ def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, de
     gradient of the term-by-term reference to 1e-12 relative."""
     m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
     for params in draws:
-        assert tr._zero_mean(params, m) == (source == "spectrum")
         _, grad = tr._flat(params, hp)
-        loss = tr._value_and_grad(params, m, hp, tr._zero_mean(params, m), grad)
+        loss = tr._value_and_grad(params, m, hp, grad)
         ref_loss, ref = reference_value_and_grad(params, m, hp)
         assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
         for name, got in grad.items():
