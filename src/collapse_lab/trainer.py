@@ -388,6 +388,8 @@ def train(
                 loss_trace.append(loss)
                 if decvar_trace is not None:
                     decvar_trace.append(params.decvar)
+    if not converged:  # the loop measured before the last step; g is at the returned point
+        grad_norm = float(np.maximum.reduce(np.abs(g)))
 
     if params.log_decvar is not None:
         params.log_decvar = float(params.log_decvar)

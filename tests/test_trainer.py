@@ -362,6 +362,26 @@ class TestTrain:
             if isinstance(now, np.ndarray):
                 assert not np.shares_memory(now, trained), name
 
+    @pytest.mark.parametrize("optimizer, max_steps, grad_tol", [
+        ("adam", 300, 0.0), ("gd", 300, 0.0), ("adam", 20000, 1e-3),
+    ])
+    def test_grad_norm_is_taken_at_returned_params(self, optimizer, max_steps, grad_tol):
+        """``grad_norm`` is the gradient max-norm over the trained fields at the
+        parameters ``train`` returns, whether it runs out of steps or converges."""
+        ds, _ = make_instance(seed=7, dim_x=4, dim_y=3, n=100)
+        m = tr.Moments.from_dataset(ds)
+        hp = cf.Hyperparams(beta=0.8, latent_dim=3, sigma_mode="learnable")
+        init = tr.init_params(m, hp, seed=2, bias=True)
+        cfg = tr.TrainConfig(optimizer, 1e-2, max_steps=max_steps, grad_tol=grad_tol)
+        result = tr.train(init, m, hp, cfg)
+        assert result.converged == (grad_tol > 0)
+        assert result.converged or result.steps == cfg.max_steps
+        grad = tr.eval_grad(result.params, m, hp)
+        assert result.grad_norm == max(
+            float(np.max(np.abs(getattr(grad, name))))
+            for name in tr._flat(result.params, hp)[1]
+        )
+
     def test_recovers_closed_form_minimum(self):
         ds, sp = make_instance(seed=19, dim_x=5, dim_y=5, scale=1.2)
         m = tr.Moments.from_spectrum(sp)
