@@ -9,7 +9,8 @@ File formats
 CSV
     ASCII text: header row exactly ``x0,...,x{dx-1},y0,...,y{dy-1}``, one
     sample per line, values written with shortest round-trip ``repr``. Any
-    other byte, a UTF-8 byte-order mark included, is a :class:`ParseError`.
+    other byte, a UTF-8 byte-order mark included, is a :class:`ParseError`,
+    and so is a padded or underscored cell and a blank line.
 binary
     16-byte header: 4-byte magic ``CLD1`` followed by little-endian
     uint32 ``n``, ``dim_x``, ``dim_y``; then the X block and the Y block
@@ -21,6 +22,7 @@ column.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +32,9 @@ import numpy as np
 from .errors import InvalidSpec, ParseError
 
 _MAGIC = b"CLD1"
+# float() forgives digit-group underscores and padding in a cell; save writes neither
+_LOOSE_CHARS = "_ \t\v\f\r"
+_LOOSE_CELL = re.compile(f"[{_LOOSE_CHARS}]")
 _CENTER_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-12
@@ -209,10 +214,24 @@ def _save_csv(ds: Dataset, path) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
+def _csv_lines(path) -> tuple[list[str], bool]:
+    """The file's lines, and whether it holds a character no cell may hold (a CRLF
+    file does, and its rows are then checked one by one)."""
+    text = Path(path).read_bytes().decode("ascii")
+    loose = any(c in text for c in _LOOSE_CHARS)
+    # a row ends at "\n" or "\r\n"; str.splitlines would also end one at \v, \f, \x1c-\x1e
+    return text.replace("\r\n", "\n").split("\n"), loose
+
+
+def _strict_float(cell: str) -> float:
+    if _LOOSE_CELL.search(cell):
+        raise ValueError(cell)
+    return float(cell)
+
+
 def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     try:
-        # a row ends at "\n" or "\r\n"; str.splitlines would also end one at \v, \f, \x1c-\x1e
-        lines = Path(path).read_bytes().decode("ascii").replace("\r\n", "\n").split("\n")
+        lines, loose = _csv_lines(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"non-ASCII byte at offset {exc.start} in {path}") from None
     if lines == [""]:
@@ -222,16 +241,19 @@ def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     dim_y = len(header) - dim_x
     if header != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
         raise ParseError(f"bad header {lines[0]!r} in {path}")
-    body = [line for line in lines[1:] if line]
+    if lines[-1] == "":
+        lines.pop()  # what follows the final newline; any other blank line is a row
+    body = lines[1:]
     x = np.empty((len(body), dim_x))
     y = np.empty((len(body), dim_y))
     for i, line in enumerate(body):
         parts = line.split(",")
         if len(parts) != dim_x + dim_y:
             raise ParseError(f"expected {len(header)} fields, got {len(parts)} in {path}", row=i)
+        parse = _strict_float if loose and _LOOSE_CELL.search(line) else float
         for j, part in enumerate(parts):
             try:
-                value = float(part)
+                value = parse(part)
             except ValueError:
                 raise ParseError(f"not a number: {part!r} in {path}", row=i, col=j) from None
             if j < dim_x:

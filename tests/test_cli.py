@@ -217,6 +217,37 @@ def test_csv_control_byte_does_not_split_a_row(capsys, tmp_path, byte):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
 
 
+LOOSE_CSV = {  # name: raw bytes, the refused cell (None: a blank line), row, col
+    "underscore": (b"x0,y0\n1_0,2\n3,4\n", "1_0", 0, 0),
+    "leading_space": (b"x0,y0\n1,2\n 3,5\n", " 3", 1, 0),
+    "trailing_space": (b"x0,y0\n1,2\n3,5 \n", "5 ", 1, 1),
+    "tab": (b"x0,y0\n1,\t2\n3,5\n", "\t2", 0, 1),
+    "vtab": (b"x0,y0\n1,2\n3\v,5\n", "3\v", 1, 0),
+    "form_feed": (b"x0,y0\n1,2\x0c\n3,5\n", "2\x0c", 0, 1),
+    "lone_cr_at_end": (b"x0,y0\n1,2\n3,5\r", "5\r", 1, 1),
+    "blank_line": (b"x0,y0\n1,2\n\n3,5\n", None, 1, None),
+}
+
+
+@pytest.mark.parametrize("name", LOOSE_CSV)
+def test_csv_accepts_only_what_save_writes(capsys, tmp_path, name):
+    """float() forgives padding and digit-group underscores, and a blank line
+    is no sample: each is one ParseError naming the file, the row and the column."""
+    raw, cell, row, col = LOOSE_CSV[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    if cell is None:
+        assert str(err.value) == f"expected 2 fields, got 1 in {path} (row {row})"
+    else:
+        assert str(err.value) == f"not a number: {cell!r} in {path} (row {row}, col {col})"
+    assert (err.value.row, err.value.col) == (row, col)
+    code, out, err = run(capsys, "spectrum", "--data", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
+
+
 class TestSolveCommand:
     def test_output_is_deterministic(self, capsys, autoencode_csv):
         argv = (
