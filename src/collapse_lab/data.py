@@ -22,7 +22,6 @@ column.
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +33,6 @@ from .errors import InvalidSpec, ParseError
 _MAGIC = b"CLD1"
 # float() forgives digit-group underscores and padding in a cell; save writes neither
 _LOOSE_CHARS = "_ \t\v\f\r"
-_LOOSE_CELL = re.compile(f"[{_LOOSE_CHARS}]")
 _CENTER_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-12
@@ -214,26 +212,21 @@ def _save_csv(ds: Dataset, path) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def _csv_lines(path) -> tuple[list[str], bool]:
-    """The file's lines, and whether it holds a character no cell may hold (a CRLF
-    file does, and its rows are then checked one by one)."""
-    text = Path(path).read_bytes().decode("ascii")
-    loose = any(c in text for c in _LOOSE_CHARS)
-    # a row ends at "\n" or "\r\n"; str.splitlines would also end one at \v, \f, \x1c-\x1e
-    return text.replace("\r\n", "\n").split("\n"), loose
-
-
 def _strict_float(cell: str) -> float:
-    if _LOOSE_CELL.search(cell):
+    if any(c in cell for c in _LOOSE_CHARS):
         raise ValueError(cell)
     return float(cell)
 
 
 def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
     try:
-        lines, loose = _csv_lines(path)
+        text = Path(path).read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError(f"non-ASCII byte at offset {exc.start} in {path}") from None
+    loose = any(c in text for c in _LOOSE_CHARS)  # CRLF files too: rows are then checked
+    # a row ends at "\n" or "\r\n"; str.splitlines would also end one at \v, \f, \x1c-\x1e
+    lines = text.replace("\r\n", "\n").split("\n")
+    del text  # the lines hold the text; keep no second copy while the rows are parsed
     if lines == [""]:
         raise ParseError(f"empty file: {path}")
     header = lines[0].split(",")
@@ -250,7 +243,7 @@ def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
         parts = line.split(",")
         if len(parts) != dim_x + dim_y:
             raise ParseError(f"expected {len(header)} fields, got {len(parts)} in {path}", row=i)
-        parse = _strict_float if loose and _LOOSE_CELL.search(line) else float
+        parse = _strict_float if loose and any(c in line for c in _LOOSE_CHARS) else float
         for j, part in enumerate(parts):
             try:
                 value = parse(part)

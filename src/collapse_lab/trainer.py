@@ -340,7 +340,6 @@ def train(
     gd_step = cfg.learning_rate
 
     converged = False
-    grad_norm = np.inf
     steps = 0
     # a step that overflows shows up as a non-finite loss, reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -388,8 +387,7 @@ def train(
                 loss_trace.append(loss)
                 if decvar_trace is not None:
                     decvar_trace.append(params.decvar)
-    if not converged:  # the loop measured before the last step; g is at the returned point
-        grad_norm = float(np.maximum.reduce(np.abs(g)))
+    grad_norm = float(np.maximum.reduce(np.abs(g)))  # at the returned point, after any last step
 
     if params.log_decvar is not None:
         params.log_decvar = float(params.log_decvar)
