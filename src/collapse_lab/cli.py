@@ -87,11 +87,13 @@ def _parse_synthetic(text: str):
 
 
 def _load_dataset(args) -> Dataset:
-    if args.data:
-        return load(args.data)
-    if args.synthetic:
-        return _parse_synthetic(args.synthetic)
-    raise InvalidSpec("no data source: pass --data or --synthetic")
+    if not (args.data or args.synthetic):
+        raise InvalidSpec("no data source: pass --data or --synthetic")
+    ds = load(args.data) if args.data else _parse_synthetic(args.synthetic)
+    # a finite sum of squares keeps every mean, centered value and moment finite
+    if not np.isfinite(np.vdot(ds.x, ds.x) + np.vdot(ds.y, ds.y)):
+        raise ValueError("the data's sum of squares overflows float64")
+    return ds
 
 
 def _load_spectrum(args) -> DataSpectrum:

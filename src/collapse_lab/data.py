@@ -7,10 +7,10 @@ seed reproduces a dataset byte for byte.
 File formats
 ------------
 CSV
-    ASCII text: header row exactly ``x0,...,x{dx-1},y0,...,y{dy-1}``, one
-    sample per line, values written with shortest round-trip ``repr``. Any
-    other byte, a UTF-8 byte-order mark included, is a :class:`ParseError`,
-    and so is a padded or underscored cell and a blank line.
+    ASCII text: header row exactly ``x0,...,x{dx-1},y0,...,y{dy-1}``, then
+    one sample per row: each cell is ``_CELL``, what ``repr`` writes for a
+    float, each row ends at ``\\n`` or ``\\r\\n``, and no row is blank.
+    Anything else, a UTF-8 byte-order mark included, is a :class:`ParseError`.
 binary
     16-byte header: 4-byte magic ``CLD1`` followed by little-endian
     uint32 ``n``, ``dim_x``, ``dim_y``; then the X block and the Y block
@@ -22,6 +22,8 @@ column.
 
 from __future__ import annotations
 
+import io
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,8 +33,8 @@ import numpy as np
 from .errors import InvalidSpec, ParseError
 
 _MAGIC = b"CLD1"
-# float() forgives digit-group underscores and padding in a cell; save writes neither
-_LOOSE_CHARS = "_ \t\v\f\r"
+# one CSV cell as repr writes a float; possessive, so a failed row never backtracks
+_CELL = rb"(?:-?+(?:\d++(?:\.\d++)?+(?:e[+-]?+\d++)?+|inf)|nan)"
 _CENTER_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-12
@@ -212,48 +214,41 @@ def _save_csv(ds: Dataset, path) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def _strict_float(cell: str) -> float:
-    if any(c in cell for c in _LOOSE_CHARS):
-        raise ValueError(cell)
-    return float(cell)
+def _line(raw: bytes, start: int) -> bytes:
+    """The row that starts at ``start``, without its ``\\n`` or ``\\r\\n``."""
+    end = raw.find(b"\n", start)
+    return raw[start:] if end < 0 else raw[start:end].removesuffix(b"\r")
 
 
 def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        text = Path(path).read_bytes().decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"non-ASCII byte at offset {exc.start} in {path}") from None
-    loose = any(c in text for c in _LOOSE_CHARS)  # CRLF files too: rows are then checked
-    # a row ends at "\n" or "\r\n"; str.splitlines would also end one at \v, \f, \x1c-\x1e
-    lines = text.replace("\r\n", "\n").split("\n")
-    del text  # the lines hold the text; keep no second copy while the rows are parsed
-    if lines == [""]:
+    raw = Path(path).read_bytes()
+    if not raw.isascii():
+        offset = re.search(rb"[\x80-\xff]", raw).start()
+        raise ParseError(f"non-ASCII byte at offset {offset} in {path}")
+    if not raw:
         raise ParseError(f"empty file: {path}")
-    header = lines[0].split(",")
-    dim_x = sum(1 for name in header if name.startswith("x"))
-    dim_y = len(header) - dim_x
-    if header != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
-        raise ParseError(f"bad header {lines[0]!r} in {path}")
-    if lines[-1] == "":
-        lines.pop()  # what follows the final newline; any other blank line is a row
-    body = lines[1:]
-    x = np.empty((len(body), dim_x))
-    y = np.empty((len(body), dim_y))
-    for i, line in enumerate(body):
-        parts = line.split(",")
-        if len(parts) != dim_x + dim_y:
-            raise ParseError(f"expected {len(header)} fields, got {len(parts)} in {path}", row=i)
-        parse = _strict_float if loose and any(c in line for c in _LOOSE_CHARS) else float
-        for j, part in enumerate(parts):
-            try:
-                value = parse(part)
-            except ValueError:
-                raise ParseError(f"not a number: {part!r} in {path}", row=i, col=j) from None
-            if j < dim_x:
-                x[i, j] = value
-            else:
-                y[i, j - dim_x] = value
-    return x, y
+    header = _line(raw, 0).decode()
+    names = header.split(",")
+    dim_x = sum(1 for name in names if name.startswith("x"))
+    dim_y = len(names) - dim_x
+    if names != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
+        raise ParseError(f"bad header {header!r} in {path}")
+    body = raw.find(b"\n") + 1  # 0 when the header has no newline
+    if body in (0, len(raw)):
+        return np.empty((0, dim_x)), np.empty((0, dim_y))
+    rows = re.compile(rb"(?:%s(?:,%s){%d}(?:\r?\n|\Z))*+" % (_CELL, _CELL, len(names) - 1))
+    stop = rows.match(raw, body).end()
+    if stop < len(raw):  # the first bad row starts where the match stopped
+        row = raw.count(b"\n", body, stop)
+        line = _line(raw, stop)
+        cells = line.split(b",")
+        if len(cells) != len(names):
+            raise ParseError(f"expected {len(names)} fields, got {len(cells)} in {path}", row=row)
+        col = re.match(rb"(?:%s,)*+" % _CELL, line).group().count(b",")  # good cells before it
+        raise ParseError(f"not a number: {cells[col].decode()!r} in {path}", row=row, col=col)
+    values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, comments=None, ndmin=2)
+    del raw  # free the text before the column copies
+    return values[:, :dim_x].copy(), values[:, dim_x:].copy()
 
 
 def _save_binary(ds: Dataset, path) -> None:

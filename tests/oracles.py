@@ -1,6 +1,9 @@
 """Independent references the tests check the package against: each
-re-derives a claim of the paper by a route the package does not take."""
+re-derives a claim of the paper, or a file format, by a route the package
+does not take."""
 
+import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -279,3 +282,54 @@ def minimize_profile(
         options={"xtol": 1e-12, "maxiter": 500},
     )
     return float(result.x)
+
+
+# what repr writes for a float: the CSV grammar, applied here one cell at a time
+CSV_CELL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?|-?inf|nan")
+
+
+class CsvRefused(Exception):
+    """The reference reader refused a file; ``row`` and ``col`` locate the
+    fault as ``data.load`` does, or are None where it has no such place."""
+
+    def __init__(self, row=None, col=None):
+        super().__init__(row, col)
+        self.row, self.col = row, col
+
+
+def read_csv(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) of a collapse-lab CSV, read line by line and cell by cell
+    with ``float``, or :class:`CsvRefused`. Faults come in ``data.load``'s
+    order: the first malformed row or cell, then the first non-finite value
+    in the order of a row of x then y."""
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise CsvRefused() from None
+    if not text:
+        raise CsvRefused()
+    *ended, last = text.split("\n")
+    lines = [line[:-1] if line.endswith("\r") else line for line in ended]
+    if last:
+        lines.append(last)  # no newline after it, so a "\r" there is its own
+    names = lines[0].split(",")
+    dim_x = len([name for name in names if name.startswith("x")])
+    if names != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(len(names) - dim_x)]:
+        raise CsvRefused()
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise CsvRefused(row=i)
+        for j, cell in enumerate(cells):
+            if not CSV_CELL.fullmatch(cell):
+                raise CsvRefused(row=i, col=j)
+        rows.append([float(cell) for cell in cells])
+    if not rows or dim_x in (0, len(names)):
+        raise CsvRefused()
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if not math.isfinite(value):
+                raise CsvRefused(row=i, col=j)
+    values = np.array(rows)
+    return values[:, :dim_x], values[:, dim_x:]

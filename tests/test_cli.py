@@ -139,17 +139,17 @@ def large_units_csv(tmp_path):
     return path
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("spectrum",),
-        ("solve", "--beta", "1", "--d1", "2"),
-        ("predict", "--beta", "1", "--d1", "2"),
-        ("report", "--beta", "1", "--d1", "2"),
-        ("sweep", "--d1", "2", "--beta-grid", "1:2:1"),
-        ("train", "--beta", "1", "--d1", "2", "--max-steps", "50"),
-    ],
-)
+DATA_COMMANDS = [  # every command that reads --data
+    ("spectrum",),
+    ("solve", "--beta", "1", "--d1", "2"),
+    ("predict", "--beta", "1", "--d1", "2"),
+    ("report", "--beta", "1", "--d1", "2"),
+    ("sweep", "--d1", "2", "--beta-grid", "1:2:1"),
+    ("train", "--beta", "1", "--d1", "2", "--max-steps", "50"),
+]
+
+
+@pytest.mark.parametrize("argv", DATA_COMMANDS)
 def test_data_in_large_units(capsys, large_units_csv, argv):
     code, out, err = run(capsys, argv[0], "--data", str(large_units_csv), *argv[1:])
     assert code == 0 and err == ""
@@ -159,6 +159,25 @@ def test_data_in_large_units(capsys, large_units_csv, argv):
         assert all(len(row) == len(header) and math.isfinite(float(row[1])) for row in rows)
     else:
         assert json.loads(out, parse_constant=_refuse)["command"] == argv[0]
+
+
+OVERFLOW_CSV = {  # finite cells whose squares overflow float64
+    "x_1e200.csv": b"x0,y0\n1e200,1\n-1e200,2\n3e200,-3\n",
+    "x_1e160.csv": b"x0,x1,y0\n1e160,1,1\n-1e160,2,2\n3e160,-3,3\n",
+    "y_1e200.csv": b"x0,y0\n1,1e200\n-1,2e200\n2,-3e200\n",
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_CSV)
+@pytest.mark.parametrize("argv", DATA_COMMANDS)
+def test_overflowing_second_moments_exit_2(capsys, tmp_path, argv, name):
+    """Finite cells whose squares overflow float64 are refused before any
+    moment is formed: one error line, exit 2, and no RuntimeWarning."""
+    path = tmp_path / name
+    path.write_bytes(OVERFLOW_CSV[name])
+    code, out, err = run(capsys, argv[0], "--data", str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "error: the data's sum of squares overflows float64\n"
 
 
 EMPTY_FILES = {
@@ -226,13 +245,25 @@ LOOSE_CSV = {  # name: raw bytes, the refused cell (None: a blank line), row, co
     "form_feed": (b"x0,y0\n1,2\x0c\n3,5\n", "2\x0c", 0, 1),
     "lone_cr_at_end": (b"x0,y0\n1,2\n3,5\r", "5\r", 1, 1),
     "blank_line": (b"x0,y0\n1,2\n\n3,5\n", None, 1, None),
+    "plus_sign": (b"x0,y0\n+1,2\n.5,1E5\n", "+1", 0, 0),
+    "bare_fraction": (b"x0,y0\n1,2\n.5,1E5\n", ".5", 1, 0),
+    "trailing_dot": (b"x0,y0\n5.,2\n", "5.", 0, 0),
+    "upper_exponent": (b"x0,y0\n1,2\n3,1E5\n", "1E5", 1, 1),
+    "dot_exponent": (b"x0,y0\n1,1.e5\n", "1.e5", 0, 1),
+    "minus_fraction": (b"x0,y0\n1,2\n-.5,3\n", "-.5", 1, 0),
+    "title_nan": (b"x0,y0\n1,NaN\n", "NaN", 0, 1),
+    "minus_nan": (b"x0,y0\n1,2\n-nan,3\n", "-nan", 1, 0),
+    "infinity": (b"x0,y0\nInfinity,2\n", "Infinity", 0, 0),
+    "plus_inf": (b"x0,y0\n1,2\n3,+inf\n", "+inf", 1, 1),
+    "crlf": (b"x0,y0\r\n1,2\r\n3,5x\r\n", "5x", 1, 1),
 }
 
 
 @pytest.mark.parametrize("name", LOOSE_CSV)
 def test_csv_accepts_only_what_save_writes(capsys, tmp_path, name):
-    """float() forgives padding and digit-group underscores, and a blank line
-    is no sample: each is one ParseError naming the file, the row and the column."""
+    """A cell is what repr writes, and float() forgives more (padding, digit-group
+    underscores, a '+', a bare '.', 'E', 'NaN', 'Infinity'); a blank line is no
+    sample. Each is one ParseError naming the file, the row and the column."""
     raw, cell, row, col = LOOSE_CSV[name]
     path = tmp_path / f"{name}.csv"
     path.write_bytes(raw)

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from collapse_lab.data import (
@@ -18,6 +18,8 @@ from collapse_lab.data import (
 )
 from collapse_lab.errors import InvalidSpec, ParseError
 from collapse_lab.spectrum import compute_spectrum
+
+import oracles
 
 
 def test_identity_second_moment_law_of_large_numbers():
@@ -206,6 +208,33 @@ class TestIO:
         a, b = load(lf), load(crlf)
         assert (a.x.tobytes(), a.y.tobytes()) == (b.x.tobytes(), b.y.tobytes())
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_csv_values_are_float_of_each_cell(self, tmp_path, newline):
+        """Each value is bit for bit what float() makes of its cell, at the
+        ends of the range, on subnormals, on -0.0 and on hard roundings."""
+        cells = [
+            "5e-324", "4.9e-324", "1e-310", "2.2250738585072011e-308", "2.2250738585072014e-308",
+            "1e-300", "-1e-300", "1e300", "-1e300", "1.7976931348623157e+308",
+            "-1.7976931348623157e+308", "-0.0", "0.0", "1e23", "9007199254740993",
+            "0.1000000000000000055511151231257827021181583404541015625", "-0.3333333333333333",
+            "123456789012345678901234567890e-30",
+        ]
+        rows = [",".join(cells[i : i + 3]).encode() for i in range(0, len(cells), 3)]
+        path = tmp_path / "edge.csv"
+        path.write_bytes(newline.join([b"x0,x1,y0", *rows, b""]))
+        ds = load(path)
+        expected = np.array([float(cell) for cell in cells]).reshape(-1, 3)
+        assert ds.x.tobytes() == expected[:, :2].tobytes()
+        assert ds.y.tobytes() == expected[:, 2:].tobytes()
+        assert ds.x.flags.c_contiguous and ds.y.flags.c_contiguous
+
+    def test_csv_bad_cell_in_last_of_many_rows(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"x0,x1,y0\n" + b"1.5,-2.0,3e-7\n" * 19999 + b"4.0,-5.0,1E5\n")
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value) == f"not a number: '1E5' in {path} (row 19999, col 2)"
+
     @pytest.mark.parametrize(
         "name, raw",
         [("ragged.csv", b"x0,y0\n1,2,3\n"), ("word.csv", b"x0,y0\n1,oops\n"),
@@ -236,6 +265,59 @@ class TestIO:
         save(ds, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError):
+            load(path)
+
+
+# cells beside repr's own: spellings the grammar takes, spellings only float() takes
+_SPELLINGS = ["1e5", "-0", "007", "1.5e+3", "-inf", "+1", ".5", "5.", "1E5", "1.e5", "-.5",
+              "NaN", "Infinity", "+inf", "-nan", "1_0", " 3", "3\t", "", "1e999"]
+# what an edit inserts: mutants of a number, and the bytes that end rows and cells
+_MUTANTS = ["0", "-", "+", ".", "e", "E", "i", "n", "_", " ", "\x0c", "\r", "\n", ",", "x", "\x80"]
+
+
+@st.composite
+def _mutated_csv(draw):
+    """A CSV of repr'd floats, perhaps one cell spelled otherwise, LF or CRLF,
+    then up to two edits: a byte deleted, or a mutant inserted or put in a
+    byte's place."""
+    dim_x, dim_y, n = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    cells = draw(st.lists(st.floats().map(repr), min_size=n * (dim_x + dim_y), max_size=n * (dim_x + dim_y)))
+    if cells and draw(st.integers(0, 2)):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_SPELLINGS))
+    names = [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]
+    rows = [",".join(names)] + [
+        ",".join(cells[i : i + dim_x + dim_y]) for i in range(0, len(cells), dim_x + dim_y)
+    ]
+    raw = "".join(row + draw(st.sampled_from(["\n", "\r\n"])) for row in rows)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(raw)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        mutant = "" if edit == "delete" else draw(st.sampled_from(_MUTANTS))
+        raw = raw[:at] + mutant + raw[at + (edit != "insert") :]
+    return raw.encode("latin-1")
+
+
+def _outcome(read):
+    """What a reader made of a file: its values' bytes, or where it refused."""
+    try:
+        ds = read()
+    except (ParseError, oracles.CsvRefused) as exc:
+        return "refused", exc.row, exc.col
+    return "read", ds.x.tobytes(), ds.y.tobytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_csv())
+def test_csv_reader_matches_reference(tmp_path, raw):
+    """load and a cell-by-cell reference reader accept the same files with
+    the same values, and refuse the rest at the same place; every refusal of
+    a malformed file is one ParseError naming the file."""
+    path = tmp_path / "mutant.csv"
+    path.write_bytes(raw)
+    got = _outcome(lambda: load(path))
+    assert got == _outcome(lambda: Dataset(*oracles.read_csv(raw)))
+    if got[0] == "refused":
+        with pytest.raises(ParseError, match=re.escape(str(path))):
             load(path)
 
 
