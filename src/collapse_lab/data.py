@@ -17,12 +17,14 @@ binary
     as little-endian float64 in row-major order. Bit-exact round trip.
 
 Either format must hold at least one sample, one x column and one y
-column.
+column. Neither reader holds the whole file: each checks and parses it
+a block at a time, a CSV body in blocks of whole rows.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -33,6 +35,7 @@ import numpy as np
 from .errors import InvalidSpec, ParseError
 
 _MAGIC = b"CLD1"
+_BLOCK = 1 << 20  # CSV bytes per block, then the rest of a row; 256 KiB or 4 MiB peak higher
 # one CSV cell as repr writes a float; possessive, so a failed row never backtracks
 _CELL = rb"(?:-?+(?:\d++(?:\.\d++)?+(?:e[+-]?+\d++)?+|inf)|nan)"
 _CENTER_TOL = 1e-10
@@ -220,35 +223,52 @@ def _line(raw: bytes, start: int) -> bytes:
     return raw[start:] if end < 0 else raw[start:end].removesuffix(b"\r")
 
 
+def _check_ascii(fh, path) -> None:
+    """Refuse the file's first non-ASCII byte, if any, before any other fault.
+    The grammar is ASCII, so such a byte fails the header or row check first."""
+    fh.seek(0)
+    while block := fh.read(_BLOCK):
+        if not block.isascii():
+            offset = fh.tell() - len(block) + re.search(rb"[\x80-\xff]", block).start()
+            raise ParseError(f"non-ASCII byte at offset {offset} in {path}")
+
+
+def _row_fault(line: bytes, width: int, row: int, path) -> ParseError:
+    """What is wrong with ``line``, body row ``row``, which the row regex refused."""
+    cells = line.split(b",")
+    if len(cells) != width:
+        return ParseError(f"expected {width} fields, got {len(cells)} in {path}", row=row)
+    col = re.match(rb"(?:%s,)*+" % _CELL, line).group().count(b",")  # good cells before it
+    return ParseError(f"not a number: {cells[col].decode()!r} in {path}", row=row, col=col)
+
+
 def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if not raw.isascii():
-        offset = re.search(rb"[\x80-\xff]", raw).start()
-        raise ParseError(f"non-ASCII byte at offset {offset} in {path}")
-    if not raw:
-        raise ParseError(f"empty file: {path}")
-    header = _line(raw, 0).decode()
-    names = header.split(",")
-    dim_x = sum(1 for name in names if name.startswith("x"))
-    dim_y = len(names) - dim_x
-    if names != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
-        raise ParseError(f"bad header {header!r} in {path}")
-    body = raw.find(b"\n") + 1  # 0 when the header has no newline
-    if body in (0, len(raw)):
-        return np.empty((0, dim_x)), np.empty((0, dim_y))
-    rows = re.compile(rb"(?:%s(?:,%s){%d}(?:\r?\n|\Z))*+" % (_CELL, _CELL, len(names) - 1))
-    stop = rows.match(raw, body).end()
-    if stop < len(raw):  # the first bad row starts where the match stopped
-        row = raw.count(b"\n", body, stop)
-        line = _line(raw, stop)
-        cells = line.split(b",")
-        if len(cells) != len(names):
-            raise ParseError(f"expected {len(names)} fields, got {len(cells)} in {path}", row=row)
-        col = re.match(rb"(?:%s,)*+" % _CELL, line).group().count(b",")  # good cells before it
-        raise ParseError(f"not a number: {cells[col].decode()!r} in {path}", row=row, col=col)
-    values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, comments=None, ndmin=2)
-    del raw  # free the text before the column copies
-    return values[:, :dim_x].copy(), values[:, dim_x:].copy()
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line:
+            raise ParseError(f"empty file: {path}")
+        header = _line(line, 0).decode("latin-1")  # any byte decodes; see _check_ascii
+        names = header.split(",")
+        dim_x = sum(1 for name in names if name.startswith("x"))
+        dim_y = len(names) - dim_x
+        if names != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
+            _check_ascii(fh, path)
+            raise ParseError(f"bad header {header!r} in {path}")
+        rows = re.compile(rb"(?:%s(?:,%s){%d}(?:\r?\n|\Z))*+" % (_CELL, _CELL, len(names) - 1))
+        xs, ys = [np.empty((0, dim_x))], [np.empty((0, dim_y))]
+        while block := fh.read(_BLOCK) + fh.readline():
+            stop = rows.match(block).end()
+            if stop < len(block):  # the first bad row starts where the match stopped
+                _check_ascii(fh, path)
+                row = sum(map(len, xs)) + block.count(b"\n", 0, stop)
+                raise _row_fault(_line(block, stop), len(names), row, path)
+            values = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+            xs.append(values[:, :dim_x].copy())
+            ys.append(values[:, dim_x:].copy())
+            del values  # before the next block's values are built
+    x = np.concatenate(xs)
+    del xs  # free x's parts before y is built
+    return x, np.concatenate(ys)
 
 
 def _save_binary(ds: Dataset, path) -> None:
@@ -260,22 +280,21 @@ def _save_binary(ds: Dataset, path) -> None:
 
 
 def _load_binary(path) -> tuple[np.ndarray, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if len(raw) == 0:
-        raise ParseError(f"empty file: {path}")
-    if len(raw) < 16 or raw[:4] != _MAGIC:
-        raise ParseError(f"not a {_MAGIC.decode()} dataset: {path}")
-    n, dim_x, dim_y = struct.unpack("<III", raw[4:16])
-    expected = 16 + 8 * n * (dim_x + dim_y)
-    if len(raw) != expected:
-        raise ParseError(
-            f"file size {len(raw)} does not match header "
-            f"(n={n}, dim_x={dim_x}, dim_y={dim_y} wants {expected}) in {path}"
-        )
-    flat = np.frombuffer(raw, dtype="<f8", offset=16)
-    x = flat[: n * dim_x].reshape(n, dim_x).astype(np.float64)
-    y = flat[n * dim_x :].reshape(n, dim_y).astype(np.float64)
-    return x, y
+    with open(path, "rb") as fh:
+        size, head = os.fstat(fh.fileno()).st_size, fh.read(16)
+        if size == 0:
+            raise ParseError(f"empty file: {path}")
+        if len(head) < 16 or head[:4] != _MAGIC:
+            raise ParseError(f"not a {_MAGIC.decode()} dataset: {path}")
+        n, dim_x, dim_y = struct.unpack("<III", head[4:])
+        expected = 16 + 8 * n * (dim_x + dim_y)
+        if size != expected:
+            raise ParseError(
+                f"file size {size} does not match header "
+                f"(n={n}, dim_x={dim_x}, dim_y={dim_y} wants {expected}) in {path}"
+            )
+        x = np.fromfile(fh, "<f8", n * dim_x).reshape(n, dim_x)
+        return x, np.fromfile(fh, "<f8", n * dim_y).reshape(n, dim_y)
 
 
 def random_spec(

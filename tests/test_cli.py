@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import collapse_lab
-from collapse_lab import cli
+from collapse_lab import cli, data
 from collapse_lab.cli import main
 from collapse_lab.data import Dataset, generate, load, random_spec, save
 from collapse_lab.errors import ParseError
@@ -222,7 +222,10 @@ def test_non_ascii_csv_exit_1(capsys, tmp_path, name):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
 
 
-@pytest.mark.parametrize("byte", [b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e"])
+CONTROL_BYTES = [b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e"]
+
+
+@pytest.mark.parametrize("byte", CONTROL_BYTES)
 def test_csv_control_byte_does_not_split_a_row(capsys, tmp_path, byte):
     """A row ends at a newline only: a control byte that str.splitlines would
     break at leaves a ragged row 0, a ParseError naming the file."""
@@ -277,6 +280,35 @@ def test_csv_accepts_only_what_save_writes(capsys, tmp_path, name):
     code, out, err = run(capsys, "spectrum", "--data", str(path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
+
+
+REFUSED_CSV = {  # every CSV the tests above refuse, and a ragged row
+    **{name: raw for name, (raw, *_) in LOOSE_CSV.items()},
+    **{name: raw for name, (raw, _) in NON_ASCII_FILES.items()},
+    **{f"control_{byte.hex()}": b"x0,y0\n1,2" + byte + b"2,3\n3,5\n" for byte in CONTROL_BYTES},
+    "ragged": b"x0,x1,y0\n1.0,2.0,3.0\n1.0,2.0\n",
+    "rows0": EMPTY_FILES["rows0.csv"],
+    "y0": EMPTY_FILES["y0.csv"],
+}
+
+
+def _refusal(path):
+    with pytest.raises(ParseError) as err:
+        load(path)
+    return str(err.value), err.value.row, err.value.col
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("name", REFUSED_CSV)
+def test_csv_refusal_does_not_depend_on_block_size(monkeypatch, tmp_path, name, block):
+    """The reader checks and parses the body a block at a time. In blocks of a
+    few bytes, each of these files is refused with the message, row, column
+    and offset it gets when it fits in one block."""
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(REFUSED_CSV[name])
+    whole = _refusal(path)
+    monkeypatch.setattr(data, "_BLOCK", block)
+    assert _refusal(path) == whole
 
 
 class TestSolveCommand:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from collapse_lab import data
 from collapse_lab.data import (
     Dataset,
     SyntheticSpec,
@@ -319,6 +321,94 @@ def test_csv_reader_matches_reference(tmp_path, raw):
     if got[0] == "refused":
         with pytest.raises(ParseError, match=re.escape(str(path))):
             load(path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_csv(), st.integers(1, 32))
+def test_csv_reader_in_small_blocks_matches_reference(tmp_path, monkeypatch, raw, block):
+    """Read in blocks of a few bytes, so rows straddle blocks, load still
+    agrees with the reference reader, and names the file when it refuses."""
+    monkeypatch.setattr(data, "_BLOCK", block)
+    path = tmp_path / "mutant.csv"
+    path.write_bytes(raw)
+    got = _outcome(lambda: load(path))
+    assert got == _outcome(lambda: Dataset(*oracles.read_csv(raw)))
+    if got[0] == "refused":
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load(path)
+
+
+BLOCK_EDGES = {  # name: raw bytes, then the rows read or the refusal (path as {}), row, col
+    "row_straddles_blocks": (
+        b"x0,y0\n1.5,2.25\n3.75,-4.5\n0.125,6.0\n", [[1.5, 2.25], [3.75, -4.5], [0.125, 6.0]]
+    ),
+    "bad_row_straddles_blocks": (
+        b"x0,y0\n1.5,2.25\n3.75,4.5x\n", ("not a number: '4.5x' in {} (row 1, col 1)", 1, 1)
+    ),
+    "cr_ends_a_block": (b"x0,y0\r\n12.5,3\r\n4,5\r\n", [[12.5, 3.0], [4.0, 5.0]]),
+    "blank_line_starts_a_block": (
+        b"x0,y0\n1,2\n3,4\n\n5,6\n", ("expected 2 fields, got 1 in {} (row 2)", 2, None)
+    ),
+    "row_longer_than_a_block": (
+        b"x0,x1,x2,y0\n1.0625,-2.125,3.25e-05,4.5\n6.0,7.0,8.0,9.0E1\n",
+        ("not a number: '9.0E1' in {} (row 1, col 3)", 1, 3),
+    ),
+    "no_final_newline": (b"x0,y0\n1,2\n3,4\n5,6", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    "non_ascii_after_bad_cell": (
+        b"x0,y0\n1,x\n" + b"3,4\n" * 5 + b"\x80\n", ("non-ASCII byte at offset 30 in {}", None, None)
+    ),
+    "non_ascii_after_bad_header": (
+        b"y0,x0\n" + b"3,4\n" * 5 + b"\xe9\n", ("non-ASCII byte at offset 26 in {}", None, None)
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [7, data._BLOCK])
+@pytest.mark.parametrize("name", BLOCK_EDGES)
+def test_csv_block_edges(tmp_path, monkeypatch, name, block):
+    """Each block ends on a whole row, and a non-ASCII byte in a later block
+    is still named before an earlier bad row or header."""
+    monkeypatch.setattr(data, "_BLOCK", block)
+    raw, expected = BLOCK_EDGES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(raw)
+    if isinstance(expected, list):
+        ds = load(path)
+        assert np.hstack([ds.x, ds.y]).tolist() == expected
+        return
+    message, row, col = expected
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert (str(err.value), err.value.row, err.value.col) == (message.format(path), row, col)
+
+
+def _traced_peak(read):
+    """What ``read`` returns, and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return read(), tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_reader_holds_a_block_not_the_file(tmp_path, monkeypatch):
+    """A 1.9 MB CSV is checked and parsed a block at a time: the reader holds
+    its columns, their parts and a few blocks, never the file's text."""
+    monkeypatch.setattr(data, "_BLOCK", 1 << 16)
+    path = tmp_path / "wide.csv"
+    save(generate(random_spec(8, 8, 6000, seed=4)), path)
+    assert path.stat().st_size > 1.8e6
+    ds, peak = _traced_peak(lambda: load(path))
+    assert peak <= 2 * (ds.x.nbytes + ds.y.nbytes) + 4 * data._BLOCK
+
+
+def test_binary_reader_reads_into_the_arrays(tmp_path):
+    path = tmp_path / "wide.bin"
+    save(generate(random_spec(8, 8, 6000, seed=4)), path)
+    ds, peak = _traced_peak(lambda: load(path))
+    assert peak <= 1.1 * (ds.x.nbytes + ds.y.nbytes)
 
 
 def test_centered_is_derived_from_the_data():
