@@ -5,7 +5,7 @@ A latent mode collapses exactly when its signal strength falls to the
 regularization floor: ``zeta_i^2 <= beta * eta_dec^2`` for a fixed decoder
 variance. The origin of parameter space is either a saddle or the global
 minimum, never a merely-local minimum, so complete collapse is detectable
-from local curvature alone. Every verdict here is :func:`per_mode`'s.
+from local curvature alone. Fixed-variance verdicts are :func:`per_mode`'s.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def _regime(flags: np.ndarray) -> np.ndarray:
 def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
     """Collapse flags, thresholds, and regime at the queried beta.
 
-    With a learnable decoder variance the per-mode thresholds come from
-    the profile-loss analysis instead of the fixed-variance rule, and the
+    With a learnable decoder variance the thresholds come from the bound
+    table, and the flags, regime and ``hessian_psd`` from the regime table's
+    surviving count; only the curvature is read at the solver's ``s``. The
     classification is attached under ``decvar``.
     """
     d_star, d1_hat = sp.n_modes, sp.signal_modes(hp.latent_dim)

@@ -76,8 +76,9 @@ class ModelParams:
     Stds are kept in log form so positivity is structural:
     ``sigma = exp(log_sigma)`` and, when present, the decoder variance is
     ``exp(log_decvar)``. When ``var_slope``/``var_offset`` are present the
-    encoder std is the data-dependent ``|var_slope @ x + var_offset|`` and
-    ``log_sigma`` is inert.
+    encoder std is the data-dependent ``|var_slope @ x + var_offset|``,
+    ``log_sigma`` is inert and ``sigma`` is None. Biases come as a pair, as
+    do the slope and offset; ``_check_shapes`` checks every part.
     """
 
     decoder: np.ndarray            # (dim_y, d1)
@@ -90,8 +91,8 @@ class ModelParams:
     log_decvar: float | None = None
 
     @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(self.log_sigma)
+    def sigma(self) -> np.ndarray | None:
+        return None if self.ddv else np.exp(self.log_sigma)
 
     @property
     def decvar(self) -> float | None:
@@ -175,20 +176,21 @@ def init_params(
 def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
     _require_moments(m)
     d1 = hp.latent_dim
-    if p.decoder.shape != (m.dim_y, d1):
-        raise ShapeError(f"decoder {p.decoder.shape} != ({m.dim_y}, {d1})")
-    if p.encoder.shape != (m.dim_x, d1):
-        raise ShapeError(f"encoder {p.encoder.shape} != ({m.dim_x}, {d1})")
-    if p.log_sigma.shape != (d1,):
-        raise ShapeError(f"log_sigma {p.log_sigma.shape} != ({d1},)")
-    if p.ddv:
-        if p.var_slope.shape != (d1, m.dim_x) or p.var_offset.shape != (d1,):
-            raise ShapeError("data-dependent variance parameter shapes are off")
-        if m.samples_x is None:
-            raise ShapeError(
-                "data-dependent variance needs sample access; build the Moments "
-                "with Moments.from_dataset"
-            )
+    shapes = {
+        "decoder": (m.dim_y, d1), "encoder": (m.dim_x, d1), "log_sigma": (d1,), "enc_bias": (d1,),
+        "dec_bias": (m.dim_y,), "var_slope": (d1, m.dim_x), "var_offset": (d1,), "log_decvar": (),
+    }
+    for name, shape in shapes.items():
+        value = getattr(p, name)
+        if value is not None and np.shape(value) != shape:
+            raise ShapeError(f"{name} {np.shape(value)} != {shape}")
+    for pair in (("enc_bias", "dec_bias"), ("var_slope", "var_offset")):
+        absent = [name for name in pair if getattr(p, name) is None]
+        if len(absent) == 1:
+            raise ShapeError(f"{absent[0]} is missing: {pair[0]} and {pair[1]} come as a pair")
+    if p.ddv and m.samples_x is None:
+        hint = "build the Moments with Moments.from_dataset"
+        raise ShapeError(f"data-dependent variance needs sample access; {hint}")
 
 
 def _value_and_grad(
@@ -203,11 +205,9 @@ def _value_and_grad(
     r = k.dot(m.a) - m.cross.T
     col_sq = np.add.reduce(p.decoder**2, axis=0)
     recon = float(np.vdot(r - m.cross.T, k))  # <k a, k> - 2 <cross^T, k>
-    biased = p.enc_bias is not None or p.dec_bias is not None  # else each mean term is 0
-    if biased:
-        b_e = p.enc_bias if p.enc_bias is not None else np.zeros(hp.latent_dim)
-        b_d = p.dec_bias if p.dec_bias is not None else np.zeros(m.dim_y)
-        c = p.decoder.dot(b_e) + b_d
+    b_e = p.enc_bias  # the biases come as a pair; without them each mean term is 0
+    if b_e is not None:
+        c = p.decoder.dot(b_e) + p.dec_bias
         w_mean = p.encoder.T.dot(m.mean_x)
         r_mean = k.dot(m.mean_x) + c - m.mean_y
         recon += float(c.dot(2.0 * r_mean - c))
@@ -234,7 +234,7 @@ def _value_and_grad(
         sum_s2, sum_log_sigma = sum(s2.tolist()), sum(p.log_sigma.tolist())
         kl = sum_s2 / eta2 - s2.size * (1.0 - math.log(eta2)) - 2.0 * sum_log_sigma
     mean_term = float(np.vdot(prior, p.encoder))
-    if biased:
+    if b_e is not None:
         mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
     loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
     if p.log_decvar is not None:
@@ -257,14 +257,12 @@ def _value_and_grad(
 
     e_r_m = r.dot(p.encoder)
     e_r_d = r.T.dot(p.decoder)
-    if biased:
+    if b_e is not None:
         e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
         e_r_d = e_r_d + np.outer(m.mean_x, p.decoder.T.dot(c))
         prior = prior + np.outer(m.mean_x, b_e)
-        if "enc_bias" in grad:
-            grad["enc_bias"][...] = p.decoder.T.dot(r_mean) / s + beta / eta2 * (w_mean + b_e)
-        if "dec_bias" in grad:
-            grad["dec_bias"][...] = r_mean / s
+        grad["enc_bias"][...] = p.decoder.T.dot(r_mean) / s + beta / eta2 * (w_mean + b_e)
+        grad["dec_bias"][...] = r_mean / s
     np.divide(e_r_m + p.decoder * s2, s, out=grad["decoder"])
     np.add(e_r_d / s, beta / eta2 * prior, out=grad["encoder"])
     return loss

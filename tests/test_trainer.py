@@ -190,13 +190,38 @@ class TestEvalLoss:
         loss = tr.eval_loss(params_from_minimum(gm, hp), m, hp)
         assert loss == pytest.approx(gm.predicted_loss, abs=1e-8)
 
-    def test_shape_mismatch_raises(self, rng):
-        ds, _ = make_instance(seed=9, dim_x=3, dim_y=2)
+    @pytest.mark.parametrize("entry", ["eval_loss", "eval_grad", "train"])
+    @pytest.mark.parametrize("part, value", [
+        pytest.param("decoder", np.zeros((3, 3)), id="decoder"),
+        pytest.param("encoder", np.zeros((5, 2)), id="encoder"),
+        pytest.param("log_sigma", np.zeros(3), id="log_sigma"),
+        pytest.param("enc_bias", np.zeros(3), id="enc_bias"),
+        pytest.param("dec_bias", np.zeros(1), id="dec_bias"),
+        pytest.param("var_slope", np.zeros((2, 3)), id="var_slope"),
+        pytest.param("var_offset", np.ones(3), id="var_offset"),
+        pytest.param("log_decvar", np.zeros(2), id="log_decvar"),
+        pytest.param("enc_bias", None, id="enc_bias_missing"),
+        pytest.param("dec_bias", None, id="dec_bias_missing"),
+        pytest.param("var_slope", None, id="var_slope_missing"),
+        pytest.param("var_offset", None, id="var_offset_missing"),
+    ])
+    def test_shape_mismatch_raises(self, rng, part, value, entry):
+        """Every misshaped part and every half pair (one bias without the other, a slope
+        without its offset or the reverse) is one ShapeError that names the part, from
+        each entry; the unchanged parameters pass."""
+        ds, _ = make_instance(seed=9, dim_x=4, dim_y=3)
         m = tr.Moments.from_dataset(ds)
-        hp = cf.Hyperparams(beta=1.0, latent_dim=2)
-        params = random_params(rng, 4, 2, 2)  # wrong input dim
-        with pytest.raises(ShapeError):
-            tr.eval_loss(params, m, hp)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=2, sigma_mode="learnable",
+                            decvar_mode="learnable")
+        params = random_params(rng, 4, 3, 2, bias=True, ddv=True, log_s=0.2)
+        run = {
+            "eval_loss": tr.eval_loss,
+            "eval_grad": tr.eval_grad,
+            "train": lambda p, m, hp: tr.train(p, m, hp, tr.TrainConfig(max_steps=1)),
+        }[entry]
+        run(params, m, hp)
+        with pytest.raises(ShapeError, match=rf"^{part} "):
+            run(replace(params, **{part: value}), m, hp)
 
     def test_ddv_needs_samples(self, rng):
         _, sp = make_instance(seed=11, dim_x=3, dim_y=2)
