@@ -19,14 +19,23 @@ binary
 Either format must hold at least one sample, one x column and one y
 column. Neither reader holds the whole file: each checks and parses it
 a block at a time, a CSV body in blocks of whole rows.
+
+A regular CSV file ``d/x.csv`` that loads leaves ``d/.x.csv.cld1``, its sidecar (about 41%
+of its size): a 32-byte BLAKE2b digest of the bytes parsed, the cell grammar and numpy's
+version, then the arrays in the binary format. A later load of the same bytes reads the arrays
+from a sidecar that is a regular file of the CSV's owner or the reader; any other is replaced.
+A pipe or an unwritable directory gets none. It is safe to delete; no option controls it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
+import stat
 import struct
+from _blake2 import blake2b  # what hashlib.blake2b is, without hashlib's OpenSSL
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -187,26 +196,71 @@ def save(ds: Dataset, path) -> None:
     if _is_csv(path):
         _save_csv(ds, path)
     else:
-        _save_binary(ds, path)
+        with open(path, "wb") as fh:
+            _write_binary(fh, ds)
 
 
 def load(path) -> Dataset:
-    """Read a dataset written by :func:`save`, in the format its suffix picks.
+    """Read a dataset written by :func:`save`, in the format its suffix picks;
+    a regular CSV file goes through its sidecar (see the module docstring).
 
     Raises :class:`ParseError` for malformed content, which includes a
     file with no sample, no x column or no y column, and a NaN or infinite
     value (located by row and by column of ``x`` then ``y``).
     """
-    x, y = _load_csv(path) if _is_csv(path) else _load_binary(path)
+    with open(path, "rb") as fh:
+        if not fh.peek(1):
+            raise ParseError(f"empty file: {path}")
+        if not _is_csv(path):
+            return _dataset(*_read_binary(fh, path), path)
+        mode = os.fstat(fh.fileno()).st_mode
+        side = Path(path).with_name(f".{Path(path).name}.cld1")
+        digest = blake2b(_CELL + np.__version__.encode(), digest_size=32)  # what decides a parse
+        if stat.S_ISREG(mode) and (ds := _cached(fh, side, digest.copy())):
+            return ds
+        ds = _dataset(*_load_csv(fh, path, digest), path)
+    if stat.S_ISREG(mode):
+        _write_sidecar(side, digest.digest(), ds, mode)
+    return ds
+
+
+def _dataset(x, y, path) -> Dataset:
     if 0 in (*x.shape, y.shape[1]):
-        raise ParseError(
-            f"{path} has n={x.shape[0]}, dim_x={x.shape[1]}, dim_y={y.shape[1]}; "
-            "each must be >= 1"
-        )
+        dims = f"n={x.shape[0]}, dim_x={x.shape[1]}, dim_y={y.shape[1]}"
+        raise ParseError(f"{path} has {dims}; each must be >= 1")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         row, col = np.argwhere(~np.isfinite(np.hstack([x, y])))[0]
         raise ParseError(f"not a finite number in {path}", row=int(row), col=int(col))
     return Dataset(x=x, y=y)
+
+
+def _cached(fh, side: Path, digest) -> Dataset | None:
+    """The dataset in ``side`` if it is a regular file of a trusted owner that holds the digest
+    of ``fh``'s bytes, else None. It is opened without following a link or waiting on a FIFO."""
+    with contextlib.suppress(OSError, ParseError):
+        with open(os.open(side, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW), "rb") as cache:
+            info, owners = os.fstat(cache.fileno()), (os.fstat(fh.fileno()).st_uid, os.geteuid())
+            if stat.S_ISREG(info.st_mode) and info.st_uid in owners:
+                want = cache.read(32)
+                while block := fh.read(_BLOCK):
+                    digest.update(block)
+                if digest.digest() == want:
+                    return _dataset(*_read_binary(cache, side), side)
+    fh.seek(0)
+    return None
+
+
+def _write_sidecar(side: Path, digest: bytes, ds: Dataset, mode: int) -> None:
+    """Replace ``side`` atomically, with no permission bit ``mode`` lacks, or do nothing."""
+    tmp = side.with_name(f".{os.getpid()}{side.name}")
+    try:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode & 0o666), "wb") as out:
+            out.write(digest)
+            _write_binary(out, ds)
+        os.replace(tmp, side)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _save_csv(ds: Dataset, path) -> None:
@@ -242,59 +296,61 @@ def _row_fault(line: bytes, width: int, row: int, path) -> ParseError:
     return ParseError(f"not a number: {cells[col].decode()!r} in {path}", row=row, col=col)
 
 
-def _load_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line:
-            raise ParseError(f"empty file: {path}")
-        header = _line(line, 0).decode("latin-1")  # any byte decodes; see _check_ascii
-        names = header.split(",")
-        dim_x = sum(1 for name in names if name.startswith("x"))
-        dim_y = len(names) - dim_x
-        if names != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
+def _load_csv(fh, path, digest) -> tuple[np.ndarray, np.ndarray]:
+    """Check and parse the CSV ``fh``, hashing into ``digest`` every byte it reads."""
+    digest.update(line := fh.readline())
+    header = _line(line, 0).decode("latin-1")  # any byte decodes; see _check_ascii
+    names = header.split(",")
+    dim_x = sum(1 for name in names if name.startswith("x"))
+    dim_y = len(names) - dim_x
+    if names != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
+        _check_ascii(fh, path)
+        raise ParseError(f"bad header {header!r} in {path}")
+    rows = re.compile(rb"(?:%s(?:,%s){%d}(?:\r?\n|\Z))*+" % (_CELL, _CELL, len(names) - 1))
+    xs, ys = [np.empty((0, dim_x))], [np.empty((0, dim_y))]
+    while block := fh.read(_BLOCK) + fh.readline():
+        digest.update(block)
+        stop = rows.match(block).end()
+        if stop < len(block):  # the first bad row starts where the match stopped
             _check_ascii(fh, path)
-            raise ParseError(f"bad header {header!r} in {path}")
-        rows = re.compile(rb"(?:%s(?:,%s){%d}(?:\r?\n|\Z))*+" % (_CELL, _CELL, len(names) - 1))
-        xs, ys = [np.empty((0, dim_x))], [np.empty((0, dim_y))]
-        while block := fh.read(_BLOCK) + fh.readline():
-            stop = rows.match(block).end()
-            if stop < len(block):  # the first bad row starts where the match stopped
-                _check_ascii(fh, path)
-                row = sum(map(len, xs)) + block.count(b"\n", 0, stop)
-                raise _row_fault(_line(block, stop), len(names), row, path)
-            values = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
-            xs.append(values[:, :dim_x].copy())
-            ys.append(values[:, dim_x:].copy())
-            del values  # before the next block's values are built
+            row = sum(map(len, xs)) + block.count(b"\n", 0, stop)
+            raise _row_fault(_line(block, stop), len(names), row, path)
+        values = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+        xs.append(values[:, :dim_x].copy())
+        ys.append(values[:, dim_x:].copy())
+        del values  # before the next block's values are built
     x = np.concatenate(xs)
     del xs  # free x's parts before y is built
     return x, np.concatenate(ys)
 
 
-def _save_binary(ds: Dataset, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", ds.n_samples, ds.dim_x, ds.dim_y))
-        fh.write(np.ascontiguousarray(ds.x, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ds.y, dtype="<f8").tobytes())
+def _write_binary(fh, ds: Dataset) -> None:
+    fh.write(_MAGIC + struct.pack("<III", ds.n_samples, ds.dim_x, ds.dim_y))
+    fh.write(np.ascontiguousarray(ds.x, dtype="<f8"))
+    fh.write(np.ascontiguousarray(ds.y, dtype="<f8"))
 
 
-def _load_binary(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        size, head = os.fstat(fh.fileno()).st_size, fh.read(16)
-        if size == 0:
-            raise ParseError(f"empty file: {path}")
-        if len(head) < 16 or head[:4] != _MAGIC:
-            raise ParseError(f"not a {_MAGIC.decode()} dataset: {path}")
-        n, dim_x, dim_y = struct.unpack("<III", head[4:])
-        expected = 16 + 8 * n * (dim_x + dim_y)
-        if size != expected:
-            raise ParseError(
-                f"file size {size} does not match header "
-                f"(n={n}, dim_x={dim_x}, dim_y={dim_y} wants {expected}) in {path}"
-            )
-        x = np.fromfile(fh, "<f8", n * dim_x).reshape(n, dim_x)
-        return x, np.fromfile(fh, "<f8", n * dim_y).reshape(n, dim_y)
+def _read_binary(fh, path) -> tuple[np.ndarray, np.ndarray]:
+    """Read the binary layout from ``fh``'s position to its end, a pipe's too, into arrays."""
+    info = os.fstat(fh.fileno())
+    size = info.st_size - fh.tell() if stat.S_ISREG(info.st_mode) else None
+    head = fh.read(16)
+    if len(head) < 16 or head[:4] != _MAGIC:
+        raise ParseError(f"not a {_MAGIC.decode()} dataset: {path}")
+    n, dim_x, dim_y = struct.unpack("<III", head[4:])
+    expected = 16 + 8 * n * (dim_x + dim_y)
+    if size == expected:
+        size = 16 + fh.readinto(body := bytearray(expected - 16))  # the X block, then the Y block
+    elif size is None:  # a pipe's size shows only at its end, so it is read before allocating
+        body = bytearray()
+        while (want := min(_BLOCK, expected - 16 - len(body))) and (block := fh.read(want)):
+            body += block
+        size = 16 + len(body) + sum(map(len, iter(lambda: fh.read(_BLOCK), b"")))  # must end here
+    if size != expected:
+        header = f"n={n}, dim_x={dim_x}, dim_y={dim_y} wants {expected}"
+        raise ParseError(f"file size {size} does not match header ({header}) in {path}")
+    xy = np.frombuffer(body, "<f8")
+    return xy[: n * dim_x].reshape(n, dim_x), xy[n * dim_x :].reshape(n, dim_y)
 
 
 def random_spec(

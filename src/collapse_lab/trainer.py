@@ -188,6 +188,8 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
         absent = [name for name in pair if getattr(p, name) is None]
         if len(absent) == 1:
             raise ShapeError(f"{absent[0]} is missing: {pair[0]} and {pair[1]} come as a pair")
+    if (p.log_decvar is not None) != (hp.decvar_mode == "learnable"):
+        raise ShapeError(f"log_decvar is {p.log_decvar}, but decvar_mode is {hp.decvar_mode!r}")
     if p.ddv and m.samples_x is None:
         hint = "build the Moments with Moments.from_dataset"
         raise ShapeError(f"data-dependent variance needs sample access; {hint}")

@@ -1,4 +1,8 @@
+import contextlib
+import os
 import re
+import stat
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -299,6 +303,10 @@ def _mutated_csv(draw):
     return raw.encode("latin-1")
 
 
+def _sidecar(path):
+    return path.with_name(f".{path.name}.cld1")
+
+
 def _outcome(read):
     """What a reader made of a file: its values' bytes, or where it refused."""
     try:
@@ -316,8 +324,11 @@ def test_csv_reader_matches_reference(tmp_path, raw):
     a malformed file is one ParseError naming the file."""
     path = tmp_path / "mutant.csv"
     path.write_bytes(raw)
+    _sidecar(path).unlink(missing_ok=True)
     got = _outcome(lambda: load(path))
     assert got == _outcome(lambda: Dataset(*oracles.read_csv(raw)))
+    assert _outcome(lambda: load(path)) == got  # the second read of a loaded file is cached
+    assert _sidecar(path).exists() == (got[0] == "read")
     if got[0] == "refused":
         with pytest.raises(ParseError, match=re.escape(str(path))):
             load(path)
@@ -331,6 +342,7 @@ def test_csv_reader_in_small_blocks_matches_reference(tmp_path, monkeypatch, raw
     monkeypatch.setattr(data, "_BLOCK", block)
     path = tmp_path / "mutant.csv"
     path.write_bytes(raw)
+    _sidecar(path).unlink(missing_ok=True)  # an earlier example's sidecar would skip the parse
     got = _outcome(lambda: load(path))
     assert got == _outcome(lambda: Dataset(*oracles.read_csv(raw)))
     if got[0] == "refused":
@@ -423,3 +435,177 @@ def test_centered_is_derived_from_the_data():
 def test_dataset_invariants_enforced(rng):
     with pytest.raises(ValueError):
         Dataset(x=rng.normal(size=(3, 2)), y=rng.normal(size=(4, 2)))
+
+
+def _feed(path, raw: bytes) -> threading.Thread:
+    """Write ``raw`` into the FIFO ``path`` from a thread, a few bytes at a time,
+    so that its reader sees short reads; a reader may stop early."""
+    def write():
+        with open(path, "wb", buffering=0) as fh, contextlib.suppress(BrokenPipeError):
+            for i in range(0, len(raw), 7):
+                fh.write(raw[i : i + 7])
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda raw: raw, id="whole"),
+    pytest.param(lambda raw: raw[:-8], id="short"),
+    pytest.param(lambda raw: raw + bytes(8), id="long"),
+    pytest.param(lambda raw: raw[:4] + b"\xff" * 12 + raw[16:], id="huge_header"),
+    pytest.param(lambda raw: raw[:4] + b"\xff" * 12, id="huge_header_alone"),
+])
+def test_binary_reads_from_a_pipe(rng, tmp_path, spoil):
+    """A binary dataset streams in through a FIFO; a stream of the wrong length is refused
+    by its size, as such a file is, and nothing is allocated from its header first."""
+    ds = Dataset(x=rng.normal(size=(40, 3)), y=rng.normal(size=(40, 2)))
+    save(ds, tmp_path / "ds.bin")
+    raw = (tmp_path / "ds.bin").read_bytes()
+    sent = spoil(raw)
+    os.mkfifo(tmp_path / "pipe")
+    writer = _feed(tmp_path / "pipe", sent)
+    if sent == raw:
+        back = load(tmp_path / "pipe")
+        assert (back.x.tobytes(), back.y.tobytes()) == (ds.x.tobytes(), ds.y.tobytes())
+        assert back.x.flags.writeable and back.y.flags.writeable
+    else:
+        (tmp_path / "spoiled.bin").write_bytes(sent)
+        with pytest.raises(ParseError, match=f"^file size {len(sent)} does not match") as err:
+            load(tmp_path / "pipe")
+        with pytest.raises(ParseError) as as_file:
+            load(tmp_path / "spoiled.bin")
+        pipe, spoiled = str(tmp_path / "pipe"), str(tmp_path / "spoiled.bin")
+        assert str(err.value).replace(pipe, spoiled) == str(as_file.value)
+    writer.join(5)
+    assert not writer.is_alive()
+
+
+class TestSidecar:
+    """A CSV that loads leaves ``.<name>.cld1`` beside it, which serves a later load
+    of the same bytes; anything else is parsed again, with the same result."""
+
+    @pytest.fixture
+    def csv(self, rng, tmp_path):
+        path = tmp_path / "ds.csv"
+        save(Dataset(x=rng.normal(size=(50, 3)), y=rng.normal(size=(50, 2))), path)
+        return path
+
+    def test_repeat_load_is_served_without_parsing(self, csv, monkeypatch):
+        first = load(csv)
+        monkeypatch.setattr(data, "_load_csv", lambda *args: pytest.fail("parsed again"))
+        again = load(csv)
+        assert (again.x.tobytes(), again.y.tobytes()) == (first.x.tobytes(), first.y.tobytes())
+
+    def test_same_size_edit_is_parsed_again(self, csv):
+        load(csv)
+        raw = csv.read_bytes()
+        digit = b"7" if raw[-2:-1] != b"7" else b"8"  # in place of the last cell's last digit
+        edited = raw[:-2] + digit + raw[-1:]
+        csv.write_bytes(edited)
+        fresh = csv.with_name("fresh.csv")
+        fresh.write_bytes(edited)
+        got, want = load(csv), load(fresh)
+        assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+        assert _sidecar(csv).read_bytes() == _sidecar(fresh).read_bytes()
+
+    @pytest.mark.parametrize("spoil", [
+        pytest.param(lambda b: b[:-8], id="truncated"),
+        pytest.param(lambda b: b[:40], id="header_only"),
+        pytest.param(lambda b: bytes(len(b)), id="garbage"),
+        pytest.param(lambda b: bytes([b[0] ^ 1]) + b[1:], id="wrong_digest"),
+        pytest.param(lambda b: b + b"\0" * 8, id="too_long"),
+    ])
+    def test_spoiled_sidecar_is_rewritten(self, csv, spoil):
+        want = load(csv)
+        good = _sidecar(csv).read_bytes()
+        _sidecar(csv).write_bytes(spoil(good))
+        got = load(csv)
+        assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+        assert _sidecar(csv).read_bytes() == good
+
+    @pytest.mark.parametrize("raw", [
+        b"", b"y0,x0\n1,2\n", b"x0,x1,y0\n1.0,2.0,3.0\n1.0,2.0\n", b"x0,y0\n1.0,oops\n",
+        b"x0,y0\n1,nan\n", b"x0,x1,y0\n1.0,2.0,1e400\n", b"x0,y0\n", b"x0\n1\n",
+        b"\xef\xbb\xbfx0,y0\n1,2\n", b"x0,y0\n+1,2\n", b"x0,y0\n1,2\x0c2,3\n",
+        *(raw for raw, expected in BLOCK_EDGES.values() if isinstance(expected, tuple)),
+    ])
+    def test_refused_csv_is_refused_again_and_never_cached(self, tmp_path, raw):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                load(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert not _sidecar(path).exists()
+
+    @pytest.mark.skipif(os.geteuid() != 0, reason="giving a file away needs root")
+    def test_sidecar_of_another_user_is_not_used(self, csv, monkeypatch):
+        """Someone who may only add files beside the CSV cannot plant its arrays."""
+        want = load(csv)
+        os.chown(_sidecar(csv), 4321, -1)
+        parsed = []
+        monkeypatch.setattr(data, "_load_csv", lambda *args: parsed.append(1) or (want.x, want.y))
+        load(csv)
+        assert parsed == [1]
+
+    def test_grammar_change_parses_again(self, csv, monkeypatch):
+        """The digest covers the cell grammar, so a sidecar of another reader is not used."""
+        want = load(csv)
+        monkeypatch.setattr(data, "_CELL", b"(?:%s)" % data._CELL)  # same cells, new grammar
+        parsed = []
+        monkeypatch.setattr(data, "_load_csv", lambda *args: parsed.append(1) or (want.x, want.y))
+        load(csv)
+        assert parsed == [1]
+
+    @pytest.mark.parametrize("link", [False, True], ids=["fifo", "link_to_fifo"])
+    def test_fifo_sidecar_does_not_block(self, csv, tmp_path, link):
+        """A FIFO planted as the sidecar, or a link to one, is never waited on."""
+        want = load(csv)
+        _sidecar(csv).unlink()
+        os.mkfifo(tmp_path / "trap")
+        if link:
+            _sidecar(csv).symlink_to(tmp_path / "trap")
+        else:
+            os.replace(tmp_path / "trap", _sidecar(csv))
+        got = []
+        reader = threading.Thread(target=lambda: got.append(load(csv)), daemon=True)
+        reader.start()
+        reader.join(10)
+        assert not reader.is_alive(), "load waited on a FIFO sidecar"
+        assert (got[0].x.tobytes(), got[0].y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+        assert stat.S_ISREG(_sidecar(csv).lstat().st_mode)  # replaced by a real sidecar
+
+    def test_fifo_is_read_once_and_never_cached(self, csv, tmp_path):
+        want = load(csv)
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = _feed(pipe, csv.read_bytes())
+        got = load(pipe)
+        writer.join(5)
+        assert not writer.is_alive()
+        assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+        assert not _sidecar(pipe).exists()
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
+    def test_sidecar_mode_is_no_wider_than_the_csv(self, csv, mode):
+        csv.chmod(mode)
+        load(csv)
+        assert stat.S_IMODE(_sidecar(csv).stat().st_mode) & ~mode == 0
+
+    def test_unwritable_directory_writes_and_prints_nothing(self, csv, monkeypatch, capfd):
+        want = load(csv)
+        _sidecar(csv).unlink()
+        listing = sorted(csv.parent.iterdir())
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        got = load(csv)
+        assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+        assert sorted(csv.parent.iterdir()) == listing
+        assert capfd.readouterr() == ("", "")

@@ -223,6 +223,20 @@ class TestEvalLoss:
         with pytest.raises(ShapeError, match=rf"^{part} "):
             run(replace(params, **{part: value}), m, hp)
 
+    def test_decvar_mode_must_match_log_decvar(self):
+        """log_decvar is present exactly when hp.decvar_mode is learnable. Each
+        mismatch is one ShapeError naming log_decvar, from every entry: a learnable
+        hp without it once kept s fixed, and a fixed hp with it once learned s."""
+        m = tr.Moments.from_spectrum(DataSpectrum.from_singular_values([3.0, 2.0, 1.0], 3))
+        entries = (tr.eval_loss, tr.eval_grad,
+                   lambda p, m, hp: tr.train(p, m, hp, tr.TrainConfig(max_steps=300)))
+        for decvar_mode, log_decvar in (("learnable", None), ("fixed", 0.0)):
+            hp = cf.Hyperparams(beta=1.0, latent_dim=2, decvar_mode=decvar_mode)
+            params = replace(tr.init_params(m, hp), log_decvar=log_decvar)
+            for run in entries:
+                with pytest.raises(ShapeError, match="^log_decvar "):
+                    run(params, m, hp)
+
     def test_ddv_needs_samples(self, rng):
         _, sp = make_instance(seed=11, dim_x=3, dim_y=2)
         m = tr.Moments.from_spectrum(sp)
