@@ -75,7 +75,7 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
         flags = ~per_mode(sp.singular_values, hp.beta, s, hp.eta_enc).alive
     else:
         bounds = dv.beta_bounds(sp, hp)
-        sol = dv.solve_decoder_variance(sp, hp, bounds)
+        sol = dv.solve_decoder_variance(sp, hp)
         thresholds = np.zeros(d_star)
         thresholds[: bounds.size] = bounds
         flags = np.arange(1, d_star + 1) > sol.surviving_modes

@@ -18,12 +18,14 @@ binary
 
 Either format must hold at least one sample, one x column and one y
 column. Neither reader holds the whole file: each checks and parses it
-a block at a time, a CSV body in blocks of whole rows.
+a block at a time, a CSV body in blocks of whole rows. Neither rewinds,
+so a pipe is refused with the messages of the same bytes in a file.
 
 A regular CSV file ``d/x.csv`` that loads leaves ``d/.x.csv.cld1``, its sidecar (about 41%
-of its size): a 32-byte BLAKE2b digest of the bytes parsed, the cell grammar and numpy's
-version, then the arrays in the binary format. A later load of the same bytes reads the arrays
-from a sidecar that is a regular file of the CSV's owner or the reader; any other is replaced.
+of its size): a 32-byte BLAKE2b digest of the cell grammar, numpy's version, the bytes parsed
+and the arrays in the binary format, then those arrays. A later load of the same bytes reads
+the arrays from a sidecar that is a regular file of the CSV's owner or the reader and whose
+digest covers them too; any other is replaced.
 A pipe or an unwritable directory gets none. It is safe to delete; no option controls it.
 """
 
@@ -197,7 +199,7 @@ def save(ds: Dataset, path) -> None:
         _save_csv(ds, path)
     else:
         with open(path, "wb") as fh:
-            _write_binary(fh, ds)
+            fh.writelines(_layout(ds))
 
 
 def load(path) -> Dataset:
@@ -220,7 +222,7 @@ def load(path) -> Dataset:
             return ds
         ds = _dataset(*_load_csv(fh, path, digest), path)
     if stat.S_ISREG(mode):
-        _write_sidecar(side, digest.digest(), ds, mode)
+        _write_sidecar(side, _seal(digest, ds), ds, mode)
     return ds
 
 
@@ -234,9 +236,16 @@ def _dataset(x, y, path) -> Dataset:
     return Dataset(x=x, y=y)
 
 
+def _seal(digest, ds: Dataset) -> bytes:
+    """Finish ``digest``, which holds a CSV's bytes, with ``ds`` in the binary format, in place."""
+    for part in _layout(ds):
+        digest.update(part)
+    return digest.digest()
+
+
 def _cached(fh, side: Path, digest) -> Dataset | None:
-    """The dataset in ``side`` if it is a regular file of a trusted owner that holds the digest
-    of ``fh``'s bytes, else None. It is opened without following a link or waiting on a FIFO."""
+    """The dataset in ``side`` if it is a trusted owner's regular file whose digest covers
+    ``fh``'s bytes and its own arrays, else None. Opened following no link, waiting on no FIFO."""
     with contextlib.suppress(OSError, ParseError):
         with open(os.open(side, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW), "rb") as cache:
             info, owners = os.fstat(cache.fileno()), (os.fstat(fh.fileno()).st_uid, os.geteuid())
@@ -244,8 +253,8 @@ def _cached(fh, side: Path, digest) -> Dataset | None:
                 want = cache.read(32)
                 while block := fh.read(_BLOCK):
                     digest.update(block)
-                if digest.digest() == want:
-                    return _dataset(*_read_binary(cache, side), side)
+                if _seal(digest, ds := _dataset(*_read_binary(cache, side), side)) == want:
+                    return ds
     fh.seek(0)
     return None
 
@@ -255,8 +264,7 @@ def _write_sidecar(side: Path, digest: bytes, ds: Dataset, mode: int) -> None:
     tmp = side.with_name(f".{os.getpid()}{side.name}")
     try:
         with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode & 0o666), "wb") as out:
-            out.write(digest)
-            _write_binary(out, ds)
+            out.writelines((digest, *_layout(ds)))
         os.replace(tmp, side)
     except OSError:
         with contextlib.suppress(OSError):
@@ -277,14 +285,14 @@ def _line(raw: bytes, start: int) -> bytes:
     return raw[start:] if end < 0 else raw[start:end].removesuffix(b"\r")
 
 
-def _check_ascii(fh, path) -> None:
-    """Refuse the file's first non-ASCII byte, if any, before any other fault.
-    The grammar is ASCII, so such a byte fails the header or row check first."""
-    fh.seek(0)
-    while block := fh.read(_BLOCK):
-        if not block.isascii():
-            offset = fh.tell() - len(block) + re.search(rb"[\x80-\xff]", block).start()
+def _check_ascii(raw: bytes, offset: int, fh, path) -> None:
+    """Refuse the first non-ASCII byte of ``raw`` (at byte ``offset``) or of the rest of ``fh``
+    before any other fault: the grammar is ASCII, and every byte before ``raw`` matched it."""
+    while raw:
+        if not raw.isascii():
+            offset += re.search(rb"[\x80-\xff]", raw).start()
             raise ParseError(f"non-ASCII byte at offset {offset} in {path}")
+        offset, raw = offset + len(raw), fh.read(_BLOCK)
 
 
 def _row_fault(line: bytes, width: int, row: int, path) -> ParseError:
@@ -304,30 +312,32 @@ def _load_csv(fh, path, digest) -> tuple[np.ndarray, np.ndarray]:
     dim_x = sum(1 for name in names if name.startswith("x"))
     dim_y = len(names) - dim_x
     if names != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
-        _check_ascii(fh, path)
+        _check_ascii(line, 0, fh, path)
         raise ParseError(f"bad header {header!r} in {path}")
     rows = re.compile(rb"(?:%s(?:,%s){%d}(?:\r?\n|\Z))*+" % (_CELL, _CELL, len(names) - 1))
     xs, ys = [np.empty((0, dim_x))], [np.empty((0, dim_y))]
+    offset = len(line)  # of the block in the file
     while block := fh.read(_BLOCK) + fh.readline():
         digest.update(block)
         stop = rows.match(block).end()
         if stop < len(block):  # the first bad row starts where the match stopped
-            _check_ascii(fh, path)
+            _check_ascii(block[stop:], offset + stop, fh, path)
             row = sum(map(len, xs)) + block.count(b"\n", 0, stop)
             raise _row_fault(_line(block, stop), len(names), row, path)
         values = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
         xs.append(values[:, :dim_x].copy())
         ys.append(values[:, dim_x:].copy())
         del values  # before the next block's values are built
+        offset += len(block)
     x = np.concatenate(xs)
     del xs  # free x's parts before y is built
     return x, np.concatenate(ys)
 
 
-def _write_binary(fh, ds: Dataset) -> None:
-    fh.write(_MAGIC + struct.pack("<III", ds.n_samples, ds.dim_x, ds.dim_y))
-    fh.write(np.ascontiguousarray(ds.x, dtype="<f8"))
-    fh.write(np.ascontiguousarray(ds.y, dtype="<f8"))
+def _layout(ds: Dataset) -> tuple:
+    """The binary format's parts: the header, the X block and the Y block."""
+    head = _MAGIC + struct.pack("<III", ds.n_samples, ds.dim_x, ds.dim_y)
+    return head, np.ascontiguousarray(ds.x, dtype="<f8"), np.ascontiguousarray(ds.y, dtype="<f8")
 
 
 def _read_binary(fh, path) -> tuple[np.ndarray, np.ndarray]:

@@ -135,11 +135,10 @@ class Regimes(NamedTuple):
     s: np.ndarray
 
 
-def classify(sp: DataSpectrum, hp: Hyperparams, betas, bounds=None) -> Regimes:
+def classify(sp: DataSpectrum, hp: Hyperparams, betas) -> Regimes:
     """Classify the optimum of the profile loss at each beta of ``betas``
-    (``hp.beta`` is ignored) with one lookup in the regime table. ``bounds``
-    is this spectrum's :func:`beta_bounds`, computed when not given."""
-    table = _regime_table(sp, beta_bounds(sp, hp) if bounds is None else bounds)
+    (``hp.beta`` is ignored) with one lookup in the regime table."""
+    table = _regime_table(sp, beta_bounds(sp, hp))
     regime, p, lo, hi = (np.array(column) for column in zip(*table))
     betas = np.asarray(betas, dtype=np.float64)
     # A beta belongs to the first row that holds it. Rows leave no gap, but
@@ -161,15 +160,13 @@ def classify(sp: DataSpectrum, hp: Hyperparams, betas, bounds=None) -> Regimes:
     return Regimes(regime, p, lo[row], hi[row], s_star, s)
 
 
-def solve_decoder_variance(
-    sp: DataSpectrum, hp: Hyperparams, bounds=None
-) -> DecVarSolution:
+def solve_decoder_variance(sp: DataSpectrum, hp: Hyperparams) -> DecVarSolution:
     """Classify the optimum of the profile loss for the queried beta: the
-    one-beta case of :func:`classify`, which also says what ``bounds`` is.
+    one-beta case of :func:`classify`.
 
     ``hp.eta_dec`` is ignored: the decoder variance is the unknown here.
     """
-    regime, p, lo, hi, s_star, s = (v.item() for v in classify(sp, hp, [hp.beta], bounds))
+    regime, p, lo, hi, s_star, s = (v.item() for v in classify(sp, hp, [hp.beta]))
     s_interval, notes = None, ""
     if regime == REGIME_ILL_POSED:
         notes = (

@@ -324,7 +324,7 @@ def train(
     x, views = _flat(params, hp)
     # _flat copied the trained fields; the stds are copied in case they are not trained
     params = replace(params, **{"log_sigma": params.log_sigma.copy(), **views})
-    (g, grad), (g_trial, grad_trial) = _flat(params, hp), _flat(params, hp)
+    g, grad = _flat(params, hp)  # the gradient buffer and its per-field views
 
     loss = _value_and_grad(params, m, hp, grad)
     if not math.isfinite(loss):
@@ -348,6 +348,7 @@ def train(
             if grad_norm <= cfg.grad_tol:
                 converged = True
                 break
+            steps = step
             if cfg.optimizer == "adam":
                 # moments and x in place; with c1 = 1 - beta1^t, c2 = 1 - beta2^t the step
                 # lr (m/c1) / (sqrt(v/c2) + eps) is lr sqrt(c2)/c1 m / (sqrt(v) + eps sqrt(c2))
@@ -357,30 +358,24 @@ def train(
                 x -= lr * rc2 / (1 - beta1**step) * adam_m / (np.sqrt(adam_v) + eps * rc2)
                 loss = _value_and_grad(params, m, hp, grad)
             else:
-                # halving-on-increase line search from ``start``, mild regrowth
-                # on success; the accepted trial's gradient drives the next step
-                start = x.copy()
+                # halving-on-increase line search from ``start`` along the start gradient
+                # ``g0``, mild regrowth on success; each trial writes its gradient into g
+                start, g0 = x.copy(), g.copy()
                 trial = min(gd_step * 2.0, cfg.learning_rate * 1e6)
-                accepted = False
                 for _ in range(80):
-                    np.subtract(start, trial * g, out=x)
+                    np.subtract(start, trial * g0, out=x)
                     try:
-                        cand_loss = _value_and_grad(params, m, hp, grad_trial)
+                        cand_loss = _value_and_grad(params, m, hp, grad)
                     except DegenerateVariance:  # a variance of exactly 0: the loss is +inf
                         cand_loss = math.inf
                     if math.isfinite(cand_loss) and cand_loss <= loss:
                         loss = cand_loss
-                        g, g_trial, grad, grad_trial = g_trial, g, grad_trial, grad
                         gd_step = trial
-                        accepted = True
                         break
                     trial *= 0.5
-                if not accepted:
-                    # no further descent at float precision; report honestly
-                    x[...] = start
-                    steps = step
+                else:  # no further descent at float precision; report honestly
+                    x[...], g[...] = start, g0
                     break
-            steps = step
             if not math.isfinite(loss):
                 raise DivergenceError(step)
             if trace:

@@ -278,8 +278,9 @@ class TestBetaSweep:
             assert len(calls) == 1, decvar_mode
 
     def test_one_bound_table_per_call(self, monkeypatch):
-        """A learnable sweep and a learnable predict each build the bound
-        table once, and a sweep builds no per-beta solution object."""
+        """A learnable sweep builds the bound table once and no per-beta
+        solution object; a learnable predict builds it for its thresholds
+        and once more inside its one solution."""
         bounds, solutions = [], []
         table, solution = dv.beta_bounds, dv.DecVarSolution
 
@@ -299,7 +300,7 @@ class TestBetaSweep:
         assert (len(bounds), len(solutions)) == (1, 0)
         bounds.clear()
         cl.predict(sp, hp)
-        assert (len(bounds), len(solutions)) == (1, 1)
+        assert (len(bounds), len(solutions)) == (2, 1)
 
     def test_learnable_decvar_rows_track_solver(self):
         sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)

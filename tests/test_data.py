@@ -394,6 +394,14 @@ def test_csv_block_edges(tmp_path, monkeypatch, name, block):
     assert (str(err.value), err.value.row, err.value.col) == (message.format(path), row, col)
 
 
+REFUSED_CSVS = [
+    b"", b"y0,x0\n1,2\n", b"x0,x1,y0\n1.0,2.0,3.0\n1.0,2.0\n", b"x0,y0\n1.0,oops\n",
+    b"x0,y0\n1,nan\n", b"x0,x1,y0\n1.0,2.0,1e400\n", b"x0,y0\n", b"x0\n1\n",
+    b"\xef\xbb\xbfx0,y0\n1,2\n", b"x0,y0\n+1,2\n", b"x0,y0\n1,2\x0c2,3\n",
+    *(raw for raw, expected in BLOCK_EDGES.values() if isinstance(expected, tuple)),
+]
+
+
 def _traced_peak(read):
     """What ``read`` returns, and the most memory it held at once, in bytes."""
     tracemalloc.start()
@@ -482,6 +490,26 @@ def test_binary_reads_from_a_pipe(rng, tmp_path, spoil):
     assert not writer.is_alive()
 
 
+@pytest.mark.parametrize("block", [7, data._BLOCK])
+@pytest.mark.parametrize("raw", REFUSED_CSVS)
+def test_refused_csv_from_a_pipe_gets_the_files_message(tmp_path, monkeypatch, raw, block):
+    """A CSV that streams in through a FIFO is refused with the message of the same bytes
+    in a regular file, its non-ASCII offset included: the reader never rewinds."""
+    monkeypatch.setattr(data, "_BLOCK", block)
+    (tmp_path / "file.csv").write_bytes(raw)
+    with pytest.raises(ParseError) as as_file:
+        load(tmp_path / "file.csv")
+    os.mkfifo(tmp_path / "pipe.csv")
+    writer = _feed(tmp_path / "pipe.csv", raw)
+    with pytest.raises(ParseError) as err:
+        load(tmp_path / "pipe.csv")
+    writer.join(5)
+    assert not writer.is_alive()
+    pipe, file = str(tmp_path / "pipe.csv"), str(tmp_path / "file.csv")
+    assert str(err.value).replace(pipe, file) == str(as_file.value)
+    assert (err.value.row, err.value.col) == (as_file.value.row, as_file.value.col)
+
+
 class TestSidecar:
     """A CSV that loads leaves ``.<name>.cld1`` beside it, which serves a later load
     of the same bytes; anything else is parsed again, with the same result."""
@@ -516,6 +544,8 @@ class TestSidecar:
         pytest.param(lambda b: bytes(len(b)), id="garbage"),
         pytest.param(lambda b: bytes([b[0] ^ 1]) + b[1:], id="wrong_digest"),
         pytest.param(lambda b: b + b"\0" * 8, id="too_long"),
+        pytest.param(lambda b: b[:48] + bytes([b[48] ^ 1]) + b[49:], id="array_bit"),
+        pytest.param(lambda b: b[:40] + b[44:48] + b[40:44] + b[48:], id="dims_swapped"),
     ])
     def test_spoiled_sidecar_is_rewritten(self, csv, spoil):
         want = load(csv)
@@ -525,12 +555,7 @@ class TestSidecar:
         assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
         assert _sidecar(csv).read_bytes() == good
 
-    @pytest.mark.parametrize("raw", [
-        b"", b"y0,x0\n1,2\n", b"x0,x1,y0\n1.0,2.0,3.0\n1.0,2.0\n", b"x0,y0\n1.0,oops\n",
-        b"x0,y0\n1,nan\n", b"x0,x1,y0\n1.0,2.0,1e400\n", b"x0,y0\n", b"x0\n1\n",
-        b"\xef\xbb\xbfx0,y0\n1,2\n", b"x0,y0\n+1,2\n", b"x0,y0\n1,2\x0c2,3\n",
-        *(raw for raw, expected in BLOCK_EDGES.values() if isinstance(expected, tuple)),
-    ])
+    @pytest.mark.parametrize("raw", REFUSED_CSVS)
     def test_refused_csv_is_refused_again_and_never_cached(self, tmp_path, raw):
         path = tmp_path / "bad.csv"
         path.write_bytes(raw)

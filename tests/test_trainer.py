@@ -421,6 +421,36 @@ class TestTrain:
             for name in tr._flat(result.params, hp)[1]
         )
 
+    def test_gd_stall_returns_the_last_point_that_descended(self, monkeypatch):
+        """When no halving of a GD step descends, ``train`` stops at that step's start,
+        with the loss and gradient there, though every failed trial wrote a gradient.
+        Every kernel call after the first k (k - 1 accepted steps) fails."""
+        m = tr.Moments.from_spectrum(DataSpectrum.from_singular_values([3, 2, 1], dim_y=3))
+        hp = cf.Hyperparams(beta=1.0, latent_dim=2)
+        kernel, calls, k = tr._value_and_grad, [], 6
+
+        def stalls_after_k(p, moments, hparams, grad):
+            calls.append(1)
+            loss = kernel(p, moments, hparams, grad)
+            if len(calls) <= k:
+                return loss
+            for view in grad.values():
+                view[...] = np.nan
+            return np.inf
+
+        monkeypatch.setattr(tr, "_value_and_grad", stalls_after_k)
+        result = tr.train(0, m, hp, tr.TrainConfig("gd", 0.05, max_steps=100, grad_tol=0.0))
+        monkeypatch.undo()
+        assert not result.converged
+        assert result.steps == k
+        assert len(calls) == k + 80
+        assert result.final_loss == tr.eval_loss(result.params, m, hp)
+        grad = tr.eval_grad(result.params, m, hp)
+        assert result.grad_norm == max(
+            float(np.max(np.abs(getattr(grad, name))))
+            for name in tr._flat(result.params, hp)[1]
+        )
+
     def test_recovers_closed_form_minimum(self):
         ds, sp = make_instance(seed=19, dim_x=5, dim_y=5, scale=1.2)
         m = tr.Moments.from_spectrum(sp)
