@@ -226,7 +226,7 @@ def cmd_sweep(args) -> int:
 
     trained = None
     if args.train:
-        moments = tr.Moments.from_spectrum(sp)
+        moments = tr.Moments.from_spectrum(replace(sp, eigenvalues=np.ones_like(sp.eigenvalues)))
         trained = [
             tr.train_to_minimum(args.seed, moments, replace(hp, beta=row.beta))
             for row in rows
@@ -280,9 +280,9 @@ def cmd_train(args) -> int:
     if args.trace:
         lines = ["step,loss" + (",decvar" if result.decvar_trace is not None else "")]
         for i, value in enumerate(result.loss_trace):
-            row = f"{i},{value!r}"
+            row = f"{i},{float(value)!r}"
             if result.decvar_trace is not None:
-                row += f",{result.decvar_trace[i]!r}"
+                row += f",{float(result.decvar_trace[i])!r}"
             lines.append(row)
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -25,15 +25,19 @@ DEFAULT_TOL = 1e-10
 class DataSpectrum:
     """Eigen/SVD data of the empirical moments.
 
+    Sizes, ``effective_rank`` and ``tol`` are computed from the arrays, not
+    passed in. ``verify`` and ``sweep --train`` train on ``eigenvalues`` set
+    to ones: whitened inputs, an exact change of variables.
+
     Attributes
     ----------
     ambient_dim : int
-        Input dimension of the raw data.
+        Input dimension of the raw data, ``basis.shape[0]``.
     rank : int
         Number of retained (positive) eigenvalues of the input second
-        moment.
+        moment, ``eigenvalues.size``.
     dim_y : int
-        Target dimension.
+        Target dimension, ``left_vectors.shape[0]``.
     tol : float
         Relative cutoff used for both clamps, always ``DEFAULT_TOL``.
     eigenvalues : (rank,) ndarray
@@ -52,17 +56,24 @@ class DataSpectrum:
         Orthogonal SVD factors of the whitened cross-moment.
     """
 
-    ambient_dim: int
-    rank: int
-    dim_y: int
-    tol: float
+    ambient_dim: int = field(init=False)
+    rank: int = field(init=False)
+    dim_y: int = field(init=False)
+    tol: float = field(init=False)
     eigenvalues: np.ndarray = field(repr=False)
     singular_values: np.ndarray
-    effective_rank: int
+    effective_rank: int = field(init=False)
     target_power: float
     basis: np.ndarray = field(repr=False)
     left_vectors: np.ndarray = field(repr=False)
     right_vectors: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        derived = dict(ambient_dim=self.basis.shape[0], rank=self.eigenvalues.size,
+                       dim_y=self.left_vectors.shape[0], tol=DEFAULT_TOL,
+                       effective_rank=int(np.count_nonzero(self.singular_values)))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_modes(self) -> int:
@@ -107,16 +118,11 @@ class DataSpectrum:
         d0 = zeta.size
         zeta = _clamp_zeros(zeta)
         return cls(
-            ambient_dim=d0,
-            rank=d0,
-            dim_y=dim_y,
             basis=np.eye(d0),
             eigenvalues=np.ones(d0),
             left_vectors=np.eye(dim_y),
             right_vectors=np.eye(d0),
             singular_values=zeta,
-            effective_rank=int(np.count_nonzero(zeta)),
-            tol=DEFAULT_TOL,
             target_power=float(np.sum(zeta**2)),
         )
 
@@ -172,16 +178,11 @@ def compute_spectrum(ds: Dataset) -> DataSpectrum:
     f, g = _fix_signs(f, g, paired=zeta.size)
 
     return DataSpectrum(
-        ambient_dim=ds.dim_x,
-        rank=rank,
-        dim_y=ds.dim_y,
         basis=basis,
         eigenvalues=eigenvalues,
         left_vectors=f,
         right_vectors=g,
         singular_values=zeta,
-        effective_rank=int(np.count_nonzero(zeta)),
-        tol=DEFAULT_TOL,
         target_power=float(np.sum(ds.y**2) / n),
     )
 

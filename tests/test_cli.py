@@ -631,17 +631,26 @@ class TestTrainCommand:
         path = tmp_path / "d.bin"
         save(ds, path)
         trace = tmp_path / "trace.csv"
-        code, out, _ = run(
-            capsys, "train", "--data", str(path), "--beta", "1.0", "--d1", "2",
-            "--learnable-sigma", "--max-steps", "500", "--trace", str(trace),
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["command"] == "train"
-        assert np.isfinite(doc["final_loss"])
-        lines = trace.read_text().strip().splitlines()
-        assert lines[0] == "step,loss"
-        assert len(lines) == 2 + int(doc["steps"])  # header + init + per step
+        for extra, header in [
+            ((), "step,loss"),
+            (("--optimizer", "gd", "--learnable-decvar"), "step,loss,decvar"),
+        ]:
+            code, out, _ = run(
+                capsys, "train", "--data", str(path), "--beta", "1.0", "--d1", "2",
+                "--learnable-sigma", "--max-steps", "500", "--trace", str(trace), *extra,
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["command"] == "train"
+            assert np.isfinite(doc["final_loss"])
+            lines = trace.read_text().strip().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 2 + int(doc["steps"])  # header + init + per step
+            # every cell is a number as the CSV reader's grammar spells it
+            for line in lines[1:]:
+                step, *cells = line.split(",")
+                assert step.isdigit() and len(cells) == header.count(",")
+                assert all(re.fullmatch(data._CELL, cell.encode()) for cell in cells), line
 
     def test_same_argv_same_bytes(self, capsys):
         argv = ("train", "--synthetic", "4,3,200,8", "--beta", "1.5", "--d1", "3",

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from collapse_lab.closed_form import Hyperparams
 from collapse_lab.data import Dataset, center, generate, random_spec
+from collapse_lab.decoder_variance import solve_decoder_variance
 from collapse_lab.errors import DegenerateInput
-from collapse_lab.spectrum import DataSpectrum, compute_spectrum
+from collapse_lab.spectrum import DEFAULT_TOL, DataSpectrum, compute_spectrum
 
 from conftest import make_instance
 
@@ -143,3 +146,60 @@ def test_from_singular_values_validation():
     sp = DataSpectrum.from_singular_values([2.0, 1.0], dim_y=3)
     assert sp.target_power == pytest.approx(5.0)
     np.testing.assert_allclose(sp.cross_moment(), np.array([[2, 0], [0, 1], [0, 0]]))
+
+
+def assert_derived_fields(sp):
+    assert sp.ambient_dim == sp.basis.shape[0]
+    assert sp.rank == sp.eigenvalues.size
+    assert sp.dim_y == sp.left_vectors.shape[0]
+    assert sp.effective_rank == np.count_nonzero(sp.singular_values)
+    assert sp.tol == DEFAULT_TOL
+
+
+class TestDerivedFields:
+    """Sizes, ``effective_rank`` and ``tol`` are read off the arrays, so no
+    constructor and no ``dataclasses.replace`` can leave them stale."""
+
+    def test_compute_spectrum(self):
+        _, sp = make_instance(seed=61, dim_x=6, dim_y=3, rank=3)
+        assert_derived_fields(sp)
+        assert (sp.ambient_dim, sp.rank, sp.dim_y) == (6, 3, 3)
+
+    def test_from_singular_values(self):
+        sp = DataSpectrum.from_singular_values([3.0, 2.0, 0.0], dim_y=5)
+        assert_derived_fields(sp)
+        assert (sp.ambient_dim, sp.rank, sp.dim_y, sp.effective_rank) == (3, 3, 5, 2)
+
+    def test_replace_recomputes(self):
+        _, sp = make_instance(seed=31, dim_x=6, dim_y=3)
+        edited = replace(
+            sp, basis=sp.basis[:, :2], eigenvalues=sp.eigenvalues[:2],
+            right_vectors=np.eye(2), singular_values=np.array([sp.singular_values[0], 0.0]),
+        )
+        assert_derived_fields(edited)
+        assert (edited.ambient_dim, edited.rank, edited.effective_rank) == (6, 2, 1)
+
+    def test_replaced_zero_singular_value_is_not_counted(self):
+        """A spectrum edited to a zero singular value gets the verdict of one
+        built with it, instead of keeping the count of the original."""
+        hp = Hyperparams(beta=1.0, latent_dim=3, sigma_mode="learnable", decvar_mode="learnable")
+        fresh = DataSpectrum.from_singular_values([3.0, 2.0, 0.0], dim_y=3)
+        edited = replace(
+            DataSpectrum.from_singular_values([3.0, 2.0, 1.0], dim_y=3),
+            singular_values=np.array([3.0, 2.0, 0.0]),
+        )
+        assert edited.effective_rank == fresh.effective_rank == 2
+        assert solve_decoder_variance(edited, hp).regime == "ill_posed_zero"
+        assert solve_decoder_variance(fresh, hp).regime == "ill_posed_zero"
+
+    @pytest.mark.parametrize("name", ["ambient_dim", "rank", "dim_y", "tol", "effective_rank"])
+    def test_derived_values_cannot_be_passed(self, name):
+        sp = DataSpectrum.from_singular_values([2.0, 1.0], dim_y=2)
+        arrays = dict(
+            eigenvalues=sp.eigenvalues, singular_values=sp.singular_values,
+            target_power=sp.target_power, basis=sp.basis,
+            left_vectors=sp.left_vectors, right_vectors=sp.right_vectors,
+        )
+        assert_derived_fields(DataSpectrum(**arrays))
+        with pytest.raises(TypeError, match=name):
+            DataSpectrum(**arrays, **{name: getattr(sp, name)})

@@ -355,6 +355,35 @@ def test_second_moment_exactly_symmetric():
             assert np.array_equal(m.a, m.a.T)
 
 
+def test_moments_dims_come_from_arrays():
+    """Both constructors read the sizes off ``a`` and ``cross``; neither can be passed."""
+    ds, sp = make_instance(seed=61, dim_x=6, dim_y=3, rank=3)
+    for m in (tr.Moments.from_dataset(ds), tr.Moments.from_spectrum(sp)):
+        assert (m.dim_x, m.dim_y) == (m.a.shape[0], m.cross.shape[1]) == (6, 3)
+    arrays = {f.name: getattr(m, f.name) for f in fields(m) if f.init}
+    assert set(arrays) == {"a", "cross", "mean_x", "mean_y", "target_power", "samples_x"}
+    for name in ("dim_x", "dim_y"):
+        with pytest.raises(TypeError, match=name):
+            tr.Moments(**arrays, **{name: 6})
+
+
+@pytest.mark.parametrize("decvar_mode", ["fixed", "learnable"])
+def test_whitening_is_a_change_of_variables(rng, decvar_mode):
+    """Unit eigenvalues are an exact change of variables for the oracle: the
+    loss on the raw moments at (U, W) equals the loss on the whitened moments
+    at (U, a^(1/2) W), so ``verify`` may train in either coordinates."""
+    _, sp = make_instance(seed=83, dim_x=5, dim_y=4)
+    white = replace(sp, eigenvalues=np.ones_like(sp.eigenvalues))
+    raw_m, white_m = tr.Moments.from_spectrum(sp), tr.Moments.from_spectrum(white)
+    root = (sp.basis * np.sqrt(sp.eigenvalues)) @ sp.basis.T
+    hp = cf.Hyperparams(beta=1.3, latent_dim=3, sigma_mode="learnable", decvar_mode=decvar_mode)
+    for _ in range(5):
+        params = random_params(rng, 5, 4, 3, log_s=0.2 if decvar_mode == "learnable" else None)
+        raw = tr.eval_loss(params, raw_m, hp)
+        whitened = tr.eval_loss(replace(params, encoder=root @ params.encoder), white_m, hp)
+        assert abs(whitened - raw) <= 1e-12 * abs(raw)
+
+
 @kernel_paths
 def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, decvar_mode):
     """The fused kernel, on the fields ``train`` updates, gives the loss and
