@@ -9,10 +9,12 @@ from .decoder_variance import DecVarSolution, profile_loss, solve_decoder_varian
 from .spectrum import DataSpectrum, compute_spectrum
 from .trainer import (
     ModelParams,
+    Moments,
     TrainConfig,
     TrainResult,
     eval_grad,
     eval_loss,
+    init_params,
     train,
     train_to_minimum,
 )
@@ -27,6 +29,7 @@ __all__ = [
     "GlobalMinimum",
     "Hyperparams",
     "ModelParams",
+    "Moments",
     "SyntheticSpec",
     "TrainConfig",
     "TrainResult",
@@ -37,6 +40,7 @@ __all__ = [
     "eval_loss",
     "generate",
     "global_minimum",
+    "init_params",
     "load",
     "optimal_sigma",
     "predict",

@@ -102,15 +102,17 @@ def per_mode(zeta, beta: float, s: float, eta_enc: float, sigma=None) -> PerMode
         sigma = np.where(alive, root * eta_enc / np.where(alive, zeta, 1.0), float(eta_enc))
     else:
         sigma = tested
-    # rounding can leave a survivor a hair below zero
-    gap = np.maximum(0.0, np.where(alive, zeta - root * sigma / eta_enc, 0.0))
+    # the signal the prior's pull takes off (rounding can leave a survivor's a hair above
+    # zeta); the fit zeta^2 - gap^2 as shrink (2 zeta - shrink) cannot cancel
+    shrink = np.minimum(zeta, np.where(alive, root * sigma / eta_enc, zeta))
+    gap = zeta - shrink
     ratio = (sigma / eta_enc) ** 2
     return PerMode(
         alive=alive,
         decoder=np.sqrt(root / (sigma * eta_enc) * gap),
         encoder=np.sqrt(sigma * eta_enc / root * gap),
         sigma=sigma,
-        fit=zeta**2 - gap**2,
+        fit=shrink * (2.0 * zeta - shrink),
         kl=beta * s * (ratio - 1.0 - np.log(ratio)),
     )
 

@@ -26,8 +26,9 @@ class DataSpectrum:
     """Eigen/SVD data of the empirical moments.
 
     Sizes, ``effective_rank`` and ``tol`` are computed from the arrays, not
-    passed in. ``verify`` and ``sweep --train`` train on ``eigenvalues`` set
-    to ones: whitened inputs, an exact change of variables.
+    passed in, and an array whose shape disagrees with the sizes is refused
+    with a ValueError naming it. ``verify`` and ``sweep --train`` train on
+    ``eigenvalues`` set to ones: whitened inputs, an exact change of variables.
 
     Attributes
     ----------
@@ -74,6 +75,12 @@ class DataSpectrum:
                        effective_rank=int(np.count_nonzero(self.singular_values)))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        shapes = dict(eigenvalues=(self.rank,), singular_values=(min(self.rank, self.dim_y),),
+                      basis=(self.ambient_dim, self.rank), left_vectors=(self.dim_y, self.dim_y),
+                      right_vectors=(self.rank, self.rank))
+        for name, shape in shapes.items():
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, not {shape}")
 
     @property
     def n_modes(self) -> int:

@@ -195,79 +195,95 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
         raise ShapeError(f"data-dependent variance needs sample access; {hint}")
 
 
-def _value_and_grad(
-    p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = None
-) -> float:
-    """The loss-and-gradient kernel: returns the exact expected loss at ``p`` and, given
-    the dict ``grad``, writes the gradient of each field it names into its view. The halves
-    share the residual ``r = k a - cross^T``, ``k = decoder encoder^T`` (its transpose is
+def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = None):
+    """Binds the loss-and-gradient kernel to ``p``'s arrays, ``m``, ``hp`` and the dict
+    ``grad`` of gradient views, read once, and returns a no-argument evaluator. Each call
+    returns the exact expected loss at the values ``p``'s arrays hold then and, given
+    ``grad``, writes the gradient of each field it names into its view. The halves share
+    the residual ``r = k a - cross^T``, ``k = decoder encoder^T`` (its transpose is
     ``a k^T - cross``, as ``a`` is exactly symmetric), and the prior's pull ``a encoder``.
     Products use ``ndarray.dot``, which dispatches faster than ``@`` on small matrices."""
-    k = p.decoder.dot(p.encoder.T)
-    r = k.dot(m.a) - m.cross.T
-    col_sq = np.add.reduce(p.decoder**2, axis=0)
-    recon = float(np.vdot(r - m.cross.T, k))  # <k a, k> - 2 <cross^T, k>
-    b_e = p.enc_bias  # the biases come as a pair; without them each mean term is 0
-    if b_e is not None:
-        c = p.decoder.dot(b_e) + p.dec_bias
-        w_mean = p.encoder.T.dot(m.mean_x)
-        r_mean = k.dot(m.mean_x) + c - m.mean_y
-        recon += float(c.dot(2.0 * r_mean - c))
-    recon += m.target_power
-    if p.ddv:
-        t = m.samples_x.dot(p.var_slope.T) + p.var_offset
-        if np.any(t == 0.0):
-            raise DegenerateVariance("encoder std hit zero on a training sample")
-        s2 = np.mean(t**2, axis=0)
-    else:
-        s2 = p.sigma**2
-    s = p.decvar if p.log_decvar is not None else hp.decvar
-    if s == 0.0:
-        raise DegenerateVariance("decoder variance underflowed to zero")
-    fit = (recon + float(s2.dot(col_sq))) / (2.0 * s)  # E||y - decode(z)||^2 / (2 s)
-    prior = m.a.dot(p.encoder)
-    eta2 = hp.eta_enc**2
-    beta = hp.beta
-    if p.ddv:
-        kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
-        kl = float(np.add.reduce(kl_terms))
-    else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma; the
-        # builtin sum overflows to inf or nan, which train reports as divergence
-        sum_s2, sum_log_sigma = sum(s2.tolist()), sum(p.log_sigma.tolist())
-        kl = sum_s2 / eta2 - s2.size * (1.0 - math.log(eta2)) - 2.0 * sum_log_sigma
-    mean_term = float(np.vdot(prior, p.encoder))
-    if b_e is not None:
-        mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
-    loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
-    if p.log_decvar is not None:
-        loss += 0.5 * m.dim_y * math.log(s)
-    if grad is None:
+    # p's fields in ModelParams' order, then their gradient views (None where absent)
+    dec, enc, log_sigma, b_e, b_d, slope, offset, log_s = (getattr(p, f.name) for f in fields(p))
+    g_dec, g_enc, g_sigma, g_be, g_bd, g_slope, g_offset, g_s = (
+        (grad or {}).get(f.name) for f in fields(p))
+    a, cross_t, mean_x, mean_y, xs = m.a, m.cross.T, m.mean_x, m.mean_y, m.samples_x
+    ddv, beta, eta2, s_fixed, power = p.ddv, hp.beta, hp.eta_enc**2, hp.decvar, m.target_power
+    pull, kl_const, half_dim_y = beta / eta2, log_sigma.size * (1.0 - math.log(eta2)), 0.5 * m.dim_y
+
+    def evaluate() -> float:
+        k = dec.dot(enc.T)
+        r = k.dot(a) - cross_t
+        col_sq = np.add.reduce(dec**2, axis=0)
+        recon = float(np.vdot(r - cross_t, k))  # <k a, k> - 2 <cross^T, k>
+        if b_e is not None:  # the biases come as a pair; without them each mean term is 0
+            c = dec.dot(b_e) + b_d
+            w_mean = enc.T.dot(mean_x)
+            r_mean = k.dot(mean_x) + c - mean_y
+            recon += float(c.dot(2.0 * r_mean - c))
+        recon += power
+        if ddv:
+            t = xs.dot(slope.T) + offset
+            if np.any(t == 0.0):
+                raise DegenerateVariance("encoder std hit zero on a training sample")
+            s2 = np.mean(t**2, axis=0)
+        else:
+            s2 = np.exp(log_sigma) ** 2
+        s = float(np.exp(log_s)) if log_s is not None else s_fixed
+        if s == 0.0:
+            raise DegenerateVariance("decoder variance underflowed to zero")
+        fit = (recon + float(s2.dot(col_sq))) / (2.0 * s)  # E||y - decode(z)||^2 / (2 s)
+        prior = a.dot(enc)
+        if ddv:
+            kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
+            kl = float(np.add.reduce(kl_terms))
+        else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma; the
+            # builtin sum overflows to inf or nan, which train reports as divergence
+            sum_s2, sum_log_sigma = sum(s2.tolist()), sum(log_sigma.tolist())
+            kl = sum_s2 / eta2 - kl_const - 2.0 * sum_log_sigma
+        mean_term = float(np.vdot(prior, enc))
+        if b_e is not None:
+            mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
+        loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
+        if log_s is not None:
+            loss += half_dim_y * math.log(s)
+        if grad is None:
+            return loss
+
+        if ddv or g_sigma is not None:
+            coef = col_sq / s + pull  # 2 d loss / d s2, less the KL's log term
+        if ddv:
+            n = xs.shape[0]
+            g_slope[...] = coef[:, None] * (t.T.dot(xs) / n) - beta * ((1.0 / t).T.dot(xs) / n)
+            g_offset[...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
+        elif g_sigma is not None:
+            np.subtract(coef * s2, beta, out=g_sigma)
+        if g_s is not None:
+            g_s[...] = -fit + half_dim_y
+
+        e_r_m = r.dot(enc)
+        e_r_d = r.T.dot(dec)
+        if b_e is not None:
+            e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
+            e_r_d = e_r_d + np.outer(mean_x, dec.T.dot(c))
+            prior = prior + np.outer(mean_x, b_e)
+            g_be[...] = dec.T.dot(r_mean) / s + pull * (w_mean + b_e)
+            g_bd[...] = r_mean / s
+        np.divide(e_r_m + dec * s2, s, out=g_dec)
+        np.add(e_r_d / s, pull * prior, out=g_enc)
         return loss
 
-    if p.ddv or "log_sigma" in grad:
-        coef = col_sq / s + beta / eta2  # 2 d loss / d s2, less the KL's log term
-    if p.ddv:
-        n = m.samples_x.shape[0]
-        grad["var_slope"][...] = coef[:, None] * (t.T.dot(m.samples_x) / n) - beta * (
-            (1.0 / t).T.dot(m.samples_x) / n
-        )
-        grad["var_offset"][...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
-    elif "log_sigma" in grad:
-        np.subtract(coef * s2, beta, out=grad["log_sigma"])
-    if "log_decvar" in grad:
-        grad["log_decvar"][...] = -fit + 0.5 * m.dim_y
+    return evaluate
 
-    e_r_m = r.dot(p.encoder)
-    e_r_d = r.T.dot(p.decoder)
-    if b_e is not None:
-        e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
-        e_r_d = e_r_d + np.outer(m.mean_x, p.decoder.T.dot(c))
-        prior = prior + np.outer(m.mean_x, b_e)
-        grad["enc_bias"][...] = p.decoder.T.dot(r_mean) / s + beta / eta2 * (w_mean + b_e)
-        grad["dec_bias"][...] = r_mean / s
-    np.divide(e_r_m + p.decoder * s2, s, out=grad["decoder"])
-    np.add(e_r_d / s, beta / eta2 * prior, out=grad["encoder"])
-    return loss
+
+def _views(p: ModelParams, names, buf: np.ndarray) -> dict:
+    """A view into ``buf`` per field of ``p`` in ``names``, laid out in order."""
+    views, offset = {}, 0
+    for name in names:
+        shape = np.shape(getattr(p, name))
+        views[name] = buf[offset : offset + math.prod(shape)].reshape(shape)
+        offset += math.prod(shape)
+    return views
 
 
 def _flat(p: ModelParams, hp: Hyperparams | None = None) -> tuple[np.ndarray, dict]:
@@ -279,18 +295,13 @@ def _flat(p: ModelParams, hp: Hyperparams | None = None) -> tuple[np.ndarray, di
         if getattr(p, f.name) is not None and not (f.name == "log_sigma" and fixed_sigma)
     ]
     buf = np.concatenate([np.ravel(getattr(p, name)) for name in names])
-    views, offset = {}, 0
-    for name in names:
-        shape = np.shape(getattr(p, name))
-        views[name] = buf[offset : offset + math.prod(shape)].reshape(shape)
-        offset += math.prod(shape)
-    return buf, views
+    return buf, _views(p, names, buf)
 
 
 def eval_loss(p: ModelParams, m: Moments, hp: Hyperparams) -> float:
     """Exact expected loss at ``p``, the noise expectation integrated out."""
     _check_shapes(p, m, hp)
-    return _value_and_grad(p, m, hp)
+    return _kernel(p, m, hp)()
 
 
 def eval_grad(p: ModelParams, m: Moments, hp: Hyperparams) -> ModelParams:
@@ -298,7 +309,7 @@ def eval_grad(p: ModelParams, m: Moments, hp: Hyperparams) -> ModelParams:
     _check_shapes(p, m, hp)
     flat, grad = _flat(p)
     flat[...] = 0.0  # the stds' slot stays zero under a data-dependent std
-    _value_and_grad(p, m, hp, grad)
+    _kernel(p, m, hp, grad)()
     if "log_decvar" in grad:
         grad["log_decvar"] = float(grad["log_decvar"])
     return ModelParams(**grad)
@@ -324,9 +335,11 @@ def train(
     x, views = _flat(params, hp)
     # _flat copied the trained fields; the stds are copied in case they are not trained
     params = replace(params, **{"log_sigma": params.log_sigma.copy(), **views})
-    g, grad = _flat(params, hp)  # the gradient buffer and its per-field views
+    # row 0 is the gradient g, written through its per-field views; row 1 takes g * g
+    g, g2 = g_g2 = np.zeros((2, x.size))
+    evaluate = _kernel(params, m, hp, _views(params, views, g))
 
-    loss = _value_and_grad(params, m, hp, grad)
+    loss = evaluate()
     if not math.isfinite(loss):
         raise DivergenceError(0)
     loss_trace = [loss] if trace else None
@@ -334,8 +347,11 @@ def train(
         [params.decvar] if trace and params.log_decvar is not None else None
     )
 
-    adam_m, adam_v = np.zeros_like(x), np.zeros_like(x)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    # Adam's moments m and v stacked as rows, both stepped by one column of decays
+    adam_m, adam_v = adam = np.zeros((2, x.size))
+    decay = np.array([[1 - beta1], [1 - beta2]])
+    update, denom = diff = np.empty((2, x.size))  # scratch, free once the moments are stepped
     lr = cfg.learning_rate
     gd_step = cfg.learning_rate
 
@@ -352,11 +368,17 @@ def train(
             if cfg.optimizer == "adam":
                 # moments and x in place; with c1 = 1 - beta1^t, c2 = 1 - beta2^t the step
                 # lr (m/c1) / (sqrt(v/c2) + eps) is lr sqrt(c2)/c1 m / (sqrt(v) + eps sqrt(c2))
-                adam_m += (1 - beta1) * (g - adam_m)
-                adam_v += (1 - beta2) * (g * g - adam_v)
+                np.multiply(g, g, out=g2)
+                np.subtract(g_g2, adam, out=diff)
+                diff *= decay
+                adam += diff
                 rc2 = math.sqrt(1 - beta2**step)
-                x -= lr * rc2 / (1 - beta1**step) * adam_m / (np.sqrt(adam_v) + eps * rc2)
-                loss = _value_and_grad(params, m, hp, grad)
+                np.sqrt(adam_v, out=denom)
+                denom += eps * rc2
+                np.multiply(adam_m, lr * rc2 / (1 - beta1**step), out=update)
+                update /= denom
+                x -= update
+                loss = evaluate()
             else:
                 # halving-on-increase line search from ``start`` along the start gradient
                 # ``g0``, mild regrowth on success; each trial writes its gradient into g
@@ -365,7 +387,7 @@ def train(
                 for _ in range(80):
                     np.subtract(start, trial * g0, out=x)
                     try:
-                        cand_loss = _value_and_grad(params, m, hp, grad)
+                        cand_loss = evaluate()
                     except DegenerateVariance:  # a variance of exactly 0: the loss is +inf
                         cand_loss = math.inf
                     if math.isfinite(cand_loss) and cand_loss <= loss:

@@ -4,7 +4,8 @@ does not take."""
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import optimize
@@ -14,7 +15,7 @@ from collapse_lab import trainer as tr
 from collapse_lab.closed_form import Hyperparams
 from collapse_lab.data import Dataset
 from collapse_lab.decoder_variance import profile_loss
-from collapse_lab.errors import DomainError
+from collapse_lab.errors import DegenerateVariance, DomainError
 from collapse_lab.spectrum import DataSpectrum
 
 
@@ -211,6 +212,73 @@ def reference_value_and_grad(
     return float(loss), grad
 
 
+def reference_train(
+    init: tr.ModelParams, m: tr.Moments, hp: Hyperparams, cfg: tr.TrainConfig
+) -> tuple[np.ndarray, int, tr.ModelParams]:
+    """``train`` written as plain loops: Adam with its two moments as separate
+    arrays, and gradient descent with a halving-on-increase line search, over a
+    fresh flat vector of the trained fields, every loss and gradient taken through
+    the public ``eval_loss`` and ``eval_grad`` at parameters rebuilt from it.
+
+    The trained fields are those ``init`` carries, less ``log_sigma`` when the
+    stds are pinned or data-dependent. Returns the loss trace (the initial loss
+    first), the step count and the final parameters.
+    """
+    pinned = hp.sigma_mode != "learnable" or init.ddv
+    names = [
+        f.name for f in fields(init)
+        if getattr(init, f.name) is not None and not (f.name == "log_sigma" and pinned)
+    ]
+    shapes = [np.shape(getattr(init, name)) for name in names]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+
+    def at(x):
+        parts = np.split(x, ends[:-1])
+        return replace(init, **{
+            name: part.reshape(shape).copy() if shape else float(part[0])
+            for name, part, shape in zip(names, parts, shapes)
+        })
+
+    def gradient(x):
+        grad = tr.eval_grad(at(x), m, hp)
+        return np.concatenate([np.ravel(getattr(grad, name)) for name in names])
+
+    x = np.concatenate([np.ravel(getattr(init, name)) for name in names])
+    loss, g = tr.eval_loss(at(x), m, hp), gradient(x)
+    trace, steps, lr, gd_step = [loss], 0, cfg.learning_rate, cfg.learning_rate
+    adam_m, adam_v = np.zeros_like(x), np.zeros_like(x)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, cfg.max_steps + 1):
+            if np.max(np.abs(g)) <= cfg.grad_tol:
+                break
+            steps = step
+            if cfg.optimizer == "adam":
+                adam_m = adam_m + (1 - beta1) * (g - adam_m)
+                adam_v = adam_v + (1 - beta2) * (g * g - adam_v)
+                rc2 = math.sqrt(1 - beta2**step)
+                x = x - lr * rc2 / (1 - beta1**step) * adam_m / (np.sqrt(adam_v) + eps * rc2)
+                loss, g = tr.eval_loss(at(x), m, hp), gradient(x)
+            else:
+                start, g0 = x, g
+                trial = min(gd_step * 2.0, lr * 1e6)
+                for _ in range(80):
+                    x = start - trial * g0
+                    try:
+                        cand_loss = tr.eval_loss(at(x), m, hp)
+                    except DegenerateVariance:
+                        cand_loss = math.inf
+                    if math.isfinite(cand_loss) and cand_loss <= loss:
+                        loss, gd_step, g = cand_loss, trial, gradient(x)
+                        break
+                    trial *= 0.5
+                else:
+                    x, g = start, g0
+                    break
+            trace.append(loss)
+    return np.asarray(trace), steps, at(x)
+
+
 def ddv_inequality_check(
     p: tr.ModelParams, ds: Dataset, hp: Hyperparams
 ) -> tuple[float, float]:
@@ -228,6 +296,23 @@ def ddv_inequality_check(
     )
     m = tr.Moments.from_dataset(ds)
     return tr.eval_loss(p, m, hp), tr.eval_loss(flat, m, hp)
+
+
+def exact_sqrt(q: Fraction, bits: int = 400) -> Fraction:
+    """The square root of ``q`` as a fraction, to a relative 2**-bits."""
+    n, d = q.numerator, q.denominator
+    return Fraction(math.isqrt(n * d * 4**bits), d * 2**bits)
+
+
+def exact_fit(zeta, beta: float, s: float, eta_enc: float, sigma) -> list[Fraction]:
+    """Each mode's least residual ``zeta^2 - gap^2`` at the stds ``sigma``, in exact
+    rational arithmetic on the float inputs (the one square root to 2**-400): the
+    prior's pull takes ``sqrt(beta s) sigma / eta_enc`` off a mode's signal, down to 0."""
+    out = []
+    for z, sig in zip(map(Fraction, zeta), map(Fraction, sigma)):
+        gap = max(Fraction(0), z - exact_sqrt(Fraction(beta) * Fraction(s)) * sig / Fraction(eta_enc))
+        out.append(z * z - gap * gap)
+    return out
 
 
 def residual_power(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from collapse_lab.data import Dataset, center
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
 from conftest import make_instance, params_from_minimum
-from oracles import reduce_to_factorization
+from oracles import exact_fit, reduce_to_factorization
 
 
 def kl_var_term(hp, sigma):
@@ -369,6 +371,27 @@ class TestGlobalMinimum:
         hp = cf.Hyperparams(beta=1.0, latent_dim=2, decvar_mode="learnable")
         with pytest.raises(ValueError):
             cf.global_minimum(sp, hp)
+
+
+@pytest.mark.parametrize("zeta, beta", [([1e150, 1.0], 1e-150), ([1e4, 1.0], 1e-4)])
+@pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
+def test_fit_does_not_cancel(zeta, beta, sigma_mode):
+    """Where the prior's pull is tiny against the signal, each mode's fit and the
+    predicted loss match an exact rational reference: ``zeta^2 - gap^2`` computed
+    in floats loses every digit at zeta = 1e150, beta = 1e-150 (it gave a loss of 0
+    where the loss is 1e75) and about 1e-10 relative at zeta = 1e4, beta = 1e-4."""
+    sp = DataSpectrum.from_singular_values(zeta, dim_y=2)
+    hp = cf.Hyperparams(beta=beta, latent_dim=2, sigma_mode=sigma_mode)
+    # a learnable std's KL log underflows at 1e150 (a separate defect); only the fit is checked
+    with np.errstate(divide="ignore"):
+        modes = cf.per_mode(sp.singular_values, beta, hp.decvar, hp.eta_enc, hp.pinned_sigma)
+    exact = exact_fit(sp.singular_values, beta, hp.decvar, hp.eta_enc, modes.sigma)
+    for got, want in zip(modes.fit, exact):
+        assert abs(got - float(want)) <= 1e-15 * float(want)
+    if sigma_mode == "fixed":  # the stds sit at the prior, so the KL term is exactly 0
+        assert not modes.kl.any()
+        want = float(sum(exact) / (2 * Fraction(hp.decvar)))
+        assert abs(cf.global_minimum(sp, hp).predicted_loss - want) <= 1e-15 * want
 
 
 class TestMinimalValues:

@@ -203,3 +203,24 @@ class TestDerivedFields:
         assert_derived_fields(DataSpectrum(**arrays))
         with pytest.raises(TypeError, match=name):
             DataSpectrum(**arrays, **{name: getattr(sp, name)})
+
+    @pytest.mark.parametrize("name, value", [
+        ("singular_values", np.array([2.0, 1.0, 1.0])),
+        ("basis", np.eye(2)[:, :1]),
+        ("basis", np.ones(2)),
+        ("left_vectors", np.eye(3)[:, :2]),
+        ("right_vectors", np.eye(3)),
+        ("singular_values", np.array([[2.0, 1.0]])),
+        ("eigenvalues", np.ones((2, 1))),
+    ])
+    def test_arrays_must_agree_in_shape(self, name, value):
+        """A part whose shape disagrees with the sizes the other arrays fix is refused
+        by name: a rank-2 input with three singular values built, counted
+        ``effective_rank=3``, and failed only in ``cross_moment`` with an IndexError."""
+        arrays = dict(
+            eigenvalues=np.ones(2), singular_values=np.array([2.0, 1.0]), basis=np.eye(2),
+            left_vectors=np.eye(3), right_vectors=np.eye(2), target_power=6.0,
+        )
+        assert DataSpectrum(**arrays).cross_moment().shape == (3, 2)
+        with pytest.raises(ValueError, match=name):
+            DataSpectrum(**{**arrays, name: value})

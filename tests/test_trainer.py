@@ -1,4 +1,5 @@
 import ast
+import re
 from copy import deepcopy
 from dataclasses import fields, replace
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import collapse_lab
 from collapse_lab import closed_form as cf
 from collapse_lab import decoder_variance as dv
 from collapse_lab import trainer as tr
@@ -145,22 +147,30 @@ class TestEvalLoss:
     def test_loss_only_paths_share_terms_once(
         self, monkeypatch, source, bias, ddv, sigma_mode, decvar_mode
     ):
-        """eval_loss runs the one kernel once, with no gradient buffer, and
-        gives to the bit the loss the kernel returns when it writes a gradient."""
+        """eval_loss binds the one kernel once, with no gradient buffer, evaluates it
+        once, and gives to the bit the loss the kernel returns when it writes a gradient."""
         m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
-        calls, kernel = [], tr._value_and_grad
+        binds, evaluations, kernel = [], [], tr._kernel
 
         def counted(*args, **kwargs):
-            calls.append((args, kwargs))
-            return kernel(*args, **kwargs)
+            binds.append((args, kwargs))
+            evaluate = kernel(*args, **kwargs)
 
-        monkeypatch.setattr(tr, "_value_and_grad", counted)
+            def counted_evaluate():
+                evaluations.append(1)
+                return evaluate()
+
+            return counted_evaluate
+
+        monkeypatch.setattr(tr, "_kernel", counted)
         for params in draws:
-            calls.clear()
+            binds.clear()
+            evaluations.clear()
             loss = tr.eval_loss(params, m, hp)
-            assert [(len(args), kwargs) for args, kwargs in calls] == [(3, {})]
+            assert [(len(args), kwargs) for args, kwargs in binds] == [(3, {})]
+            assert len(evaluations) == 1
             _, grad = tr._flat(params)
-            assert loss == kernel(params, m, hp, grad)
+            assert loss == kernel(params, m, hp, grad)()
 
     def test_oracles_read_no_private_trainer_name(self):
         """The references derive what they check: tests/oracles.py reads no
@@ -300,9 +310,7 @@ class TestEvalGrad:
         for params in draws:
             zero_bias = replace(params, enc_bias=np.zeros(3), dec_bias=np.zeros(3))
             (_, grad), (_, full) = tr._flat(params), tr._flat(zero_bias)
-            assert tr._value_and_grad(params, m, hp, grad) == tr._value_and_grad(
-                zero_bias, m, hp, full
-            )
+            assert tr._kernel(params, m, hp, grad)() == tr._kernel(zero_bias, m, hp, full)()
             for name, got in grad.items():
                 assert got.tobytes() == full[name].tobytes(), name
 
@@ -344,6 +352,23 @@ def test_entries_take_only_moments(source, entry):
     }
     with pytest.raises(TypeError, match="Moments.from_dataset or Moments.from_spectrum"):
         calls[entry]()
+
+
+def test_package_surface_carries_the_advice():
+    """Every name ``collapse_lab.__all__`` lists resolves, and the trainer's TypeError
+    advice can be followed through ``collapse_lab`` alone: each ``Moments``
+    constructor it names builds moments that ``init_params`` and ``train`` take."""
+    assert [name for name in collapse_lab.__all__ if not hasattr(collapse_lab, name)] == []
+    ds, sp = make_instance(seed=3, dim_x=4, dim_y=3)
+    hp = collapse_lab.Hyperparams(beta=0.9, latent_dim=3)
+    with pytest.raises(TypeError) as refused:
+        collapse_lab.train(0, ds, hp)
+    advice = re.findall(r"\b(\w+)\.(from_\w+)", str(refused.value))
+    assert advice == [("Moments", "from_dataset"), ("Moments", "from_spectrum")]
+    for (cls, ctor), data in zip(advice, (ds, sp)):
+        m = getattr(getattr(collapse_lab, cls), ctor)(data)
+        init = collapse_lab.init_params(m, hp, seed=1)
+        assert collapse_lab.train(init, m, hp, collapse_lab.TrainConfig(max_steps=5)).steps == 5
 
 
 def test_second_moment_exactly_symmetric():
@@ -391,12 +416,32 @@ def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, de
     m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
     for params in draws:
         _, grad = tr._flat(params, hp)
-        loss = tr._value_and_grad(params, m, hp, grad)
+        loss = tr._kernel(params, m, hp, grad)()
         ref_loss, ref = reference_value_and_grad(params, m, hp)
         assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
         for name, got in grad.items():
             scale = max(1.0, float(np.max(np.abs(ref[name]))))
             assert np.max(np.abs(got - ref[name])) <= 1e-12 * scale, name
+
+
+@kernel_paths
+@pytest.mark.parametrize("optimizer", ["adam", "gd"])
+def test_train_matches_reference_loop_to_the_bit(
+    optimizer, source, bias, ddv, sigma_mode, decvar_mode
+):
+    """``train``'s bound kernel and stacked Adam moments step the trajectory of the
+    plain loops over the public ``eval_loss`` and ``eval_grad``, to the bit: the same
+    loss trace, step count and final parameters."""
+    m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
+    cfg = tr.TrainConfig(optimizer, 1e-2, max_steps=60, grad_tol=0.0)
+    result = tr.train(draws[0], m, hp, cfg, trace=True)
+    trace, steps, params = oracles.reference_train(draws[0], m, hp, cfg)
+    assert result.steps == steps == cfg.max_steps
+    assert result.loss_trace.tobytes() == trace.tobytes()
+    for f in fields(params):
+        got, want = getattr(result.params, f.name), getattr(params, f.name)
+        assert (got is None) == (want is None), f.name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
 
 
 class TestTrain:
@@ -453,26 +498,33 @@ class TestTrain:
     def test_gd_stall_returns_the_last_point_that_descended(self, monkeypatch):
         """When no halving of a GD step descends, ``train`` stops at that step's start,
         with the loss and gradient there, though every failed trial wrote a gradient.
-        Every kernel call after the first k (k - 1 accepted steps) fails."""
+        Every evaluation after the first k (k - 1 accepted steps) fails; train binds the
+        kernel once."""
         m = tr.Moments.from_spectrum(DataSpectrum.from_singular_values([3, 2, 1], dim_y=3))
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
-        kernel, calls, k = tr._value_and_grad, [], 6
+        kernel, binds, calls, k = tr._kernel, [], [], 6
 
         def stalls_after_k(p, moments, hparams, grad):
-            calls.append(1)
-            loss = kernel(p, moments, hparams, grad)
-            if len(calls) <= k:
-                return loss
-            for view in grad.values():
-                view[...] = np.nan
-            return np.inf
+            binds.append(1)
+            evaluate = kernel(p, moments, hparams, grad)
 
-        monkeypatch.setattr(tr, "_value_and_grad", stalls_after_k)
+            def stalling():
+                calls.append(1)
+                loss = evaluate()
+                if len(calls) <= k:
+                    return loss
+                for view in grad.values():
+                    view[...] = np.nan
+                return np.inf
+
+            return stalling
+
+        monkeypatch.setattr(tr, "_kernel", stalls_after_k)
         result = tr.train(0, m, hp, tr.TrainConfig("gd", 0.05, max_steps=100, grad_tol=0.0))
         monkeypatch.undo()
         assert not result.converged
         assert result.steps == k
-        assert len(calls) == k + 80
+        assert len(binds) == 1 and len(calls) == k + 80
         assert result.final_loss == tr.eval_loss(result.params, m, hp)
         grad = tr.eval_grad(result.params, m, hp)
         assert result.grad_norm == max(
