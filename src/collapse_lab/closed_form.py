@@ -90,6 +90,8 @@ def per_mode(zeta, beta: float, s: float, eta_enc: float, sigma=None) -> PerMode
     ``fit`` is the mode's least residual of the reduced factorization and
     ``kl`` its std-only KL term, both scaled by ``2 s``; their sum is the
     mode's objective at the returned std, for a given ``sigma`` as well.
+    The KL's logarithm is taken from the stds' logarithms, so it stays finite
+    where ``(sigma / eta_enc)^2`` underflows to 0.
     Broadcasts over every argument.
     """
     zeta = np.asarray(zeta, dtype=np.float64)
@@ -107,13 +109,14 @@ def per_mode(zeta, beta: float, s: float, eta_enc: float, sigma=None) -> PerMode
     shrink = np.minimum(zeta, np.where(alive, root * sigma / eta_enc, zeta))
     gap = zeta - shrink
     ratio = (sigma / eta_enc) ** 2
+    log_ratio = 2.0 * (np.log(sigma) - np.log(eta_enc))
     return PerMode(
         alive=alive,
         decoder=np.sqrt(root / (sigma * eta_enc) * gap),
         encoder=np.sqrt(sigma * eta_enc / root * gap),
         sigma=sigma,
         fit=shrink * (2.0 * zeta - shrink),
-        kl=beta * s * (ratio - 1.0 - np.log(ratio)),
+        kl=beta * s * (ratio - 1.0 - log_ratio),
     )
 
 

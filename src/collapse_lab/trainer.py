@@ -197,28 +197,32 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
 
 def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = None):
     """Binds the loss-and-gradient kernel to ``p``'s arrays, ``m``, ``hp`` and the dict
-    ``grad`` of gradient views, read once, and returns a no-argument evaluator. Each call
-    returns the exact expected loss at the values ``p``'s arrays hold then and, given
-    ``grad``, writes the gradient of each field it names into its view. The halves share
-    the residual ``r = k a - cross^T``, ``k = decoder encoder^T`` (its transpose is
-    ``a k^T - cross``, as ``a`` is exactly symmetric), and the prior's pull ``a encoder``.
-    Products use ``ndarray.dot``, which dispatches faster than ``@`` on small matrices."""
+    ``grad`` of gradient views, read once, and returns an evaluator. Each call returns the
+    exact expected loss at the values ``p``'s arrays hold then and, given ``grad``, unless
+    the loss exceeds the optional ``bound``, writes the gradient of each field it names
+    into its view. The halves share the residual ``r = k a - cross^T``, ``k = decoder
+    encoder^T`` (its transpose is ``a k^T - cross``, as ``a`` is exactly symmetric), and
+    the prior's pull ``a encoder``. Products use ``ndarray.dot``, which dispatches faster
+    than ``@`` on small matrices, and scalar operands are 0-d arrays, which ufuncs take
+    faster than Python floats."""
     # p's fields in ModelParams' order, then their gradient views (None where absent)
     dec, enc, log_sigma, b_e, b_d, slope, offset, log_s = (getattr(p, f.name) for f in fields(p))
     g_dec, g_enc, g_sigma, g_be, g_bd, g_slope, g_offset, g_s = (
         (grad or {}).get(f.name) for f in fields(p))
-    a, cross_t, mean_x, mean_y, xs = m.a, m.cross.T, m.mean_x, m.mean_y, m.samples_x
+    a, cross_t, mean_x, mean_y, xs, enc_t = m.a, m.cross.T, m.mean_x, m.mean_y, m.samples_x, enc.T
     ddv, beta, eta2, s_fixed, power = p.ddv, hp.beta, hp.eta_enc**2, hp.decvar, m.target_power
     pull, kl_const, half_dim_y = beta / eta2, log_sigma.size * (1.0 - math.log(eta2)), 0.5 * m.dim_y
+    # the array operands; s_0 holds the decoder variance, rewritten per call when learnable
+    pull_0, beta_0, s_0 = np.array(pull), np.array(beta), np.array(s_fixed)
 
-    def evaluate() -> float:
-        k = dec.dot(enc.T)
+    def evaluate(bound: float = math.inf) -> float:
+        k = dec.dot(enc_t)
         r = k.dot(a) - cross_t
-        col_sq = np.add.reduce(dec**2, axis=0)
+        col_sq = np.add.reduce(np.square(dec), 0)
         recon = float(np.vdot(r - cross_t, k))  # <k a, k> - 2 <cross^T, k>
         if b_e is not None:  # the biases come as a pair; without them each mean term is 0
             c = dec.dot(b_e) + b_d
-            w_mean = enc.T.dot(mean_x)
+            w_mean = enc_t.dot(mean_x)
             r_mean = k.dot(mean_x) + c - mean_y
             recon += float(c.dot(2.0 * r_mean - c))
         recon += power
@@ -228,8 +232,8 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = Non
                 raise DegenerateVariance("encoder std hit zero on a training sample")
             s2 = np.mean(t**2, axis=0)
         else:
-            s2 = np.exp(log_sigma) ** 2
-        s = float(np.exp(log_s)) if log_s is not None else s_fixed
+            s2 = np.square(np.exp(log_sigma))
+        s = float(np.exp(log_s, s_0)) if log_s is not None else s_fixed
         if s == 0.0:
             raise DegenerateVariance("decoder variance underflowed to zero")
         fit = (recon + float(s2.dot(col_sq))) / (2.0 * s)  # E||y - decode(z)||^2 / (2 s)
@@ -247,17 +251,17 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = Non
         loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
         if log_s is not None:
             loss += half_dim_y * math.log(s)
-        if grad is None:
+        if grad is None or loss > bound:
             return loss
 
         if ddv or g_sigma is not None:
-            coef = col_sq / s + pull  # 2 d loss / d s2, less the KL's log term
+            coef = col_sq / s_0 + pull_0  # 2 d loss / d s2, less the KL's log term
         if ddv:
             n = xs.shape[0]
             g_slope[...] = coef[:, None] * (t.T.dot(xs) / n) - beta * ((1.0 / t).T.dot(xs) / n)
             g_offset[...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
         elif g_sigma is not None:
-            np.subtract(coef * s2, beta, out=g_sigma)
+            np.subtract(coef * s2, beta_0, g_sigma)
         if g_s is not None:
             g_s[...] = -fit + half_dim_y
 
@@ -269,8 +273,8 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = Non
             prior = prior + np.outer(mean_x, b_e)
             g_be[...] = dec.T.dot(r_mean) / s + pull * (w_mean + b_e)
             g_bd[...] = r_mean / s
-        np.divide(e_r_m + dec * s2, s, out=g_dec)
-        np.add(e_r_d / s, pull * prior, out=g_enc)
+        np.divide(e_r_m + dec * s2, s_0, g_dec)
+        np.add(e_r_d / s_0, pull_0 * prior, g_enc)
         return loss
 
     return evaluate
@@ -348,27 +352,30 @@ def train(
     )
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    # Adam's moments m and v stacked as rows, both stepped by one column of decays
+    # Adam's moments m and v stacked as rows, both stepped by one row of decays each
     adam_m, adam_v = adam = np.zeros((2, x.size))
-    decay = np.array([[1 - beta1], [1 - beta2]])
+    decay = np.array([[1 - beta1], [1 - beta2]]).repeat(x.size, axis=1)
     update, denom = diff = np.empty((2, x.size))  # scratch, free once the moments are stepped
     lr = cfg.learning_rate
     gd_step = cfg.learning_rate
+    tol2 = cfg.grad_tol * cfg.grad_tol
 
     converged = False
     steps = 0
     # a step that overflows shows up as a non-finite loss, reported as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, cfg.max_steps + 1):
-            grad_norm = float(np.maximum.reduce(np.abs(g)))
-            if grad_norm <= cfg.grad_tol:
+            # max g^2 <= tol^2 wherever max |g| <= tol, as rounding is monotone, so this
+            # cheaper test (argmax dispatches faster than a ufunc reduction; a NaN fails
+            # both) skips the exact one only where that cannot pass
+            np.multiply(g, g, out=g2)
+            if g2[g2.argmax()] <= tol2 and np.maximum.reduce(np.abs(g)) <= cfg.grad_tol:
                 converged = True
                 break
             steps = step
             if cfg.optimizer == "adam":
                 # moments and x in place; with c1 = 1 - beta1^t, c2 = 1 - beta2^t the step
                 # lr (m/c1) / (sqrt(v/c2) + eps) is lr sqrt(c2)/c1 m / (sqrt(v) + eps sqrt(c2))
-                np.multiply(g, g, out=g2)
                 np.subtract(g_g2, adam, out=diff)
                 diff *= decay
                 adam += diff
@@ -381,13 +388,14 @@ def train(
                 loss = evaluate()
             else:
                 # halving-on-increase line search from ``start`` along the start gradient
-                # ``g0``, mild regrowth on success; each trial writes its gradient into g
+                # ``g0``, mild regrowth on success; a trial that does not descend skips its
+                # gradient, any other writes it into g
                 start, g0 = x.copy(), g.copy()
                 trial = min(gd_step * 2.0, cfg.learning_rate * 1e6)
                 for _ in range(80):
                     np.subtract(start, trial * g0, out=x)
                     try:
-                        cand_loss = evaluate()
+                        cand_loss = evaluate(loss)
                     except DegenerateVariance:  # a variance of exactly 0: the loss is +inf
                         cand_loss = math.inf
                     if math.isfinite(cand_loss) and cand_loss <= loss:

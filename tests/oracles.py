@@ -4,6 +4,7 @@ does not take."""
 
 import math
 import re
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from dataclasses import dataclass, field, fields, replace
 
@@ -313,6 +314,17 @@ def exact_fit(zeta, beta: float, s: float, eta_enc: float, sigma) -> list[Fracti
         gap = max(Fraction(0), z - exact_sqrt(Fraction(beta) * Fraction(s)) * sig / Fraction(eta_enc))
         out.append(z * z - gap * gap)
     return out
+
+
+def exact_kl(beta: float, s: float, eta_enc: float, sigma) -> list[Decimal]:
+    """Each mode's std-only KL term ``beta s (r - 1 - ln r)``, ``r = (sigma / eta_enc)^2``,
+    scaled by ``2 s`` as the closed form scales it, in 60-digit decimal arithmetic on the
+    float inputs: decimal's exponent range keeps ``r`` where a float's square of
+    ``sigma / eta_enc`` underflows to 0."""
+    with localcontext(prec=60):
+        scale = Decimal(beta) * Decimal(s)
+        ratios = [(Decimal(sig) / Decimal(eta_enc)) ** 2 for sig in sigma]
+        return [scale * (r - 1 - r.ln()) for r in ratios]
 
 
 def residual_power(sp: DataSpectrum, hp: Hyperparams, s: float) -> float:

@@ -12,7 +12,7 @@ from collapse_lab.data import Dataset, center
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
 from conftest import make_instance, params_from_minimum
-from oracles import exact_fit, reduce_to_factorization
+from oracles import exact_fit, exact_kl, reduce_to_factorization
 
 
 def kl_var_term(hp, sigma):
@@ -382,9 +382,7 @@ def test_fit_does_not_cancel(zeta, beta, sigma_mode):
     where the loss is 1e75) and about 1e-10 relative at zeta = 1e4, beta = 1e-4."""
     sp = DataSpectrum.from_singular_values(zeta, dim_y=2)
     hp = cf.Hyperparams(beta=beta, latent_dim=2, sigma_mode=sigma_mode)
-    # a learnable std's KL log underflows at 1e150 (a separate defect); only the fit is checked
-    with np.errstate(divide="ignore"):
-        modes = cf.per_mode(sp.singular_values, beta, hp.decvar, hp.eta_enc, hp.pinned_sigma)
+    modes = cf.per_mode(sp.singular_values, beta, hp.decvar, hp.eta_enc, hp.pinned_sigma)
     exact = exact_fit(sp.singular_values, beta, hp.decvar, hp.eta_enc, modes.sigma)
     for got, want in zip(modes.fit, exact):
         assert abs(got - float(want)) <= 1e-15 * float(want)
@@ -392,6 +390,24 @@ def test_fit_does_not_cancel(zeta, beta, sigma_mode):
         assert not modes.kl.any()
         want = float(sum(exact) / (2 * Fraction(hp.decvar)))
         assert abs(cf.global_minimum(sp, hp).predicted_loss - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("zeta, beta", [([1e150, 1.0], 1e-150), ([1e4, 1.0], 1e-4)])
+@pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
+def test_kl_does_not_underflow(zeta, beta, sigma_mode):
+    """Each mode's KL term and the predicted loss match a decimal reference where the
+    optimal std is tiny: at zeta = 1e150, beta = 1e-150 the learnable std is 1e-225,
+    whose squared ratio to the prior underflows to 0, and the KL's ``log(0)`` made
+    the predicted loss inf."""
+    sp = DataSpectrum.from_singular_values(zeta, dim_y=2)
+    hp = cf.Hyperparams(beta=beta, latent_dim=2, sigma_mode=sigma_mode)
+    modes = cf.per_mode(sp.singular_values, beta, hp.decvar, hp.eta_enc, hp.pinned_sigma)
+    exact = exact_kl(beta, hp.decvar, hp.eta_enc, modes.sigma)
+    for got, want in zip(modes.kl, exact):
+        assert abs(got - float(want)) <= 1e-15 * float(want)
+    fit = exact_fit(sp.singular_values, beta, hp.decvar, hp.eta_enc, modes.sigma)
+    want = float((sum(fit) + sum(map(Fraction, exact))) / (2 * Fraction(hp.decvar)))
+    assert abs(cf.global_minimum(sp, hp).predicted_loss - want) <= 1e-15 * want
 
 
 class TestMinimalValues:

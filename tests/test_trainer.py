@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import collapse_lab
 from collapse_lab import closed_form as cf
@@ -425,23 +428,93 @@ def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, de
 
 
 @kernel_paths
-@pytest.mark.parametrize("optimizer", ["adam", "gd"])
-def test_train_matches_reference_loop_to_the_bit(
-    optimizer, source, bias, ddv, sigma_mode, decvar_mode
-):
-    """``train``'s bound kernel and stacked Adam moments step the trajectory of the
-    plain loops over the public ``eval_loss`` and ``eval_grad``, to the bit: the same
-    loss trace, step count and final parameters."""
+def test_bound_gates_the_gradient(source, bias, ddv, sigma_mode, decvar_mode):
+    """With a bound below the loss the evaluator returns the loss and writes no gradient
+    view; with a bound at or above it, it writes exactly ``eval_grad``'s values. Either
+    way the loss is ``eval_loss``'s to the bit. A NaN loss is below no bound, so it
+    writes its gradient as ``eval_grad`` does."""
     m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
-    cfg = tr.TrainConfig(optimizer, 1e-2, max_steps=60, grad_tol=0.0)
-    result = tr.train(draws[0], m, hp, cfg, trace=True)
-    trace, steps, params = oracles.reference_train(draws[0], m, hp, cfg)
-    assert result.steps == steps == cfg.max_steps
+    draws.append(replace(draws[0], encoder=np.full_like(draws[0].encoder, np.nan)))
+    sentinel = 1234.5
+    for params in draws:
+        loss, want = tr.eval_loss(params, m, hp), tr.eval_grad(params, m, hp)
+        below, above = np.nextafter(loss, -np.inf), np.nextafter(loss, np.inf)
+        for bound in (-np.inf, below, loss, above, np.inf):
+            flat, grad = tr._flat(params, hp)
+            flat[...] = sentinel
+            assert np.array_equal(tr._kernel(params, m, hp, grad)(bound), loss, equal_nan=True)
+            for name, view in grad.items():
+                if bound < loss:
+                    assert np.all(view == sentinel), name
+                else:
+                    assert view.tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+
+
+def train_as_reference(init, m, hp, cfg):
+    """``train`` from ``init``, checked against the plain loops of ``oracles.reference_train``
+    over the public ``eval_loss`` and ``eval_grad``: the same loss trace, step count and
+    final parameters, to the bit."""
+    result = tr.train(init, m, hp, cfg, trace=True)
+    trace, steps, params = oracles.reference_train(init, m, hp, cfg)
+    assert result.steps == steps
     assert result.loss_trace.tobytes() == trace.tobytes()
     for f in fields(params):
         got, want = getattr(result.params, f.name), getattr(params, f.name)
         assert (got is None) == (want is None), f.name
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+    return result
+
+
+@kernel_paths
+@pytest.mark.parametrize("optimizer", ["adam", "gd"])
+def test_train_matches_reference_loop_to_the_bit(
+    optimizer, source, bias, ddv, sigma_mode, decvar_mode
+):
+    """``train``'s bound kernel, stacked Adam moments and gated GD trials step the
+    trajectory of the plain loops, to the bit."""
+    m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
+    cfg = tr.TrainConfig(optimizer, 1e-2, max_steps=60, grad_tol=0.0)
+    assert train_as_reference(draws[0], m, hp, cfg).steps == cfg.max_steps
+
+
+@kernel_paths
+@pytest.mark.parametrize("optimizer", ["adam", "gd"])
+@pytest.mark.parametrize("tol", ["reached", "below_reached"])
+def test_train_matches_reference_loop_at_a_boundary_tolerance(
+    tol, optimizer, source, bias, ddv, sigma_mode, decvar_mode
+):
+    """With ``grad_tol`` the gradient max-norm a 30-step run ends at, or the float just
+    below it, the last bit decides the convergence test; ``train``'s squared prescreen
+    before its exact test stops where the plain loop's exact test does."""
+    m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
+    cfg = tr.TrainConfig(optimizer, 1e-2, max_steps=60, grad_tol=0.0)
+    reached = tr.train(draws[0], m, hp, replace(cfg, max_steps=30)).grad_norm
+    cfg = replace(cfg, grad_tol=reached if tol == "reached" else np.nextafter(reached, 0.0))
+    result = train_as_reference(draws[0], m, hp, cfg)
+    assert result.converged == (result.steps < cfg.max_steps)
+    if tol == "reached":
+        assert result.converged and result.steps <= 30
+
+
+_EDGES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.5e-154, 1.4e154, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    g=hnp.arrays(np.float64, st.integers(1, 12), elements=st.one_of(_EDGES, st.floats())),
+    tol=st.one_of(st.sampled_from([0.0, 5e-324, 1e-160, 1.5e-154, 1.4e154, 1e300]),
+                  st.floats(0.0, 1e300)),
+)
+def test_squared_prescreen_never_rejects_a_converged_gradient(g, tol):
+    """``train`` tests ``max(g*g) <= tol*tol`` before the exact ``max|g| <= tol`` and
+    runs the exact test only when the first passes. Rounding is monotone, so the first
+    passes wherever the second does: with zeros, subnormals, squares that underflow or
+    overflow, an infinite ``tol*tol``, infinities and NaNs in ``g``."""
+    with np.errstate(over="ignore", under="ignore"):
+        g2 = g * g
+    if np.maximum.reduce(np.abs(g)) <= tol:
+        assert g2[g2.argmax()] <= tol * tol
 
 
 class TestTrain:
@@ -508,9 +581,9 @@ class TestTrain:
             binds.append(1)
             evaluate = kernel(p, moments, hparams, grad)
 
-            def stalling():
+            def stalling(*bound):
                 calls.append(1)
-                loss = evaluate()
+                loss = evaluate(*bound)
                 if len(calls) <= k:
                     return loss
                 for view in grad.values():
@@ -531,6 +604,17 @@ class TestTrain:
             float(np.max(np.abs(getattr(grad, name))))
             for name in tr._flat(result.params, hp)[1]
         )
+
+    def test_gd_trial_that_ties_the_loss_writes_its_gradient(self):
+        """At a minimum, GD's trials tie the loss at float precision. A tie is accepted, so
+        the trial writes its gradient, and the run matches the plain loop to the bit."""
+        ds, sp = make_instance(seed=17, dim_x=4, dim_y=4)
+        m = tr.Moments.from_dataset(ds)
+        hp = cf.Hyperparams(beta=1.2, latent_dim=3)
+        init = params_from_minimum(cf.global_minimum(sp, hp), hp)
+        cfg = tr.TrainConfig("gd", 0.05, max_steps=40, grad_tol=0.0)
+        result = train_as_reference(init, m, hp, cfg)
+        assert np.count_nonzero(np.diff(result.loss_trace) == 0.0) > result.steps // 2
 
     def test_recovers_closed_form_minimum(self):
         ds, sp = make_instance(seed=19, dim_x=5, dim_y=5, scale=1.2)
