@@ -18,6 +18,7 @@ import math
 import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -120,12 +121,23 @@ def _hyperparams(args, need_beta: bool = True) -> cf.Hyperparams:
     )
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path`` as UTF-8 with ``\\n`` line ends, or
+    to stdout for None: everything the CLI prints but its stderr comes here."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text, ``header`` then ``rows`` (any iterable): a float cell as
+    ``repr`` writes it, so ``load``'s grammar reads it back, None as an empty
+    cell, and any other (an int or a label) as ``str``."""
+    return "".join(",".join([
+        repr(float(c)) if isinstance(c, float) else "" if c is None else str(c) for c in row
+    ]) + "\n" for row in chain([header], rows))
 
 
 def _to_json(obj, null_non_finite: bool = False):
@@ -147,15 +159,21 @@ def _to_json(obj, null_non_finite: bool = False):
     return obj
 
 
-def _emit_json(args, command: str, payload) -> None:
+def _emit_json(path: str | None, command: str, payload) -> None:
     doc = {"schema": SCHEMA, "command": command, **_to_json(payload)}
     # strict RFC 8259: a non-finite float raises ValueError (exit 2), never prints NaN
-    _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _emit(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _collapse_json(report: cl.CollapseReport) -> dict:
     # a fixed-variance report has no decvar key
     return {k: v for k, v in _to_json(report).items() if not (k == "decvar" and v is None)}
+
+
+def _learnable_json(sp: DataSpectrum, hp: cf.Hyperparams) -> tuple[dict, list]:
+    """The learnable-variance collapse report, and the regime table with a null open end."""
+    breakpoints = _to_json(dv.beta_breakpoints(sp, hp), null_non_finite=True)
+    return _collapse_json(cl.predict(sp, hp)), breakpoints
 
 
 def _beta_grid(text: str) -> np.ndarray:
@@ -177,7 +195,7 @@ def cmd_spectrum(args) -> int:
     sp = _load_spectrum(args)
     if sp.effective_rank == 0:
         print("warning: all singular values are zero (no signal)", file=sys.stderr)
-    _emit_json(args, "spectrum", sp)
+    _emit_json(args.out, "spectrum", sp)
     return 0
 
 
@@ -198,7 +216,7 @@ def cmd_solve(args) -> int:
         )
         rotation = make(hp.latent_dim, args.random_rotation)
     gm = cf.global_minimum(sp, hp, rotation=rotation)
-    _emit_json(args, "solve", {"hyperparams": hp, **_to_json(gm)})
+    _emit_json(args.out, "solve", {"hyperparams": hp, **_to_json(gm)})
     return 0
 
 
@@ -208,11 +226,9 @@ def cmd_predict(args) -> int:
     fixed = cl.predict(sp, replace(hp, decvar_mode="fixed"))
     payload = {"hyperparams": hp, "fixed": _collapse_json(fixed)}
     if hp.decvar_mode == "learnable":
-        payload["learnable"] = {
-            **_collapse_json(cl.predict(sp, hp)),
-            "beta_breakpoints": _to_json(dv.beta_breakpoints(sp, hp), null_non_finite=True),
-        }
-    _emit_json(args, "predict", payload)
+        collapse, breakpoints = _learnable_json(sp, hp)
+        payload["learnable"] = {**collapse, "beta_breakpoints": breakpoints}
+    _emit_json(args.out, "predict", payload)
     return 0
 
 
@@ -224,42 +240,33 @@ def cmd_sweep(args) -> int:
     hp = _hyperparams(args, need_beta=False)
     rows = cl.beta_sweep(sp, hp, grid)
 
-    trained = None
+    trained = []  # per row: the trained loss, then the trained stds descending
     if args.train:
         moments = tr.Moments.from_spectrum(replace(sp, eigenvalues=np.ones_like(sp.eigenvalues)))
-        trained = [
-            tr.train_to_minimum(args.seed, moments, replace(hp, beta=row.beta))
-            for row in rows
-        ]
+        for row in rows:
+            t = tr.train_to_minimum(args.seed, moments, replace(hp, beta=row.beta))
+            trained.append([t.final_loss, *np.sort(t.params.sigma)[::-1].tolist()])
 
     if args.format == "json":
         if trained:
             rows = [
-                {**_to_json(row), "train_loss": t.final_loss,
-                 "train_sigma": np.sort(t.params.sigma)[::-1]}
+                {**_to_json(row), "train_loss": t[0], "train_sigma": t[1:]}
                 for row, t in zip(rows, trained)
             ]
-        _emit_json(args, "sweep", {"hyperparams": hp, "rows": rows})
+        _emit_json(args.out, "sweep", {"hyperparams": hp, "rows": rows})
         return 0
 
-    d1 = hp.latent_dim
-    header = ["beta", "loss", "rank", "regime"]
-    if hp.decvar_mode == "learnable":
-        header.append("s_star")
-    header += [f"sigma_{i + 1}" for i in range(d1)]
+    learnable = hp.decvar_mode == "learnable"  # only then is there an s_star column
+    sigmas = [f"sigma_{i + 1}" for i in range(hp.latent_dim)]
+    header = ["beta", "loss", "rank", "regime", *(["s_star"] if learnable else []), *sigmas]
     if trained:
-        header += ["train_loss"] + [f"train_sigma_{i + 1}" for i in range(d1)]
-    lines = [",".join(header)]
-    for i, row in enumerate(rows):
-        cells = [repr(float(row.beta)), repr(float(row.loss)), str(row.rank), row.regime]
-        if hp.decvar_mode == "learnable":
-            cells.append("" if row.s_star is None else repr(float(row.s_star)))
-        cells += [repr(float(v)) for v in row.sigma]
-        if trained:
-            cells.append(repr(float(trained[i].final_loss)))
-            cells += [repr(float(v)) for v in np.sort(trained[i].params.sigma)[::-1]]
-        lines.append(",".join(cells))
-    _emit(args, "\n".join(lines) + "\n")
+        header += ["train_loss", *(f"train_{name}" for name in sigmas)]
+    cells = (  # made a row at a time: all 4000 rows of a long sweep as objects add about 2 MB
+        [row.beta, row.loss, row.rank, row.regime, *([row.s_star] if learnable else []),
+         *row.sigma.tolist(), *t]
+        for row, t in zip(rows, trained or [[]] * len(rows))
+    )
+    _emit(args.out, _csv(header, cells))
     return 0
 
 
@@ -278,15 +285,11 @@ def cmd_train(args) -> int:
     )
     result = tr.train(init, moments, hp, cfg, trace=bool(args.trace))
     if args.trace:
-        lines = ["step,loss" + (",decvar" if result.decvar_trace is not None else "")]
-        for i, value in enumerate(result.loss_trace):
-            row = f"{i},{float(value)!r}"
-            if result.decvar_trace is not None:
-                row += f",{float(result.decvar_trace[i])!r}"
-            lines.append(row)
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    _emit_json(args, "train", {
+        steps = range(len(result.loss_trace))
+        columns = {"step": steps, "loss": result.loss_trace, "decvar": result.decvar_trace}
+        columns = {name: column for name, column in columns.items() if column is not None}
+        _emit(args.trace, _csv(list(columns), zip(*columns.values())))
+    _emit_json(args.out, "train", {
         "hyperparams": hp, "final_loss": result.final_loss, "grad_norm": result.grad_norm,
         "steps": result.steps, "converged": result.converged,
         "sigma": result.params.sigma, "decvar": result.params.decvar,
@@ -303,9 +306,9 @@ def cmd_verify(args) -> int:
         learnable_decvar=args.learnable_decvar,
         beta_error=args.inject_beta_error,
     )
-    print(report.format_table())
+    _emit(None, report.format_table() + "\n")
     if args.out:
-        _emit_json(args, "verify", report)
+        _emit_json(args.out, "verify", report)
     return 0 if report.all_passed else 3
 
 
@@ -322,9 +325,8 @@ def cmd_report(args) -> int:
         "collapse": _collapse_json(cl.predict(sp, fixed_hp)),
     }
     if hp.decvar_mode == "learnable":
-        payload["collapse_learnable_decvar"] = _collapse_json(cl.predict(sp, hp))
-        payload["beta_breakpoints"] = _to_json(dv.beta_breakpoints(sp, hp), null_non_finite=True)
-    _emit_json(args, "report", payload)
+        payload["collapse_learnable_decvar"], payload["beta_breakpoints"] = _learnable_json(sp, hp)
+    _emit_json(args.out, "report", payload)
     return 0
 
 

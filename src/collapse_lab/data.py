@@ -110,39 +110,30 @@ class SyntheticSpec:
 
     Inputs are drawn i.i.d. from N(0, ``second_moment``) and targets are
     ``y = map_matrix @ x``. Any overall signal gain is folded into the
-    scale of ``map_matrix``.
+    scale of ``map_matrix``, whose shape (dim_y, dim_x) gives the sizes.
+    A recipe that cannot be drawn from is refused here with :class:`InvalidSpec`.
     """
 
-    dim_x: int
-    dim_y: int
+    dim_x: int = field(init=False)
+    dim_y: int = field(init=False)
     n_samples: int
     second_moment: np.ndarray = field(repr=False)
     map_matrix: np.ndarray = field(repr=False)
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "second_moment", _as_matrix(self.second_moment, "second_moment")
-        )
-        object.__setattr__(
-            self, "map_matrix", _as_matrix(self.map_matrix, "map_matrix")
-        )
-
-    def validate(self) -> None:
-        if self.dim_x < 1:
-            raise InvalidSpec(f"dim_x must be >= 1, got {self.dim_x}")
-        if self.dim_y < 1:
-            raise InvalidSpec(f"dim_y must be >= 1, got {self.dim_y}")
-        a = self.second_moment
-        if a.shape != (self.dim_x, self.dim_x):
-            raise InvalidSpec(
-                f"second_moment shape {a.shape} != ({self.dim_x}, {self.dim_x})"
-            )
-        if self.map_matrix.shape != (self.dim_y, self.dim_x):
-            raise InvalidSpec(
-                f"map_matrix shape {self.map_matrix.shape} != "
-                f"({self.dim_y}, {self.dim_x})"
-            )
+        a = _as_matrix(self.second_moment, "second_moment")
+        object.__setattr__(self, "second_moment", a)
+        object.__setattr__(self, "map_matrix", _as_matrix(self.map_matrix, "map_matrix"))
+        dim_y, dim_x = self.map_matrix.shape
+        object.__setattr__(self, "dim_x", dim_x)
+        object.__setattr__(self, "dim_y", dim_y)
+        if dim_x < 1:
+            raise InvalidSpec(f"dim_x must be >= 1, got {dim_x}")
+        if dim_y < 1:
+            raise InvalidSpec(f"dim_y must be >= 1, got {dim_y}")
+        if a.shape != (dim_x, dim_x):
+            raise InvalidSpec(f"second_moment shape {a.shape} != (dim_x, dim_x), dim_x = {dim_x}")
         if self.n_samples < 1:
             raise InvalidSpec("n_samples must be >= 1")
         if np.max(np.abs(a - a.T)) > _SYMMETRY_TOL:
@@ -161,7 +152,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
     x = P phi^{1/2} g with g standard normal) so rank-deficient second
     moments are handled exactly.
     """
-    spec.validate()
     eigenvalues, vectors = np.linalg.eigh(spec.second_moment)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     factor = vectors * np.sqrt(eigenvalues)
@@ -386,11 +376,4 @@ def random_spec(
     a = (q * eigenvalues) @ q.T
     a = 0.5 * (a + a.T)
     m = signal_scale * rng.standard_normal((dim_y, dim_x)) / np.sqrt(dim_x)
-    return SyntheticSpec(
-        dim_x=dim_x,
-        dim_y=dim_y,
-        n_samples=n_samples,
-        second_moment=a,
-        map_matrix=m,
-        seed=seed + 1,
-    )
+    return SyntheticSpec(n_samples=n_samples, second_moment=a, map_matrix=m, seed=seed + 1)

@@ -30,6 +30,8 @@ class Moments:
 
     ``samples_x`` holds the samples the data-dependent variance terms average a
     logarithm over: :meth:`from_dataset` keeps them, :meth:`from_spectrum` cannot.
+    A part whose shape disagrees with ``a``'s, or an ``a`` that is not exactly
+    symmetric, is refused here with :class:`ShapeError`.
     """
 
     a: np.ndarray = field(repr=False)       # E[x x^T], exactly symmetric
@@ -42,8 +44,21 @@ class Moments:
     samples_x: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim_x", self.a.shape[0])
-        object.__setattr__(self, "dim_y", self.cross.shape[1])
+        # the kernel reads a k^T - cross as the transpose of k a - cross^T
+        if np.ndim(self.a) != 2 or not np.array_equal(self.a, np.transpose(self.a)):
+            raise ShapeError(f"a {np.shape(self.a)} is not square and exactly symmetric")
+        dim_x = len(self.a)
+        if np.ndim(self.cross) != 2 or len(self.cross) != dim_x:
+            raise ShapeError(f"cross {np.shape(self.cross)} does not have dim_x = {dim_x} rows")
+        object.__setattr__(self, "dim_x", dim_x)
+        object.__setattr__(self, "dim_y", np.shape(self.cross)[1])
+        for name, shape in (("mean_x", (dim_x,)), ("mean_y", (self.dim_y,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ShapeError(f"{name} {np.shape(getattr(self, name))} != {shape}")
+        if self.samples_x is not None and np.shape(self.samples_x)[1:] != (dim_x,):
+            raise ShapeError(
+                f"samples_x {np.shape(self.samples_x)} does not have dim_x = {dim_x} columns"
+            )
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "Moments":

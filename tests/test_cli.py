@@ -15,6 +15,8 @@ import pytest
 
 import collapse_lab
 from collapse_lab import cli, data
+from collapse_lab import collapse as cl
+from collapse_lab import decoder_variance as dv
 from collapse_lab.cli import main
 from collapse_lab.data import Dataset, generate, load, random_spec, save
 from collapse_lab.errors import ParseError
@@ -344,6 +346,15 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "--data", str(autoencode_csv), "--d1", "2")
         assert code == 2 and "beta" in err
 
+    def test_learnable_decvar_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--zeta", "3,2", "--d2", "2", "--d1", "2", "--beta", "1",
+            "--learnable-sigma", "--learnable-decvar",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "predict --learnable-decvar" in err
+
 
 class TestPredictCommand:
     def test_fixed_and_learnable_sections(self, capsys):
@@ -481,6 +492,43 @@ class TestSweepCommand:
                 cells = dict(zip(header, line.split(",")))
                 loss, trained = float(cells["loss"]), float(cells["train_loss"])
                 assert abs(trained - loss) <= 1e-4 * abs(loss), argv
+
+    REGIMES = {
+        cl.REGIME_NONE, cl.REGIME_PARTIAL, cl.REGIME_COMPLETE, dv.REGIME_ILL_POSED,
+        dv.REGIME_BOUNDARY, dv.REGIME_NO_COLLAPSE, dv.REGIME_PARTIAL, dv.REGIME_COMPLETE,
+    }
+
+    @pytest.mark.parametrize(
+        "argv, shows",
+        [
+            (("--synthetic", "3,4,500,7", "--d1", "5", "--beta-grid", "0.05:4:0.05"), {}),
+            # ill-posed rows: a nan loss and an empty s_star
+            (("--synthetic", "3,4,500,7", "--d1", "5", "--learnable-sigma",
+              "--learnable-decvar", "--beta-grid", "0.05:4:0.05"), {"loss": "nan", "s_star": ""}),
+            (("--zeta", "2.0,1.2", "--d2", "3", "--d1", "3", "--learnable-sigma", "--train",
+              "--beta-grid", "0.5:2.0:0.5"), {}),
+        ],
+    )
+    def test_every_csv_cell(self, capsys, argv, shows):
+        """Every cell is one the CSV reader's grammar reads as a number, but
+        for rank (digits), regime (a known label) and s_star (maybe empty)."""
+        code, out, _ = run(capsys, "sweep", *argv)
+        assert code == 0
+        header, *lines = out.splitlines()
+        names = header.split(",")
+        seen = set()
+        for line in lines:
+            cells = line.split(",")
+            assert len(cells) == len(names), line
+            for name, cell in zip(names, cells):
+                seen.add((name, cell))
+                if name == "rank":
+                    assert cell.isdigit(), line
+                elif name == "regime":
+                    assert cell in self.REGIMES, line
+                elif not (name == "s_star" and cell == ""):
+                    assert re.fullmatch(data._CELL, cell.encode()), (name, line)
+        assert set(shows.items()) <= seen
 
     def test_json_format(self, capsys, autoencode_csv):
         code, out, _ = run(

@@ -304,6 +304,12 @@ class TestGlobalMinimum:
         with pytest.raises(ValueError):
             cf.global_minimum(sp, hp_fixed, rotation=np.ones((3, 3)))
 
+    def test_learnable_decoder_variance_refused(self):
+        _, sp = make_instance(seed=37)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=2, decvar_mode="learnable")
+        with pytest.raises(ValueError, match="fixed decoder variance"):
+            cf.global_minimum(sp, hp)
+
     def test_flags_match_zero_factors(self):
         _, sp = make_instance(seed=37, dim_y=5)
         hp = cf.Hyperparams(beta=1.1, latent_dim=6)

@@ -31,7 +31,7 @@ import oracles
 def test_identity_second_moment_law_of_large_numbers():
     """With A = I and n = 10000 the sample second moment lands within 0.1
     of the identity in max-entry norm."""
-    spec = SyntheticSpec(5, 5, 10000, np.eye(5), np.eye(5), seed=3)
+    spec = SyntheticSpec(10000, np.eye(5), np.eye(5), seed=3)
     ds = generate(spec)
     emp = ds.x.T @ ds.x / ds.n_samples
     assert np.max(np.abs(emp - np.eye(5))) < 0.1
@@ -39,33 +39,55 @@ def test_identity_second_moment_law_of_large_numbers():
 
 
 def test_zero_covariance_gives_zero_data():
-    spec = SyntheticSpec(3, 2, 50, np.zeros((3, 3)), np.ones((2, 3)), seed=0)
+    spec = SyntheticSpec(50, np.zeros((3, 3)), np.ones((2, 3)), seed=0)
     ds = generate(spec)
     assert np.all(ds.x == 0.0)
     assert np.all(ds.y == 0.0)
 
 
 def test_zero_map_gives_zero_targets():
-    spec = SyntheticSpec(3, 2, 50, np.eye(3), np.zeros((2, 3)), seed=0)
+    spec = SyntheticSpec(50, np.eye(3), np.zeros((2, 3)), seed=0)
     assert np.all(generate(spec).y == 0.0)
 
 
 def test_non_psd_second_moment_rejected():
-    spec = SyntheticSpec(2, 2, 10, -np.eye(2), np.eye(2), seed=0)
     with pytest.raises(InvalidSpec):
-        generate(spec)
+        SyntheticSpec(10, -np.eye(2), np.eye(2), seed=0)
 
 
 @pytest.mark.parametrize("dims, name", [((0, 5), "dim_x"), ((3, 0), "dim_y")])
 def test_zero_dimension_rejected(dims, name):
     with pytest.raises(InvalidSpec, match=name):
-        generate(random_spec(*dims, n_samples=10, seed=1))
+        random_spec(*dims, n_samples=10, seed=1)
 
 
 def test_asymmetric_second_moment_rejected():
     a = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(InvalidSpec):
-        generate(SyntheticSpec(2, 2, 10, a, np.eye(2), seed=0))
+        SyntheticSpec(10, a, np.eye(2), seed=0)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        # the second moment's size disagrees with the map's dim_x
+        ((10, np.eye(3), np.ones((5, 4))), "dim_x"),
+        ((0, np.eye(2), np.eye(2)), "n_samples"),
+    ],
+)
+def test_inconsistent_recipe_rejected_at_construction(args, match):
+    with pytest.raises(InvalidSpec, match=match):
+        SyntheticSpec(*args, seed=0)
+
+
+def test_sizes_come_from_the_map():
+    """dim_x and dim_y are read off the map and cannot be passed."""
+    spec = SyntheticSpec(10, np.eye(4), np.ones((5, 4)), seed=0)
+    assert (spec.dim_x, spec.dim_y) == (4, 5)
+    settable = [f.name for f in fields(spec) if f.init]
+    assert settable == ["n_samples", "second_moment", "map_matrix", "seed"]
+    with pytest.raises(TypeError, match="dim_x"):
+        SyntheticSpec(10, np.eye(4), np.ones((5, 4)), dim_x=4)
 
 
 def test_generate_is_reproducible():

@@ -108,6 +108,9 @@ CASES = {
     # the oracle on zero-mean moments (no data, no bias): every row trained
     # to the minimum, with fixed and with learnable decoder variance
     "sweep_train_zeta": [*SWEEP_TRAIN_ZETA, "--beta-grid", "0.5:2.0:0.5"],
+    "sweep_train_zeta_json": [
+        *SWEEP_TRAIN_ZETA, "--beta-grid", "0.5:2.0:0.5", "--format", "json",
+    ],
     "sweep_train_zeta_decvar": [
         *SWEEP_TRAIN_ZETA, "--learnable-decvar", "--beta-grid", "1.5:2.5:0.5",
     ],

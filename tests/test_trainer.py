@@ -395,6 +395,27 @@ def test_moments_dims_come_from_arrays():
             tr.Moments(**arrays, **{name: 6})
 
 
+@pytest.mark.parametrize(
+    "part, bad",
+    [
+        # an a off its transpose leaves the kernel's encoder gradient wrong, not an error
+        ("a", lambda a: a + 0.3 * np.eye(3, k=1)),
+        ("a", lambda a: a[:, :2]),
+        # a cross of the wrong height would fail later as a numpy broadcast error
+        ("cross", lambda cross: cross[:2]),
+        ("mean_x", lambda mean_x: mean_x[:2]),
+        ("mean_y", lambda mean_y: np.zeros(3)),
+        ("samples_x", lambda samples_x: samples_x[:, :2]),
+    ],
+)
+def test_moments_refuse_what_the_kernel_assumes(part, bad):
+    ds, _ = make_instance(seed=61, dim_x=3, dim_y=2)
+    m = tr.Moments.from_dataset(ds)
+    arrays = {f.name: getattr(m, f.name) for f in fields(m) if f.init}
+    with pytest.raises(ShapeError, match=part):
+        tr.Moments(**{**arrays, part: bad(arrays[part])})
+
+
 @pytest.mark.parametrize("decvar_mode", ["fixed", "learnable"])
 def test_whitening_is_a_change_of_variables(rng, decvar_mode):
     """Unit eigenvalues are an exact change of variables for the oracle: the
