@@ -46,8 +46,10 @@ class DegenerateVariance(CollapseLabError):
 
 
 class DivergenceError(CollapseLabError):
-    """Training produced a non-finite loss."""
+    """Training left the float range at the point reached by step ``step``: a loss
+    it took became non-finite or, for Adam, which reads only the gradient, the
+    gradient or its square did."""
 
-    def __init__(self, step: int):
-        super().__init__(f"loss became non-finite at step {step}")
+    def __init__(self, step: int, what: str = "loss became non-finite"):
+        super().__init__(f"{what} at step {step}")
         self.step = step

@@ -146,6 +146,7 @@ class TrainResult:
     grad_norm: float
     steps: int
     converged: bool
+    stop_reason: str  # "grad_tol", "max_steps" or "line_search_stall"
     loss_trace: np.ndarray | None = None
     decvar_trace: np.ndarray | None = None
 
@@ -212,14 +213,16 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
 
 def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = None):
     """Binds the loss-and-gradient kernel to ``p``'s arrays, ``m``, ``hp`` and the dict
-    ``grad`` of gradient views, read once, and returns an evaluator. Each call returns the
-    exact expected loss at the values ``p``'s arrays hold then and, given ``grad``, unless
-    the loss exceeds the optional ``bound``, writes the gradient of each field it names
-    into its view. The halves share the residual ``r = k a - cross^T``, ``k = decoder
-    encoder^T`` (its transpose is ``a k^T - cross``, as ``a`` is exactly symmetric), and
-    the prior's pull ``a encoder``. Products use ``ndarray.dot``, which dispatches faster
-    than ``@`` on small matrices, and scalar operands are 0-d arrays, which ufuncs take
-    faster than Python floats."""
+    ``grad`` of gradient views, read once, and returns an evaluator. Each call works at the
+    values ``p``'s arrays hold then. It returns the exact expected loss and, given ``grad``,
+    unless the loss exceeds the optional ``bound``, writes the gradient of each field it
+    names into its view. With ``value`` false it writes only the gradient and returns None,
+    skipping the KL, the mean term and, unless a learnable decoder variance reads it, the
+    fit. The halves share the residual ``r = k a - cross^T``, ``k = decoder encoder^T`` (its
+    transpose is ``a k^T - cross``, as ``a`` is exactly symmetric), and the prior's pull
+    ``a encoder``. Products use ``ndarray.dot``, which dispatches faster than ``@`` on small
+    matrices, scalar operands are 0-d arrays, which ufuncs take faster than Python floats,
+    and the temporaries of the no-bias path go into a workspace allocated once per bind."""
     # p's fields in ModelParams' order, then their gradient views (None where absent)
     dec, enc, log_sigma, b_e, b_d, slope, offset, log_s = (getattr(p, f.name) for f in fields(p))
     g_dec, g_enc, g_sigma, g_be, g_bd, g_slope, g_offset, g_s = (
@@ -229,67 +232,78 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = Non
     pull, kl_const, half_dim_y = beta / eta2, log_sigma.size * (1.0 - math.log(eta2)), 0.5 * m.dim_y
     # the array operands; s_0 holds the decoder variance, rewritten per call when learnable
     pull_0, beta_0, s_0 = np.array(pull), np.array(beta), np.array(s_fixed)
+    # the workspace, paired in each call's order and written with positional ``out``
+    out_k, out_ka = np.empty((2,) + cross_t.shape)
+    out_sq, out_rm = np.empty((2,) + dec.shape)
+    out_prior, out_rd = np.empty((2,) + enc.shape)
+    out_col, out_s2, out_coef = np.empty((3, log_sigma.size))
 
-    def evaluate(bound: float = math.inf) -> float:
-        k = dec.dot(enc_t)
-        r = k.dot(a) - cross_t
-        col_sq = np.add.reduce(np.square(dec), 0)
-        recon = float(np.vdot(r - cross_t, k))  # <k a, k> - 2 <cross^T, k>
+    def evaluate(bound: float = math.inf, value: bool = True) -> float | None:
+        fits = value or g_s is not None  # a learnable decoder variance's gradient reads the fit
+        k = dec.dot(enc_t, out_k)
+        r = k.dot(a, out_ka) - cross_t
+        col_sq = np.add.reduce(np.square(dec, out_sq), 0, None, out_col)
+        if fits:
+            recon = float(np.vdot(r - cross_t, k))  # <k a, k> - 2 <cross^T, k>
         if b_e is not None:  # the biases come as a pair; without them each mean term is 0
             c = dec.dot(b_e) + b_d
             w_mean = enc_t.dot(mean_x)
             r_mean = k.dot(mean_x) + c - mean_y
-            recon += float(c.dot(2.0 * r_mean - c))
-        recon += power
+            if fits:
+                recon += float(c.dot(2.0 * r_mean - c))
         if ddv:
             t = xs.dot(slope.T) + offset
             if np.any(t == 0.0):
                 raise DegenerateVariance("encoder std hit zero on a training sample")
             s2 = np.mean(t**2, axis=0)
         else:
-            s2 = np.square(np.exp(log_sigma))
+            s2 = np.square(np.exp(log_sigma, out_s2), out_s2)
         s = float(np.exp(log_s, s_0)) if log_s is not None else s_fixed
         if s == 0.0:
             raise DegenerateVariance("decoder variance underflowed to zero")
-        fit = (recon + float(s2.dot(col_sq))) / (2.0 * s)  # E||y - decode(z)||^2 / (2 s)
-        prior = a.dot(enc)
-        if ddv:
-            kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
-            kl = float(np.add.reduce(kl_terms))
-        else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma; the
-            # builtin sum overflows to inf or nan, which train reports as divergence
-            sum_s2, sum_log_sigma = sum(s2.tolist()), sum(log_sigma.tolist())
-            kl = sum_s2 / eta2 - kl_const - 2.0 * sum_log_sigma
-        mean_term = float(np.vdot(prior, enc))
-        if b_e is not None:
-            mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
-        loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
-        if log_s is not None:
-            loss += half_dim_y * math.log(s)
-        if grad is None or loss > bound:
-            return loss
+        if fits:  # E||y - decode(z)||^2 / (2 s)
+            fit = (recon + power + float(s2.dot(col_sq))) / (2.0 * s)
+        prior = a.dot(enc, out_prior)
+        loss = None
+        if value:
+            if ddv:
+                kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
+                kl = float(np.add.reduce(kl_terms))
+            else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma; the
+                # builtin sum overflows to inf or nan, which train reports as divergence
+                sum_s2, sum_log_sigma = sum(s2.tolist()), sum(log_sigma.tolist())
+                kl = sum_s2 / eta2 - kl_const - 2.0 * sum_log_sigma
+            mean_term = float(np.vdot(prior, enc))
+            if b_e is not None:
+                mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
+            loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
+            if log_s is not None:
+                loss += half_dim_y * math.log(s)
+            if grad is None or loss > bound:
+                return loss
 
-        if ddv or g_sigma is not None:
-            coef = col_sq / s_0 + pull_0  # 2 d loss / d s2, less the KL's log term
+        if ddv or g_sigma is not None:  # 2 d loss / d s2, less the KL's log term
+            coef = np.add(np.divide(col_sq, s_0, out_coef), pull_0, out_coef)
         if ddv:
             n = xs.shape[0]
             g_slope[...] = coef[:, None] * (t.T.dot(xs) / n) - beta * ((1.0 / t).T.dot(xs) / n)
             g_offset[...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
         elif g_sigma is not None:
-            np.subtract(coef * s2, beta_0, g_sigma)
+            np.subtract(np.multiply(coef, s2, out_coef), beta_0, g_sigma)
         if g_s is not None:
             g_s[...] = -fit + half_dim_y
 
-        e_r_m = r.dot(enc)
-        e_r_d = r.T.dot(dec)
+        e_r_m = r.dot(enc, out_rm)
+        e_r_d = r.T.dot(dec, out_rd)
         if b_e is not None:
             e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
             e_r_d = e_r_d + np.outer(mean_x, dec.T.dot(c))
             prior = prior + np.outer(mean_x, b_e)
             g_be[...] = dec.T.dot(r_mean) / s + pull * (w_mean + b_e)
             g_bd[...] = r_mean / s
-        np.divide(e_r_m + dec * s2, s_0, g_dec)
-        np.add(e_r_d / s_0, pull_0 * prior, g_enc)
+        # the squared decoder, prior and e_r_d are spent, so they take the last temporaries
+        np.divide(np.add(e_r_m, np.multiply(dec, s2, out_sq), out_sq), s_0, g_dec)
+        np.add(np.divide(e_r_d, s_0, out_rd), np.multiply(pull_0, prior, out_prior), g_enc)
         return loss
 
     return evaluate
@@ -345,10 +359,13 @@ def train(
     max-norm drops below ``cfg.grad_tol`` or the step budget runs out.
 
     ``init`` is either explicit parameters or a seed for
-    :func:`init_params`. Deterministic for a fixed seed. Raises
-    :class:`DivergenceError` if the loss leaves the float range. Trained
-    fields are views into one flat buffer ``x``, updated in place; the
-    result shares no memory with ``init``."""
+    :func:`init_params`. Deterministic for a fixed seed. Adam reads only the
+    gradient, so its steps skip the loss, taken only at the start, at the
+    returned point and, when traced, after each step. Raises
+    :class:`DivergenceError` if a loss it takes, or an Adam step's gradient
+    or its square, leaves the float range. Trained fields are views into one
+    flat buffer ``x``, updated in place; the result shares no memory with
+    ``init``."""
     params = init if isinstance(init, ModelParams) else init_params(m, hp, seed=init)
     _check_shapes(params, m, hp)
     x, views = _flat(params, hp)
@@ -375,20 +392,23 @@ def train(
     gd_step = cfg.learning_rate
     tol2 = cfg.grad_tol * cfg.grad_tol
 
-    converged = False
+    stop_reason = "max_steps"
     steps = 0
-    # a step that overflows shows up as a non-finite loss, reported as divergence
+    # a step that overflows shows up as a non-finite loss or, under Adam, a non-finite g * g
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, cfg.max_steps + 1):
             # max g^2 <= tol^2 wherever max |g| <= tol, as rounding is monotone, so this
             # cheaper test (argmax dispatches faster than a ufunc reduction; a NaN fails
             # both) skips the exact one only where that cannot pass
             np.multiply(g, g, out=g2)
-            if g2[g2.argmax()] <= tol2 and np.maximum.reduce(np.abs(g)) <= cfg.grad_tol:
-                converged = True
+            top = g2[g2.argmax()]
+            if top <= tol2 and np.maximum.reduce(np.abs(g)) <= cfg.grad_tol:
+                stop_reason = "grad_tol"
                 break
             steps = step
             if cfg.optimizer == "adam":
+                if not math.isfinite(top):  # a NaN or infinity in g, or a square that overflowed
+                    raise DivergenceError(step - 1, "squared gradient left the float range")
                 # moments and x in place; with c1 = 1 - beta1^t, c2 = 1 - beta2^t the step
                 # lr (m/c1) / (sqrt(v/c2) + eps) is lr sqrt(c2)/c1 m / (sqrt(v) + eps sqrt(c2))
                 np.subtract(g_g2, adam, out=diff)
@@ -400,7 +420,7 @@ def train(
                 np.multiply(adam_m, lr * rc2 / (1 - beta1**step), out=update)
                 update /= denom
                 x -= update
-                loss = evaluate()
+                loss = evaluate(math.inf, trace)  # None unless traced
             else:
                 # halving-on-increase line search from ``start`` along the start gradient
                 # ``g0``, mild regrowth on success; a trial that does not descend skips its
@@ -420,13 +440,18 @@ def train(
                     trial *= 0.5
                 else:  # no further descent at float precision; report honestly
                     x[...], g[...] = start, g0
+                    stop_reason = "line_search_stall"
                     break
-            if not math.isfinite(loss):
-                raise DivergenceError(step)
-            if trace:
+            if trace:  # a traced Adam step's loss may be non-finite; GD accepts only finite ones
+                if not math.isfinite(loss):
+                    raise DivergenceError(step)
                 loss_trace.append(loss)
                 if decvar_trace is not None:
                     decvar_trace.append(params.decvar)
+        if loss is None:  # an untraced Adam step took none; g stays the gradient at x
+            loss = evaluate(-math.inf)
+    if not math.isfinite(loss):
+        raise DivergenceError(steps)
     grad_norm = float(np.maximum.reduce(np.abs(g)))  # at the returned point, after any last step
 
     if params.log_decvar is not None:
@@ -436,7 +461,8 @@ def train(
         final_loss=loss,
         grad_norm=grad_norm,
         steps=steps,
-        converged=converged,
+        converged=stop_reason == "grad_tol",
+        stop_reason=stop_reason,
         loss_trace=None if loss_trace is None else np.asarray(loss_trace),
         decvar_trace=None if decvar_trace is None else np.asarray(decvar_trace),
     )

@@ -4,9 +4,10 @@ Each instance draws a random synthetic dataset and hyperparameters,
 computes the analytic global minimum, then trains from a random
 initialization and compares loss value, learned singular values, and
 learned encoder stds (plus the learned decoder variance when requested).
-Instances whose spectrum sits too close to a collapse threshold are
-re-drawn: the optimum is non-smooth there and no first-order method can
-hit tight tolerances in bounded steps.
+Instances whose beta sits within 0.05 (in zeta^2) of a collapse threshold
+are re-drawn, so the transition itself is never drawn. The margin is not a
+limit of the oracle: in a probe, all 24 fixed-variance runs with beta at a
+relative distance of 1e-3 or 1e-2 from a threshold met every tolerance.
 """
 
 from __future__ import annotations

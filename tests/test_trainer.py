@@ -14,7 +14,7 @@ import collapse_lab
 from collapse_lab import closed_form as cf
 from collapse_lab import decoder_variance as dv
 from collapse_lab import trainer as tr
-from collapse_lab.data import Dataset
+from collapse_lab.data import Dataset, center
 from collapse_lab.errors import (
     DegenerateVariance,
     DivergenceError,
@@ -472,18 +472,45 @@ def test_bound_gates_the_gradient(source, bias, ddv, sigma_mode, decvar_mode):
 
 
 def train_as_reference(init, m, hp, cfg):
-    """``train`` from ``init``, checked against the plain loops of ``oracles.reference_train``
-    over the public ``eval_loss`` and ``eval_grad``: the same loss trace, step count and
-    final parameters, to the bit."""
+    """``train`` from ``init``, traced and untraced, checked against the plain loops of
+    ``oracles.reference_train`` over the public ``eval_loss`` and ``eval_grad``: the same loss
+    trace, final loss, step count, convergence, gradient max-norm and final parameters, to
+    the bit. The untraced run, whose Adam steps take only the gradient, returns what the
+    traced run does."""
     result = tr.train(init, m, hp, cfg, trace=True)
+    untraced = tr.train(init, m, hp, cfg)
     trace, steps, params = oracles.reference_train(init, m, hp, cfg)
-    assert result.steps == steps
+    grad = tr.eval_grad(params, m, hp)
+    grad_norm = max(
+        float(np.max(np.abs(getattr(grad, name)))) for name in tr._flat(params, hp)[1])
     assert result.loss_trace.tobytes() == trace.tobytes()
-    for f in fields(params):
-        got, want = getattr(result.params, f.name), getattr(params, f.name)
-        assert (got is None) == (want is None), f.name
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+    for run in (result, untraced):
+        assert (run.final_loss, run.steps, run.grad_norm) == (trace[-1], steps, grad_norm)
+        assert run.converged == (steps < cfg.max_steps and grad_norm <= cfg.grad_tol)
+        assert run.stop_reason == result.stop_reason
+        for f in fields(params):
+            got, want = getattr(run.params, f.name), getattr(params, f.name)
+            assert (got is None) == (want is None), f.name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
     return result
+
+
+@kernel_paths
+def test_gradient_only_call_writes_the_full_calls_gradient(
+    source, bias, ddv, sigma_mode, decvar_mode
+):
+    """With ``value`` false the evaluator returns None and writes ``eval_grad``'s values, to
+    the bit, also when the bound evaluator last ran at another point."""
+    m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
+    x, views = tr._flat(draws[0])
+    grad = tr._flat(draws[0], hp)[1]
+    evaluate = tr._kernel(replace(draws[0], **views), m, hp, grad)
+    for params in draws:
+        want = tr.eval_grad(params, m, hp)
+        x[...] = tr._flat(params)[0]  # the bound arrays take the point's values
+        assert evaluate(np.inf, False) is None
+        for name, view in grad.items():
+            assert view.tobytes() == np.asarray(getattr(want, name)).tobytes(), name
 
 
 @kernel_paths
@@ -538,6 +565,25 @@ def test_squared_prescreen_never_rejects_a_converged_gradient(g, tol):
         assert g2[g2.argmax()] <= tol * tol
 
 
+def record_evaluations(monkeypatch):
+    """Patch ``tr._kernel`` so that each evaluation ``train`` makes is recorded, in order,
+    as its arguments and whether every gradient view holds finite values after it."""
+    kernel, calls = tr._kernel, []
+
+    def recording(p, moments, hparams, grad):
+        evaluate = kernel(p, moments, hparams, grad)
+
+        def call(*args):
+            loss = evaluate(*args)
+            calls.append((args, all(np.all(np.isfinite(view)) for view in grad.values())))
+            return loss
+
+        return call
+
+    monkeypatch.setattr(tr, "_kernel", recording)
+    return calls
+
+
 class TestTrain:
     def test_converges_at_solution_immediately(self):
         ds, sp = make_instance(seed=17, dim_x=4, dim_y=4)
@@ -548,6 +594,7 @@ class TestTrain:
             params_from_minimum(gm, hp), m, hp, tr.TrainConfig(grad_tol=1e-7)
         )
         assert result.converged and result.steps == 0
+        assert result.stop_reason == "grad_tol"
 
     @pytest.mark.parametrize("optimizer", ["adam", "gd"])
     @pytest.mark.parametrize(
@@ -616,7 +663,7 @@ class TestTrain:
         monkeypatch.setattr(tr, "_kernel", stalls_after_k)
         result = tr.train(0, m, hp, tr.TrainConfig("gd", 0.05, max_steps=100, grad_tol=0.0))
         monkeypatch.undo()
-        assert not result.converged
+        assert not result.converged and result.stop_reason == "line_search_stall"
         assert result.steps == k
         assert len(binds) == 1 and len(calls) == k + 80
         assert result.final_loss == tr.eval_loss(result.params, m, hp)
@@ -625,6 +672,35 @@ class TestTrain:
             float(np.max(np.abs(getattr(grad, name))))
             for name in tr._flat(result.params, hp)[1]
         )
+
+    @pytest.mark.parametrize("optimizer", ["adam", "gd"])
+    @pytest.mark.parametrize("reason", ["grad_tol", "max_steps"])
+    def test_stop_reason_tells_convergence_from_the_budget(self, reason, optimizer):
+        """``stop_reason`` is "grad_tol" when the gradient max-norm met the tolerance and
+        "max_steps" when the budget ran out first; ``converged`` means the first."""
+        m = tr.Moments.from_spectrum(DataSpectrum.from_singular_values([3, 2, 1], dim_y=3))
+        hp = cf.Hyperparams(beta=1.0, latent_dim=2)
+        cfg = tr.TrainConfig(optimizer, 1e-2, max_steps=1000, grad_tol=1e-2)
+        if reason == "max_steps":
+            cfg = replace(cfg, max_steps=5)
+        result = tr.train(0, m, hp, cfg)
+        assert result.stop_reason == reason
+        assert result.converged == (reason == "grad_tol")
+        assert result.steps == cfg.max_steps if reason == "max_steps" else result.steps < 1000
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_adam_takes_the_loss_only_where_something_reads_it(self, monkeypatch, trace):
+        """Untraced, each Adam step makes one gradient-only evaluation, and one loss-only
+        evaluation at the end gives the returned loss; traced, each step takes both."""
+        m = tr.Moments.from_spectrum(DataSpectrum.from_singular_values([3, 2, 1], dim_y=3))
+        hp = cf.Hyperparams(beta=1.0, latent_dim=2, decvar_mode="learnable")
+        calls = record_evaluations(monkeypatch)
+        cfg = tr.TrainConfig("adam", 1e-2, max_steps=25, grad_tol=0.0)
+        result = tr.train(0, m, hp, cfg, trace=trace)
+        monkeypatch.undo()
+        steps = [(np.inf, trace)] * cfg.max_steps
+        assert [args for args, _ in calls] == [()] + steps + ([] if trace else [(-np.inf,)])
+        assert result.final_loss == tr.eval_loss(result.params, m, hp)
 
     def test_gd_trial_that_ties_the_loss_writes_its_gradient(self):
         """At a minimum, GD's trials tie the loss at float precision. A tie is accepted, so
@@ -697,6 +773,32 @@ class TestTrain:
         with pytest.raises(DivergenceError) as err:
             tr.train(0, m, hp, tr.TrainConfig("adam", 400.0, max_steps=50, grad_tol=0.0))
         assert err.value.step >= 1
+
+    def test_divergence_raises_when_the_squared_gradient_overflows(self):
+        """README's three-row 1e150 CSV, centered as ``train`` centers it: the loss at the
+        start is finite, but the gradient's square overflows, so Adam, which reads only the
+        gradient, stops before its first step, with no floating-point warning."""
+        x, y = np.array([[1e150], [-1e150], [3e150]]), np.array([[1.0], [2.0], [-3.0]])
+        m = tr.Moments.from_dataset(center(Dataset(x=x, y=y))[0])
+        hp = cf.Hyperparams(beta=1.0, latent_dim=1)
+        with pytest.raises(DivergenceError) as err:
+            tr.train(0, m, hp, tr.TrainConfig("adam", max_steps=50))
+        assert err.value.step == 0
+        assert str(err.value) == "squared gradient left the float range at step 0"
+
+    def test_divergence_raises_at_a_last_point_whose_gradient_is_finite(self, monkeypatch):
+        """One Adam step of 720 lifts the log decoder variance past log(float max): the
+        variance overflows to inf, so the loss's log term is inf while every gradient
+        entry stays finite. The loss taken at the returned point still raises."""
+        sp = DataSpectrum.from_singular_values([30.0, 20.0], dim_y=2)
+        m = tr.Moments.from_spectrum(sp)
+        hp = cf.Hyperparams(beta=0.5, latent_dim=2, decvar_mode="learnable")
+        calls = record_evaluations(monkeypatch)
+        with pytest.raises(DivergenceError) as err:
+            tr.train(0, m, hp, tr.TrainConfig("adam", 720.0, max_steps=1, grad_tol=0.0))
+        monkeypatch.undo()
+        assert str(err.value) == "loss became non-finite at step 1"
+        assert calls[1:] == [((np.inf, False), True), ((-np.inf,), True)]
 
     def test_deterministic_for_fixed_seed(self):
         ds, sp = make_instance(seed=37, dim_x=3, dim_y=3)
