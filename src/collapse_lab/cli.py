@@ -25,16 +25,23 @@ import numpy as np
 from . import collapse as cl
 from . import closed_form as cf
 from . import decoder_variance as dv
-from . import trainer as tr
 from .data import Dataset, center, generate, load, random_spec
 from .errors import CollapseLabError, InvalidSpec, ParseError
 from .spectrum import DataSpectrum, compute_spectrum
-from .verify import run_oracle_suite
 
 SCHEMA = "collapse-lab/v1"
 MAX_GRID_ROWS = 10**6
 # in these a non-finite float means "no value" and prints null
 NULL_IF_NON_FINITE = (dv.DecVarSolution, cl.SweepRow)
+
+
+def _oracle():
+    """The gradient-descent oracle, ``trainer`` and ``verify``, imported only
+    by the commands that train, and always together: a wrapper put around
+    ``trainer.train`` after the first of them reaches ``verify.train`` too."""
+    from . import trainer, verify
+
+    return trainer, verify
 
 
 def _add_source_args(p: argparse.ArgumentParser, allow_zeta: bool = True) -> None:
@@ -134,9 +141,12 @@ def _emit(path: str | None, text: str) -> None:
 def _csv(header: list[str], rows) -> str:
     """CSV text, ``header`` then ``rows`` (any iterable): a float cell as
     ``repr`` writes it, so ``load``'s grammar reads it back, None as an empty
-    cell, and any other (an int or a label) as ``str``."""
+    cell, and any other (an int or a label) as ``str``. An exact float, nearly
+    every cell, is tested first; a float subclass such as numpy's goes
+    through ``float`` so its ``repr`` is Python's."""
     return "".join(",".join([
-        repr(float(c)) if isinstance(c, float) else "" if c is None else str(c) for c in row
+        repr(c) if type(c) is float else repr(float(c)) if isinstance(c, float)
+        else "" if c is None else str(c) for c in row
     ]) + "\n" for row in chain([header], rows))
 
 
@@ -242,6 +252,7 @@ def cmd_sweep(args) -> int:
 
     trained = []  # per row: the trained loss, then the trained stds descending
     if args.train:
+        tr = _oracle()[0]
         moments = tr.Moments.from_spectrum(replace(sp, eigenvalues=np.ones_like(sp.eigenvalues)))
         for row in rows:
             t = tr.train_to_minimum(args.seed, moments, replace(hp, beta=row.beta))
@@ -275,6 +286,7 @@ def cmd_train(args) -> int:
     hp = _hyperparams(args)
     if not args.bias:
         ds = center(ds)[0]
+    tr = _oracle()[0]
     moments = tr.Moments.from_dataset(ds)
     init = tr.init_params(moments, hp, seed=args.seed, bias=args.bias, ddv=args.ddv)
     cfg = tr.TrainConfig(
@@ -300,7 +312,7 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     if args.instances < 1:
         raise InvalidSpec("--instances must be >= 1")
-    report = run_oracle_suite(
+    report = _oracle()[1].run_oracle_suite(
         n_instances=args.instances,
         seed=args.seed,
         learnable_decvar=args.learnable_decvar,
@@ -417,6 +429,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # numpy's own refusal of a negative seed names no option
+        for option in ("seed", "random_rotation"):
+            value = getattr(args, option, None)
+            if value is not None and value < 0:
+                raise InvalidSpec(f"--{option.replace('_', '-')} must be >= 0, got {value}")
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.handler(args)

@@ -59,6 +59,59 @@ def test_import_leaves_scipy_out():
     assert done.stdout.strip() == "False"
 
 
+ORACLE = ["collapse_lab.trainer", "collapse_lab.verify"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "loaded"),
+    [
+        (("spectrum", "--synthetic", "3,3,100,1"), []),
+        (("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2"), []),
+        (("predict", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2"), []),
+        (("report", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2"), []),
+        (("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:2:1"), []),
+        (("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--max-steps", "5"),
+         ORACLE),
+        (("verify", "--instances", "1"), ORACLE),
+        (("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:1:1",
+          "--train"), ORACLE),
+    ],
+)
+def test_only_training_commands_load_the_oracle(argv, loaded):
+    """A fresh process runs one command: the analysis commands never load
+    the trainer or the verify suite, and the commands that train load both."""
+    src = Path(collapse_lab.__file__).resolve().parents[1]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from collapse_lab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:])\n"
+        f"print(sorted({ORACLE!r} & sys.modules.keys()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stderr == ""
+    assert done.stdout.strip() == repr(loaded)
+
+
+def test_package_namespace_resolves_on_first_access():
+    """Every ``__all__`` name resolves to the object of its home module and
+    is listed by ``dir``; a star import binds exactly ``__all__``; an
+    unknown name is an AttributeError."""
+    for name in collapse_lab.__all__:
+        home = sys.modules[f"collapse_lab.{collapse_lab._HOMES[name]}"]
+        assert getattr(collapse_lab, name) is getattr(home, name), name
+    assert set(collapse_lab.__all__) <= set(dir(collapse_lab))
+    namespace = {}
+    exec("from collapse_lab import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == collapse_lab.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        collapse_lab.no_such_name  # noqa: B018
+
+
 def _imported_names(path):
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -613,6 +666,13 @@ NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "
         ("sweep", "--zeta", "3,2,1", "--d2", "3", "--d1", "1000000000000000",
          "--beta-grid", "1:2:1"),
         ("spectrum", "--synthetic", "2,2,1000000000000000,1"),
+        # a negative seed is refused by name before any work, trained or not
+        ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--seed=-1"),
+        ("verify", "--instances", "1", "--seed=-1"),
+        ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:2:1",
+         "--train", "--seed=-1"),
+        ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:2:1",
+         "--seed=-2"),
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):
@@ -625,6 +685,10 @@ def test_bad_argument_exit_2(capsys, argv):
     field = NEGATIVE_SYNTHETIC_FIELD.get(argv[-1].removeprefix("--synthetic="))
     if field:
         assert "--synthetic" in err and f" {field} " in err, err
+    for arg in argv:
+        option, _, value = arg.partition("=")
+        if option in ("--seed", "--random-rotation") and value.startswith("-"):
+            assert f"error: {option} must be >= 0, got {value}" in err, err
 
 
 @pytest.mark.parametrize(
