@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
@@ -434,6 +435,13 @@ def main(argv=None) -> int:
             value = getattr(args, option, None)
             if value is not None and value < 0:
                 raise InvalidSpec(f"--{option.replace('_', '-')} must be >= 0, got {value}")
+        # an output path that cannot be written is refused before the work, not after it
+        for option in ("out", "trace"):
+            path = getattr(args, option, None)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise OSError(f"cannot write {path}: {os.path.dirname(path)} is not a directory")
+            if path and os.path.isdir(path):
+                raise OSError(f"cannot write {path}: it is a directory")
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.handler(args)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -118,6 +119,10 @@ class ModelParams:
         return self.var_slope is not None
 
 
+_NAMES = tuple(f.name for f in fields(ModelParams))
+_parts = attrgetter(*_NAMES)  # a ModelParams' fields, in order
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings. ``optimizer`` is "adam" or "gd" (plain gradient
@@ -192,12 +197,8 @@ def init_params(
 def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
     _require_moments(m)
     d1 = hp.latent_dim
-    shapes = {
-        "decoder": (m.dim_y, d1), "encoder": (m.dim_x, d1), "log_sigma": (d1,), "enc_bias": (d1,),
-        "dec_bias": (m.dim_y,), "var_slope": (d1, m.dim_x), "var_offset": (d1,), "log_decvar": (),
-    }
-    for name, shape in shapes.items():
-        value = getattr(p, name)
+    shapes = ((m.dim_y, d1), (m.dim_x, d1), (d1,), (d1,), (m.dim_y,), (d1, m.dim_x), (d1,), ())
+    for name, shape, value in zip(_NAMES, shapes, _parts(p)):  # in ModelParams' order
         if value is not None and np.shape(value) != shape:
             raise ShapeError(f"{name} {np.shape(value)} != {shape}")
     for pair in (("enc_bias", "dec_bias"), ("var_slope", "var_offset")):
@@ -211,44 +212,63 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
         raise ShapeError(f"data-dependent variance needs sample access; {hint}")
 
 
-def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = None):
-    """Binds the loss-and-gradient kernel to ``p``'s arrays, ``m``, ``hp`` and the dict
-    ``grad`` of gradient views, read once, and returns an evaluator. Each call works at the
-    values ``p``'s arrays hold then. It returns the exact expected loss and, given ``grad``,
-    unless the loss exceeds the optional ``bound``, writes the gradient of each field it
-    names into its view. With ``value`` false it writes only the gradient and returns None,
-    skipping the KL, the mean term and, unless a learnable decoder variance reads it, the
-    fit. The halves share the residual ``r = k a - cross^T``, ``k = decoder encoder^T`` (its
-    transpose is ``a k^T - cross``, as ``a`` is exactly symmetric), and the prior's pull
-    ``a encoder``. Products use ``ndarray.dot``, which dispatches faster than ``@`` on small
-    matrices, scalar operands are 0-d arrays, which ufuncs take faster than Python floats,
-    and the temporaries of the no-bias path go into a workspace allocated once per bind."""
+def _stacks(d0: int, d2: int, d1: int) -> bool:
+    """Whether the tests pin the rows of ``[r; a] encoder`` to ``r encoder`` and ``a encoder``."""
+    return d0 <= 10 and 1 < d2 <= 10 and 1 < d1 <= 12
+
+
+def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = None):
+    """Binds the loss-and-gradient kernel to ``p``'s arrays, ``m``, ``hp`` and ``grad``, a flat
+    gradient buffer and its per-field views as :func:`_flat` lays them out, read once, and
+    returns an evaluator. Each call works at the values ``p``'s arrays hold then. It returns
+    the exact expected loss and, given ``grad``, unless the loss exceeds the optional ``bound``,
+    writes the gradient of each field it names into its view. With ``value`` false it writes
+    only the gradient and returns None, skipping the KL, the mean term and, unless a learnable
+    decoder variance reads it, the fit. The halves share the residual ``r = k a - cross^T``,
+    ``k = decoder encoder^T`` (its transpose is ``a k^T - cross``, as ``a`` is exactly
+    symmetric), and the prior's pull ``a encoder``. The workspace stacks ``[r; a]``, so that one
+    product gives ``r encoder`` over ``a encoder`` where :func:`_stacks` holds, and puts the
+    numerators of the decoder's and the encoder's gradients, the first two trained fields,
+    side by side for one division into the head of the flat buffer; a loss-only bind makes
+    none of it. The ufuncs and the fixed buffers' methods are bound once; products use
+    ``ndarray.dot`` and scalar operands are 0-d arrays, which dispatch fastest."""
     # p's fields in ModelParams' order, then their gradient views (None where absent)
-    dec, enc, log_sigma, b_e, b_d, slope, offset, log_s = (getattr(p, f.name) for f in fields(p))
-    g_dec, g_enc, g_sigma, g_be, g_bd, g_slope, g_offset, g_s = (
-        (grad or {}).get(f.name) for f in fields(p))
+    dec, enc, log_sigma, b_e, b_d, slope, offset, log_s = _parts(p)
+    flat, views = grad or (None, {})
+    g_dec, g_enc, g_sigma, g_be, g_bd, g_slope, g_offset, g_s = map(views.get, _NAMES)
     a, cross_t, mean_x, mean_y, xs, enc_t = m.a, m.cross.T, m.mean_x, m.mean_y, m.samples_x, enc.T
     ddv, beta, eta2, s_fixed, power = p.ddv, hp.beta, hp.eta_enc**2, hp.decvar, m.target_power
     pull, kl_const, half_dim_y = beta / eta2, log_sigma.size * (1.0 - math.log(eta2)), 0.5 * m.dim_y
     # the array operands; s_0 holds the decoder variance, rewritten per call when learnable
     pull_0, beta_0, s_0 = np.array(pull), np.array(beta), np.array(s_fixed)
-    # the workspace, paired in each call's order and written with positional ``out``
+    add, subtract, multiply, divide, square = np.add, np.subtract, np.multiply, np.divide, np.square
+    add_reduce, vdot, outer, exp = np.add.reduce, np.vdot, np.outer, np.exp
+    # the workspace; a loss-only bind computes r in a new array and a encoder alone
     out_k, out_ka = np.empty((2,) + cross_t.shape)
-    out_sq, out_rm = np.empty((2,) + dec.shape)
-    out_prior, out_rd = np.empty((2,) + enc.shape)
+    out_sq = np.empty(dec.shape)
     out_col, out_s2, out_coef = np.empty((3, log_sigma.size))
+    stacked_dot, out_r, out_rp = a.dot, None, np.empty(enc.shape)
+    if grad is not None:
+        stacked = np.concatenate((out_ka, a))  # [r; a], r's rows rewritten per call
+        out_r, out_rp = stacked[: len(out_ka)], np.empty((len(stacked), enc.shape[1]))
+        rt_dot, stacked_dot, num = out_r.T.dot, stacked.dot, np.empty(dec.size + enc.size)
+        num_dec, num_enc = num[: dec.size].reshape(dec.shape), num[dec.size :].reshape(enc.shape)
+        g_block, rm_rows = flat[: num.size], out_rp[: len(out_ka)]
+        if not _stacks(len(a), *dec.shape):  # e.g. numpy sends a one-row r to gemv, not gemm
+            stacked_dot = lambda w, out: (out_r.dot(w, rm_rows), a.dot(w, prior_rows))
+    dec_dot, k_dot, prior_rows = dec.dot, out_k.dot, out_rp[-len(a) :]
 
     def evaluate(bound: float = math.inf, value: bool = True) -> float | None:
         fits = value or g_s is not None  # a learnable decoder variance's gradient reads the fit
-        k = dec.dot(enc_t, out_k)
-        r = k.dot(a, out_ka) - cross_t
-        col_sq = np.add.reduce(np.square(dec, out_sq), 0, None, out_col)
+        k = dec_dot(enc_t, out_k)
+        r = subtract(k_dot(a, out_ka), cross_t, out_r)
+        col_sq = add_reduce(square(dec, out_sq), 0, None, out_col)
         if fits:
-            recon = float(np.vdot(r - cross_t, k))  # <k a, k> - 2 <cross^T, k>
+            recon = float(vdot(r - cross_t, k))  # <k a, k> - 2 <cross^T, k>
         if b_e is not None:  # the biases come as a pair; without them each mean term is 0
-            c = dec.dot(b_e) + b_d
+            c = dec_dot(b_e) + b_d
             w_mean = enc_t.dot(mean_x)
-            r_mean = k.dot(mean_x) + c - mean_y
+            r_mean = k_dot(mean_x) + c - mean_y
             if fits:
                 recon += float(c.dot(2.0 * r_mean - c))
         if ddv:
@@ -257,23 +277,24 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = Non
                 raise DegenerateVariance("encoder std hit zero on a training sample")
             s2 = np.mean(t**2, axis=0)
         else:
-            s2 = np.square(np.exp(log_sigma, out_s2), out_s2)
-        s = float(np.exp(log_s, s_0)) if log_s is not None else s_fixed
+            s2 = square(exp(log_sigma, out_s2), out_s2)
+        s = float(exp(log_s, s_0)) if log_s is not None else s_fixed
         if s == 0.0:
             raise DegenerateVariance("decoder variance underflowed to zero")
         if fits:  # E||y - decode(z)||^2 / (2 s)
             fit = (recon + power + float(s2.dot(col_sq))) / (2.0 * s)
-        prior = a.dot(enc, out_prior)
+        stacked_dot(enc, out_rp)  # r encoder over a encoder, or a encoder alone
+        prior = prior_rows
         loss = None
         if value:
             if ddv:
                 kl_terms = s2 / eta2 - 1.0 - np.mean(np.log(t**2), axis=0) + np.log(eta2)
-                kl = float(np.add.reduce(kl_terms))
+                kl = float(add_reduce(kl_terms))
             else:  # the sum of s2/eta2 - 1 - log(s2/eta2), with log s2 = 2 log sigma; the
                 # builtin sum overflows to inf or nan, which train reports as divergence
                 sum_s2, sum_log_sigma = sum(s2.tolist()), sum(log_sigma.tolist())
                 kl = sum_s2 / eta2 - kl_const - 2.0 * sum_log_sigma
-            mean_term = float(np.vdot(prior, enc))
+            mean_term = float(vdot(prior, enc))
             if b_e is not None:
                 mean_term = mean_term + 2.0 * float(b_e.dot(w_mean)) + float(b_e.dot(b_e))
             loss = fit + 0.5 * beta * (mean_term / eta2 + kl)  # fit + beta KL(q(z|x) || prior)
@@ -283,27 +304,28 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: dict | None = Non
                 return loss
 
         if ddv or g_sigma is not None:  # 2 d loss / d s2, less the KL's log term
-            coef = np.add(np.divide(col_sq, s_0, out_coef), pull_0, out_coef)
+            coef = add(divide(col_sq, s_0, out_coef), pull_0, out_coef)
         if ddv:
             n = xs.shape[0]
             g_slope[...] = coef[:, None] * (t.T.dot(xs) / n) - beta * ((1.0 / t).T.dot(xs) / n)
             g_offset[...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
         elif g_sigma is not None:
-            np.subtract(np.multiply(coef, s2, out_coef), beta_0, g_sigma)
+            subtract(multiply(coef, s2, out_coef), beta_0, g_sigma)
         if g_s is not None:
             g_s[...] = -fit + half_dim_y
 
-        e_r_m = r.dot(enc, out_rm)
-        e_r_d = r.T.dot(dec, out_rd)
+        e_r_m = rm_rows
+        rt_dot(dec, num_enc)  # r^T decoder
         if b_e is not None:
-            e_r_m = e_r_m + np.outer(r_mean, b_e) + np.outer(c, w_mean)
-            e_r_d = e_r_d + np.outer(mean_x, dec.T.dot(c))
-            prior = prior + np.outer(mean_x, b_e)
+            e_r_m = e_r_m + outer(r_mean, b_e) + outer(c, w_mean)
+            add(num_enc, outer(mean_x, dec.T.dot(c)), num_enc)
+            prior = prior + outer(mean_x, b_e)
             g_be[...] = dec.T.dot(r_mean) / s + pull * (w_mean + b_e)
             g_bd[...] = r_mean / s
-        # the squared decoder, prior and e_r_d are spent, so they take the last temporaries
-        np.divide(np.add(e_r_m, np.multiply(dec, s2, out_sq), out_sq), s_0, g_dec)
-        np.add(np.divide(e_r_d, s_0, out_rd), np.multiply(pull_0, prior, out_prior), g_enc)
+        # the squared decoder and the prior are spent, so they take the last temporaries
+        add(e_r_m, multiply(dec, s2, out_sq), num_dec)
+        divide(num, s_0, g_block)  # the decoder's gradient, and the encoder's less its pull
+        add(g_enc, multiply(pull_0, prior, prior), g_enc)
         return loss
 
     return evaluate
@@ -324,8 +346,8 @@ def _flat(p: ModelParams, hp: Hyperparams | None = None) -> tuple[np.ndarray, di
     one flat float64 buffer, and a view into it per field (0-d for a scalar)."""
     fixed_sigma = hp is not None and (hp.sigma_mode != "learnable" or p.ddv)
     names = [
-        f.name for f in fields(p)
-        if getattr(p, f.name) is not None and not (f.name == "log_sigma" and fixed_sigma)
+        name for name, value in zip(_NAMES, _parts(p))
+        if value is not None and not (name == "log_sigma" and fixed_sigma)
     ]
     buf = np.concatenate([np.ravel(getattr(p, name)) for name in names])
     return buf, _views(p, names, buf)
@@ -342,7 +364,7 @@ def eval_grad(p: ModelParams, m: Moments, hp: Hyperparams) -> ModelParams:
     _check_shapes(p, m, hp)
     flat, grad = _flat(p)
     flat[...] = 0.0  # the stds' slot stays zero under a data-dependent std
-    _kernel(p, m, hp, grad)()
+    _kernel(p, m, hp, (flat, grad))()
     if "log_decvar" in grad:
         grad["log_decvar"] = float(grad["log_decvar"])
     return ModelParams(**grad)
@@ -373,7 +395,7 @@ def train(
     params = replace(params, **{"log_sigma": params.log_sigma.copy(), **views})
     # row 0 is the gradient g, written through its per-field views; row 1 takes g * g
     g, g2 = g_g2 = np.zeros((2, x.size))
-    evaluate = _kernel(params, m, hp, _views(params, views, g))
+    evaluate = _kernel(params, m, hp, (g, _views(params, views, g)))
 
     loss = evaluate()
     if not math.isfinite(loss):
@@ -388,9 +410,11 @@ def train(
     adam_m, adam_v = adam = np.zeros((2, x.size))
     decay = np.array([[1 - beta1], [1 - beta2]]).repeat(x.size, axis=1)
     update, denom = diff = np.empty((2, x.size))  # scratch, free once the moments are stepped
+    start, g0, trial_g0 = np.empty((3, x.size))  # GD's start point, its gradient, trial * g0
     lr = cfg.learning_rate
     gd_step = cfg.learning_rate
-    tol2 = cfg.grad_tol * cfg.grad_tol
+    tol2, is_adam, argmax = cfg.grad_tol * cfg.grad_tol, cfg.optimizer == "adam", g2.argmax
+    add, subtract, multiply, divide, sqrt = np.add, np.subtract, np.multiply, np.divide, np.sqrt
 
     stop_reason = "max_steps"
     steps = 0
@@ -400,35 +424,33 @@ def train(
             # max g^2 <= tol^2 wherever max |g| <= tol, as rounding is monotone, so this
             # cheaper test (argmax dispatches faster than a ufunc reduction; a NaN fails
             # both) skips the exact one only where that cannot pass
-            np.multiply(g, g, out=g2)
-            top = g2[g2.argmax()]
+            multiply(g, g, g2)
+            top = g2[argmax()]
             if top <= tol2 and np.maximum.reduce(np.abs(g)) <= cfg.grad_tol:
                 stop_reason = "grad_tol"
                 break
             steps = step
-            if cfg.optimizer == "adam":
+            if is_adam:
                 if not math.isfinite(top):  # a NaN or infinity in g, or a square that overflowed
                     raise DivergenceError(step - 1, "squared gradient left the float range")
                 # moments and x in place; with c1 = 1 - beta1^t, c2 = 1 - beta2^t the step
                 # lr (m/c1) / (sqrt(v/c2) + eps) is lr sqrt(c2)/c1 m / (sqrt(v) + eps sqrt(c2))
-                np.subtract(g_g2, adam, out=diff)
-                diff *= decay
-                adam += diff
+                subtract(g_g2, adam, diff)
+                multiply(diff, decay, diff)
+                add(adam, diff, adam)
                 rc2 = math.sqrt(1 - beta2**step)
-                np.sqrt(adam_v, out=denom)
-                denom += eps * rc2
-                np.multiply(adam_m, lr * rc2 / (1 - beta1**step), out=update)
-                update /= denom
-                x -= update
+                add(sqrt(adam_v, denom), eps * rc2, denom)
+                divide(multiply(adam_m, lr * rc2 / (1 - beta1**step), update), denom, update)
+                subtract(x, update, x)
                 loss = evaluate(math.inf, trace)  # None unless traced
             else:
                 # halving-on-increase line search from ``start`` along the start gradient
                 # ``g0``, mild regrowth on success; a trial that does not descend skips its
                 # gradient, any other writes it into g
-                start, g0 = x.copy(), g.copy()
+                start[...], g0[...] = x, g
                 trial = min(gd_step * 2.0, cfg.learning_rate * 1e6)
                 for _ in range(80):
-                    np.subtract(start, trial * g0, out=x)
+                    subtract(start, multiply(trial, g0, trial_g0), x)
                     try:
                         cand_loss = evaluate(loss)
                     except DegenerateVariance:  # a variance of exactly 0: the loss is +inf

@@ -694,6 +694,29 @@ def test_bad_argument_exit_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("verify", "--instances", "20", "--out", "{missing}/x.json"),
+        ("train", "--synthetic", "3,3,200,1", "--beta", "1", "--d1", "2", "--trace",
+         "{missing}/t.csv"),
+        ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "0.5:20:0.5",
+         "--train", "--out", "{missing}/s.csv"),
+        ("verify", "--instances", "20", "--out", "{directory}"),
+    ],
+)
+def test_unwritable_output_path_exit_1_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    """An ``--out`` or ``--trace`` path whose directory does not exist, or that is itself a
+    directory, is an I/O error raised before the command trains: exit 1 with one line naming
+    the path, nothing on stdout, no file created."""
+    monkeypatch.setattr(cli, "_oracle", lambda: pytest.fail("the oracle was loaded"))
+    argv = [arg.format(missing=tmp_path / "missing", directory=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and argv[-1] in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("spectrum", "--synthetic", "5,5,2000,42"),
         ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2"),
         ("predict", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2"),

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import re
 from copy import deepcopy
 from dataclasses import fields, replace
@@ -172,8 +173,7 @@ class TestEvalLoss:
             loss = tr.eval_loss(params, m, hp)
             assert [(len(args), kwargs) for args, kwargs in binds] == [(3, {})]
             assert len(evaluations) == 1
-            _, grad = tr._flat(params)
-            assert loss == kernel(params, m, hp, grad)()
+            assert loss == kernel(params, m, hp, tr._flat(params))()
 
     def test_oracles_read_no_private_trainer_name(self):
         """The references derive what they check: tests/oracles.py reads no
@@ -312,10 +312,10 @@ class TestEvalGrad:
         assert m.mean_x.all() and m.mean_y.all()
         for params in draws:
             zero_bias = replace(params, enc_bias=np.zeros(3), dec_bias=np.zeros(3))
-            (_, grad), (_, full) = tr._flat(params), tr._flat(zero_bias)
-            assert tr._kernel(params, m, hp, grad)() == tr._kernel(zero_bias, m, hp, full)()
-            for name, got in grad.items():
-                assert got.tobytes() == full[name].tobytes(), name
+            own, full = tr._flat(params), tr._flat(zero_bias)
+            assert tr._kernel(params, m, hp, own)() == tr._kernel(zero_bias, m, hp, full)()
+            for name, got in own[1].items():
+                assert got.tobytes() == full[1][name].tobytes(), name
 
     def test_gradient_vanishes_at_optimal_biases(self, rng):
         """For any encoder/decoder, zeroing the bias gradient requires the
@@ -439,8 +439,8 @@ def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, de
     gradient of the term-by-term reference to 1e-12 relative."""
     m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
     for params in draws:
-        _, grad = tr._flat(params, hp)
-        loss = tr._kernel(params, m, hp, grad)()
+        flat, grad = tr._flat(params, hp)
+        loss = tr._kernel(params, m, hp, (flat, grad))()
         ref_loss, ref = reference_value_and_grad(params, m, hp)
         assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
         for name, got in grad.items():
@@ -463,12 +463,57 @@ def test_bound_gates_the_gradient(source, bias, ddv, sigma_mode, decvar_mode):
         for bound in (-np.inf, below, loss, above, np.inf):
             flat, grad = tr._flat(params, hp)
             flat[...] = sentinel
-            assert np.array_equal(tr._kernel(params, m, hp, grad)(bound), loss, equal_nan=True)
+            got = tr._kernel(params, m, hp, (flat, grad))(bound)
+            assert np.array_equal(got, loss, equal_nan=True)
             for name, view in grad.items():
                 if bound < loss:
                     assert np.all(view == sentinel), name
                 else:
                     assert view.tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+
+
+def test_stacked_product_and_joint_division_match_the_separate_ones():
+    """The kernel's workspace rests on two facts about numpy and its BLAS, pinned here to the
+    bit. For every shape the kernel stacks (``_stacks``: d0 in 1..10, d2 in 2..10 and d1 in
+    2..12, verify's range and beyond), the rows of one product of ``[r; a]`` with the
+    encoder are ``r encoder`` over ``a encoder``. For every shape with d0, d2 in 1..10 and
+    d1 in 1..12, one division of the decoder's and the encoder's numerators side by side
+    equals a division of each. Should a BLAS break the first, this fails by name."""
+    rng = np.random.default_rng(27)
+    s = np.array(rng.uniform(0.5, 2.0))
+    for d0, d2, d1 in itertools.product(range(1, 11), range(1, 11), range(1, 13)):
+        r, enc, num_dec, num_enc = (
+            rng.standard_normal(shape) for shape in ((d2, d0), (d0, d1), (d2, d1), (d0, d1)))
+        if tr._stacks(d0, d2, d1):
+            h = rng.standard_normal((d0, d0))
+            a = h.dot(h.T)
+            rows = np.concatenate((r, a)).dot(enc, np.empty((d2 + d0, d1)))
+            assert rows[:d2].tobytes() == r.dot(enc).tobytes(), (d0, d2, d1)
+            assert rows[d2:].tobytes() == a.dot(enc).tobytes(), (d0, d2, d1)
+        joint = np.divide(np.concatenate((num_dec.ravel(), num_enc.ravel())), s)
+        assert joint.tobytes() == (num_dec / s).tobytes() + (num_enc / s).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(3, 1, 2), (4, 3, 1), (12, 3, 2), (2, 2, 2), (10, 10, 12)])
+@pytest.mark.parametrize("bias", [False, True])
+def test_kernel_stacked_or_apart_matches_reference(dims, bias):
+    """Where ``_stacks`` holds the kernel takes ``r encoder`` and ``a encoder`` from one
+    product, outside it from two; either way it gives the term-by-term reference's loss and
+    gradient to 1e-12 relative, and ``eval_loss``'s loss to the bit."""
+    d0, d2, d1 = dims
+    g = np.random.default_rng(d0 + 10 * d2 + 100 * d1)
+    ds, _ = make_instance(seed=5, dim_x=d0, dim_y=d2, n=200)
+    m = tr.Moments.from_dataset(Dataset(x=ds.x + g.normal(size=d0), y=ds.y + g.normal(size=d2)))
+    hp = cf.Hyperparams(beta=1.3, latent_dim=d1, sigma_mode="learnable")
+    params = random_params(g, d0, d2, d1, bias=bias)
+    flat, grad = tr._flat(params, hp)
+    loss = tr._kernel(params, m, hp, (flat, grad))()
+    ref_loss, ref = reference_value_and_grad(params, m, hp)
+    assert loss == tr.eval_loss(params, m, hp)
+    assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+    for name, got in grad.items():
+        scale = max(1.0, float(np.max(np.abs(ref[name]))))
+        assert np.max(np.abs(got - ref[name])) <= 1e-12 * scale, name
 
 
 def train_as_reference(init, m, hp, cfg):
@@ -503,8 +548,8 @@ def test_gradient_only_call_writes_the_full_calls_gradient(
     the bit, also when the bound evaluator last ran at another point."""
     m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
     x, views = tr._flat(draws[0])
-    grad = tr._flat(draws[0], hp)[1]
-    evaluate = tr._kernel(replace(draws[0], **views), m, hp, grad)
+    flat, grad = tr._flat(draws[0], hp)
+    evaluate = tr._kernel(replace(draws[0], **views), m, hp, (flat, grad))
     for params in draws:
         want = tr.eval_grad(params, m, hp)
         x[...] = tr._flat(params)[0]  # the bound arrays take the point's values
@@ -575,7 +620,7 @@ def record_evaluations(monkeypatch):
 
         def call(*args):
             loss = evaluate(*args)
-            calls.append((args, all(np.all(np.isfinite(view)) for view in grad.values())))
+            calls.append((args, all(np.all(np.isfinite(view)) for view in grad[1].values())))
             return loss
 
         return call
@@ -654,8 +699,7 @@ class TestTrain:
                 loss = evaluate(*bound)
                 if len(calls) <= k:
                     return loss
-                for view in grad.values():
-                    view[...] = np.nan
+                grad[0][...] = np.nan
                 return np.inf
 
             return stalling
