@@ -197,8 +197,12 @@ def init_params(
 def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
     _require_moments(m)
     d1 = hp.latent_dim
-    shapes = ((m.dim_y, d1), (m.dim_x, d1), (d1,), (d1,), (m.dim_y,), (d1, m.dim_x), (d1,), ())
-    for name, shape, value in zip(_NAMES, shapes, _parts(p)):  # in ModelParams' order
+    shapes = {
+        "decoder": (m.dim_y, d1), "encoder": (m.dim_x, d1), "log_sigma": (d1,), "enc_bias": (d1,),
+        "dec_bias": (m.dim_y,), "var_slope": (d1, m.dim_x), "var_offset": (d1,), "log_decvar": (),
+    }
+    for name, shape in shapes.items():
+        value = getattr(p, name)
         if value is not None and np.shape(value) != shape:
             raise ShapeError(f"{name} {np.shape(value)} != {shape}")
     for pair in (("enc_bias", "dec_bias"), ("var_slope", "var_offset")):
@@ -212,11 +216,6 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
         raise ShapeError(f"data-dependent variance needs sample access; {hint}")
 
 
-def _stacks(d0: int, d2: int, d1: int) -> bool:
-    """Whether the tests pin the rows of ``[r; a] encoder`` to ``r encoder`` and ``a encoder``."""
-    return d0 <= 10 and 1 < d2 <= 10 and 1 < d1 <= 12
-
-
 def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = None):
     """Binds the loss-and-gradient kernel to ``p``'s arrays, ``m``, ``hp`` and ``grad``, a flat
     gradient buffer and its per-field views as :func:`_flat` lays them out, read once, and
@@ -226,12 +225,12 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
     only the gradient and returns None, skipping the KL, the mean term and, unless a learnable
     decoder variance reads it, the fit. The halves share the residual ``r = k a - cross^T``,
     ``k = decoder encoder^T`` (its transpose is ``a k^T - cross``, as ``a`` is exactly
-    symmetric), and the prior's pull ``a encoder``. The workspace stacks ``[r; a]``, so that one
-    product gives ``r encoder`` over ``a encoder`` where :func:`_stacks` holds, and puts the
-    numerators of the decoder's and the encoder's gradients, the first two trained fields,
-    side by side for one division into the head of the flat buffer; a loss-only bind makes
-    none of it. The ufuncs and the fixed buffers' methods are bound once; products use
-    ``ndarray.dot`` and scalar operands are 0-d arrays, which dispatch fastest."""
+    symmetric), and the prior's pull ``a encoder``. The workspace puts the numerators of the
+    decoder's and the encoder's gradients, the first two trained fields, side by side, ``r
+    encoder`` written into the decoder's, for one division into the head of the flat buffer;
+    a loss-only bind makes none of it. The ufuncs and the fixed buffers' methods are bound
+    once; products use ``ndarray.dot`` and scalar operands are 0-d arrays, which dispatch
+    fastest."""
     # p's fields in ModelParams' order, then their gradient views (None where absent)
     dec, enc, log_sigma, b_e, b_d, slope, offset, log_s = _parts(p)
     flat, views = grad or (None, {})
@@ -243,20 +242,15 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
     pull_0, beta_0, s_0 = np.array(pull), np.array(beta), np.array(s_fixed)
     add, subtract, multiply, divide, square = np.add, np.subtract, np.multiply, np.divide, np.square
     add_reduce, vdot, outer, exp = np.add.reduce, np.vdot, np.outer, np.exp
-    # the workspace; a loss-only bind computes r in a new array and a encoder alone
-    out_k, out_ka = np.empty((2,) + cross_t.shape)
-    out_sq = np.empty(dec.shape)
+    # the workspace, written with positional ``out``
+    out_k, out_ka, out_r = np.empty((3,) + cross_t.shape)
+    out_sq, out_prior = np.empty(dec.shape), np.empty(enc.shape)
     out_col, out_s2, out_coef = np.empty((3, log_sigma.size))
-    stacked_dot, out_r, out_rp = a.dot, None, np.empty(enc.shape)
-    if grad is not None:
-        stacked = np.concatenate((out_ka, a))  # [r; a], r's rows rewritten per call
-        out_r, out_rp = stacked[: len(out_ka)], np.empty((len(stacked), enc.shape[1]))
-        rt_dot, stacked_dot, num = out_r.T.dot, stacked.dot, np.empty(dec.size + enc.size)
+    dec_dot, k_dot, a_dot, r_dot, rt_dot = dec.dot, out_k.dot, a.dot, out_r.dot, out_r.T.dot
+    if grad is not None:  # the decoder's and the encoder's numerators, side by side
+        num = np.empty(dec.size + enc.size)
         num_dec, num_enc = num[: dec.size].reshape(dec.shape), num[dec.size :].reshape(enc.shape)
-        g_block, rm_rows = flat[: num.size], out_rp[: len(out_ka)]
-        if not _stacks(len(a), *dec.shape):  # e.g. numpy sends a one-row r to gemv, not gemm
-            stacked_dot = lambda w, out: (out_r.dot(w, rm_rows), a.dot(w, prior_rows))
-    dec_dot, k_dot, prior_rows = dec.dot, out_k.dot, out_rp[-len(a) :]
+        g_block = flat[: num.size]
 
     def evaluate(bound: float = math.inf, value: bool = True) -> float | None:
         fits = value or g_s is not None  # a learnable decoder variance's gradient reads the fit
@@ -283,8 +277,7 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
             raise DegenerateVariance("decoder variance underflowed to zero")
         if fits:  # E||y - decode(z)||^2 / (2 s)
             fit = (recon + power + float(s2.dot(col_sq))) / (2.0 * s)
-        stacked_dot(enc, out_rp)  # r encoder over a encoder, or a encoder alone
-        prior = prior_rows
+        prior = a_dot(enc, out_prior)
         loss = None
         if value:
             if ddv:
@@ -314,7 +307,7 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
         if g_s is not None:
             g_s[...] = -fit + half_dim_y
 
-        e_r_m = rm_rows
+        e_r_m = r_dot(enc, num_dec)
         rt_dot(dec, num_enc)  # r^T decoder
         if b_e is not None:
             e_r_m = e_r_m + outer(r_mean, b_e) + outer(c, w_mean)
