@@ -26,7 +26,7 @@ import numpy as np
 from . import collapse as cl
 from . import closed_form as cf
 from . import decoder_variance as dv
-from .data import Dataset, center, generate, load, random_spec
+from .data import Dataset, center_in_place, generate, load, random_spec
 from .errors import CollapseLabError, InvalidSpec, ParseError
 from .spectrum import DataSpectrum, compute_spectrum
 
@@ -111,7 +111,9 @@ def _load_spectrum(args) -> DataSpectrum:
             raise InvalidSpec("--zeta needs --d2")
         values = [float(v) for v in args.zeta.split(",")]
         return DataSpectrum.from_singular_values(values, dim_y=args.d2)
-    return compute_spectrum(center(_load_dataset(args))[0])
+    ds = _load_dataset(args)
+    center_in_place(ds)  # the arrays were just made here, so no copy is needed
+    return compute_spectrum(ds)
 
 
 def _hyperparams(args, need_beta: bool = True) -> cf.Hyperparams:
@@ -286,7 +288,7 @@ def cmd_train(args) -> int:
     ds = _load_dataset(args)
     hp = _hyperparams(args)
     if not args.bias:
-        ds = center(ds)[0]
+        center_in_place(ds)
     tr = _oracle()[0]
     moments = tr.Moments.from_dataset(ds)
     init = tr.init_params(moments, hp, seed=args.seed, bias=args.bias, ddv=args.ddv)

@@ -21,6 +21,7 @@ from .spectrum import DataSpectrum
 REGIME_NONE = "none"
 REGIME_PARTIAL = "partial"
 REGIME_COMPLETE = "complete"
+SWEEP_BLOCK = 1024  # betas per per_mode pass in beta_sweep; 512 to 2048 ran fastest
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,21 @@ class SweepRow:
 
 def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
     """One analytic row per beta: predicted loss, surviving-mode count,
-    regime, and the per-mode stds sorted descending, all from one
-    :func:`per_mode` pass over the grid. Ill-posed rows of a learnable
-    decoder variance have no optimum: nan loss and zero stds."""
+    regime, and the per-mode stds sorted descending, from one
+    :func:`per_mode` pass per block of at most ``SWEEP_BLOCK`` betas, so
+    its temporaries scale with the block, not the grid. Every quantity is
+    per beta, so a row does not depend on the blocks. Ill-posed rows of a
+    learnable decoder variance have no optimum: nan loss and zero stds."""
     grid = np.asarray(beta_grid, dtype=np.float64).ravel()
     if grid.size == 0:
         raise ValueError("beta grid is empty")
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("beta grid must be strictly positive and ascending")
+    blocks = (grid[start : start + SWEEP_BLOCK] for start in range(0, grid.size, SWEEP_BLOCK))
+    return [row for block in blocks for row in _sweep_block(sp, hp, block)]
+
+
+def _sweep_block(sp: DataSpectrum, hp: Hyperparams, grid: np.ndarray) -> list[SweepRow]:
     d1 = hp.latent_dim
     if hp.decvar_mode == "fixed":
         s = np.full(grid.size, hp.decvar)

@@ -86,7 +86,8 @@ class Dataset:
         """Every column mean lies within ``1e-10 * max(1, largest |entry|
         of that column)``, so the test reads the same in any units."""
         for a in (self.x, self.y):
-            scale = np.maximum(1.0, np.abs(a).max(axis=0, initial=0.0))
+            # each column's largest |entry|, exactly, without an |a| the size of a
+            scale = np.maximum(1.0, np.maximum(a.max(axis=0), -a.min(axis=0)))
             if np.any(np.abs(a.mean(axis=0)) > _CENTER_TOL * scale):
                 return False
         return True
@@ -156,8 +157,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     factor = vectors * np.sqrt(eigenvalues)
     rng = np.random.default_rng(spec.seed)
-    g = rng.standard_normal((spec.n_samples, spec.dim_x))
-    x = g @ factor.T
+    x = rng.standard_normal((spec.n_samples, spec.dim_x)) @ factor.T  # the draws freed before y
     y = x @ spec.map_matrix.T
     return Dataset(x=x, y=y)
 
@@ -167,16 +167,22 @@ def center(ds: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
 
     Returns the centered dataset together with the removed means, which
     are exactly the quantities needed to reconstruct the optimal encoder
-    and decoder biases of the uncentered problem.
+    and decoder biases of the uncentered problem. ``ds`` is left as it was:
+    copies of its arrays are centered, by :func:`center_in_place`.
     """
-    mean_x = ds.x.mean(axis=0)
-    mean_y = ds.y.mean(axis=0)
-    x = ds.x - mean_x
-    y = ds.y - mean_y
-    # one more pass kills the O(eps * scale) residual of the first
-    x -= x.mean(axis=0)
-    y -= y.mean(axis=0)
-    return Dataset(x=x, y=y), mean_x, mean_y
+    out = Dataset(x=np.copy(ds.x), y=np.copy(ds.y))  # ds's memory order sets the means' sum order
+    return (out, *center_in_place(out))
+
+
+def center_in_place(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract column means from x and y in place and return the removed
+    means: :func:`center` without the copies, for a dataset whose arrays
+    nothing else reads and whose x and y share no memory."""
+    means = ds.x.mean(axis=0), ds.y.mean(axis=0)
+    for a, mean in zip((ds.x, ds.y), means):
+        a -= mean
+        a -= a.mean(axis=0)  # one more pass kills the O(eps * scale) residual of the first
+    return means
 
 
 def _is_csv(path) -> bool:

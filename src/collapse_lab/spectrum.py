@@ -156,7 +156,8 @@ def compute_spectrum(ds: Dataset) -> DataSpectrum:
 
     Warns when the dataset is not centered: uncentered moments are still
     processed as-is, but they answer a different question than the
-    centered (equivalently, learnable-bias) problem.
+    centered (equivalently, learnable-bias) problem. Beyond ``ds`` it holds one
+    sample-sized temporary at a time: the squared targets, then the whitened inputs.
     """
     if not ds.centered:
         warnings.warn(
@@ -177,7 +178,9 @@ def compute_spectrum(ds: Dataset) -> DataSpectrum:
     eigenvalues = eigenvalues[:rank]
     basis = vectors[:, :rank]
 
-    whitened = (ds.x @ basis) / np.sqrt(eigenvalues)
+    target_power = float(np.sum(ds.y**2) / n)
+    whitened = ds.x @ basis
+    whitened /= np.sqrt(eigenvalues)
     z = ds.y.T @ whitened / n
     f, zeta, gt = np.linalg.svd(z, full_matrices=True)
     g = gt.T
@@ -190,6 +193,6 @@ def compute_spectrum(ds: Dataset) -> DataSpectrum:
         left_vectors=f,
         right_vectors=g,
         singular_values=zeta,
-        target_power=float(np.sum(ds.y**2) / n),
+        target_power=target_power,
     )
 

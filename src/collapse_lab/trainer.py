@@ -324,26 +324,33 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
     return evaluate
 
 
-def _views(p: ModelParams, names, buf: np.ndarray) -> dict:
-    """A view into ``buf`` per field of ``p`` in ``names``, laid out in order."""
+def _views(p: ModelParams, names, buf: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """``buf``, by default a new zeroed float64 buffer of the right size, and a
+    view into it per field of ``p`` in ``names``, laid out in order."""
+    shapes = {name: np.shape(getattr(p, name)) for name in names}
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    buf = np.zeros(sum(sizes)) if buf is None else buf
     views, offset = {}, 0
-    for name in names:
-        shape = np.shape(getattr(p, name))
-        views[name] = buf[offset : offset + math.prod(shape)].reshape(shape)
-        offset += math.prod(shape)
-    return views
+    for (name, shape), size in zip(shapes.items(), sizes):
+        views[name] = buf[offset : offset + size].reshape(shape)
+        offset += size
+    return buf, views
+
+
+def _field_names(p: ModelParams, hp: Hyperparams | None = None) -> list[str]:
+    """``p``'s fields that are set (given ``hp``, only those :func:`train` updates), by name."""
+    fixed_sigma = hp is not None and (hp.sigma_mode != "learnable" or p.ddv)
+    return [
+        name for name, value in zip(_NAMES, _parts(p))
+        if value is not None and not (name == "log_sigma" and fixed_sigma)
+    ]
 
 
 def _flat(p: ModelParams, hp: Hyperparams | None = None) -> tuple[np.ndarray, dict]:
     """``p``'s fields (given ``hp``, only those :func:`train` updates) copied into
     one flat float64 buffer, and a view into it per field (0-d for a scalar)."""
-    fixed_sigma = hp is not None and (hp.sigma_mode != "learnable" or p.ddv)
-    names = [
-        name for name, value in zip(_NAMES, _parts(p))
-        if value is not None and not (name == "log_sigma" and fixed_sigma)
-    ]
-    buf = np.concatenate([np.ravel(getattr(p, name)) for name in names])
-    return buf, _views(p, names, buf)
+    names = _field_names(p, hp)
+    return _views(p, names, np.concatenate([np.ravel(getattr(p, name)) for name in names]))
 
 
 def eval_loss(p: ModelParams, m: Moments, hp: Hyperparams) -> float:
@@ -355,8 +362,8 @@ def eval_loss(p: ModelParams, m: Moments, hp: Hyperparams) -> float:
 def eval_grad(p: ModelParams, m: Moments, hp: Hyperparams) -> ModelParams:
     """Analytic gradient of :func:`eval_loss` at ``p``, with the same structure as ``p``."""
     _check_shapes(p, m, hp)
-    flat, grad = _flat(p)
-    flat[...] = 0.0  # the stds' slot stays zero under a data-dependent std
+    # a new zeroed buffer: the stds' slot stays zero under a data-dependent std
+    flat, grad = _views(p, _field_names(p))
     _kernel(p, m, hp, (flat, grad))()
     if "log_decvar" in grad:
         grad["log_decvar"] = float(grad["log_decvar"])
@@ -388,7 +395,7 @@ def train(
     params = replace(params, **{"log_sigma": params.log_sigma.copy(), **views})
     # row 0 is the gradient g, written through its per-field views; row 1 takes g * g
     g, g2 = g_g2 = np.zeros((2, x.size))
-    evaluate = _kernel(params, m, hp, (g, _views(params, views, g)))
+    evaluate = _kernel(params, m, hp, _views(params, views, g))
 
     loss = evaluate()
     if not math.isfinite(loss):

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ def make_instance(seed, dim_x=4, dim_y=4, n=600, scale=1.5, rank=None):
     spec = random_spec(dim_x, dim_y, n_samples=n, seed=seed, rank=rank, signal_scale=scale)
     ds, _, _ = center(generate(spec))
     return ds, compute_spectrum(ds)
+
+
+def traced_peak(read):
+    """What ``read`` returns, and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return read(), tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def params_from_minimum(gm: cf.GlobalMinimum, hp: cf.Hyperparams) -> ModelParams:

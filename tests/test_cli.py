@@ -21,6 +21,8 @@ from collapse_lab.cli import main
 from collapse_lab.data import Dataset, generate, load, random_spec, save
 from collapse_lab.errors import ParseError
 
+from conftest import traced_peak
+
 
 @pytest.fixture
 def autoencode_csv(tmp_path):
@@ -177,6 +179,17 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--data", str(path))
         assert code == 2
         assert "error" in err
+
+    def test_holds_the_data_once(self, capsys, tmp_path):
+        """A sidecar-served CSV is centered where it was loaded: the command
+        peaks at the data and one temporary the size of x, not two copies."""
+        path = tmp_path / "wide.csv"
+        raw = generate(random_spec(16, 16, 20000, seed=4))
+        save(raw, path)
+        load(path)  # leaves the sidecar
+        code, peak = traced_peak(lambda: main(["spectrum", "--data", str(path)]))
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert peak <= 1.6 * (raw.x.nbytes + raw.y.nbytes)
 
 
 def _refuse(constant):

@@ -260,8 +260,8 @@ class TestBetaSweep:
             np.testing.assert_array_equal(row.sigma, np.sort(gm.sigma)[::-1])
             assert row.s_star is None
 
-    def test_one_per_mode_pass(self, monkeypatch):
-        """A sweep evaluates the per-mode kernel once, whatever its length."""
+    def test_one_per_mode_pass_per_block(self, monkeypatch):
+        """A sweep evaluates the per-mode kernel once per block of betas."""
         calls, kernel = [], cf.per_mode
 
         def counted(*args, **kwargs):
@@ -272,14 +272,15 @@ class TestBetaSweep:
         monkeypatch.setattr(cl, "per_mode", counted)
         sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)
         for decvar_mode in ("fixed", "learnable"):
-            calls.clear()
             hp = cf.Hyperparams(beta=1.0, latent_dim=5, decvar_mode=decvar_mode)
-            cl.beta_sweep(sp, hp, np.linspace(0.1, 30.0, 300))
-            assert len(calls) == 1, decvar_mode
+            for size, passes in ((300, 1), (cl.SWEEP_BLOCK, 1), (2 * cl.SWEEP_BLOCK + 1, 3)):
+                calls.clear()
+                cl.beta_sweep(sp, hp, np.linspace(0.1, 30.0, size))
+                assert len(calls) == passes, (decvar_mode, size)
 
     def test_one_bound_table_per_call(self, monkeypatch):
-        """A learnable sweep builds the bound table once and no per-beta
-        solution object; a learnable predict builds it for its thresholds
+        """A learnable sweep of one block builds the bound table once and no
+        per-beta solution object; a learnable predict builds it for its thresholds
         and once more inside its one solution."""
         bounds, solutions = [], []
         table, solution = dv.beta_bounds, dv.DecVarSolution
@@ -301,6 +302,34 @@ class TestBetaSweep:
         bounds.clear()
         cl.predict(sp, hp)
         assert (len(bounds), len(solutions)) == (2, 1)
+
+    @pytest.mark.parametrize("decvar_mode", ["fixed", "learnable"])
+    @pytest.mark.parametrize("edge", ["starts", "ends"])
+    def test_rows_do_not_depend_on_the_blocks(self, monkeypatch, decvar_mode, edge):
+        """A sweep over several blocks gives the rows of one pass over the whole
+        grid, bit for bit: with ill-posed rows, and with a block that starts or
+        ends on the one-beta boundary row of the regime table."""
+        sp = DataSpectrum.from_singular_values([2.0, 1.5, 1.5, 1.0], dim_y=6)
+        hp = cf.Hyperparams(beta=1.0, latent_dim=5, sigma_mode="learnable",
+                            decvar_mode=decvar_mode)
+        bound = 1.5  # the boundary row's one beta, where the ill-posed rows end
+        assert bound in dv.beta_bounds(sp, replace(hp, decvar_mode="learnable"))
+        grid = np.union1d(np.linspace(0.05, 8.0, 150), [bound])
+        at = int(np.searchsorted(grid, bound))
+        monkeypatch.setattr(cl, "SWEEP_BLOCK", grid.size)
+        whole = cl.beta_sweep(sp, hp, grid)
+        monkeypatch.setattr(cl, "SWEEP_BLOCK", at if edge == "starts" else at + 1)
+        blocked = cl.beta_sweep(sp, hp, grid)
+        assert grid.size > 3 * cl.SWEEP_BLOCK
+
+        def bits(row):
+            s_star = None if row.s_star is None else row.s_star.hex()
+            return row.beta.hex(), row.loss.hex(), row.rank, row.regime, row.sigma.tobytes(), s_star
+
+        assert list(map(bits, blocked)) == list(map(bits, whole))
+        if decvar_mode == "learnable":
+            assert {dv.REGIME_ILL_POSED, dv.REGIME_BOUNDARY} <= {r.regime for r in whole}
+            assert whole[at].regime == dv.REGIME_BOUNDARY
 
     def test_learnable_decvar_rows_track_solver(self):
         sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)

@@ -3,7 +3,6 @@ import os
 import re
 import stat
 import threading
-import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -17,6 +16,7 @@ from collapse_lab.data import (
     Dataset,
     SyntheticSpec,
     center,
+    center_in_place,
     generate,
     load,
     random_spec,
@@ -26,6 +26,7 @@ from collapse_lab.errors import InvalidSpec, ParseError
 from collapse_lab.spectrum import compute_spectrum
 
 import oracles
+from conftest import traced_peak
 
 
 def test_identity_second_moment_law_of_large_numbers():
@@ -138,6 +139,40 @@ class TestCenter:
         twice, _, _ = center(once)
         np.testing.assert_allclose(twice.x, once.x, atol=1e-12)
         np.testing.assert_allclose(twice.y, once.y, atol=1e-12)
+
+    def test_leaves_its_input_as_it_was(self, rng):
+        """The input keeps its bits and shares no memory with the result, also
+        where its x and y are one array: then each mean is the same column's."""
+        x = rng.normal(size=(50, 3)) * [1.0, 1e3, 1e-3] + 4.0
+        for ds in (Dataset(x=x, y=3.0 * x[:, :2]), Dataset(x=x, y=x)):
+            before = ds.x.tobytes(), ds.y.tobytes()
+            out, mean_x, mean_y = center(ds)
+            assert (ds.x.tobytes(), ds.y.tobytes()) == before
+            for a in (out.x, out.y, mean_x, mean_y):
+                assert not any(np.shares_memory(a, b) for b in (ds.x, ds.y))
+            assert not np.shares_memory(out.x, out.y)
+        assert mean_x.tobytes() == mean_y.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_two_passes_bit_for_bit(self, rng, order):
+        """center and center_in_place give the bits of two passes of
+        ``a - a.mean(axis=0)``, in the input's memory order, which sets the
+        order of the means' sums."""
+
+        def two_passes(a):
+            mean = a.mean(axis=0)
+            out = a - mean
+            out -= out.mean(axis=0)
+            return out, mean
+
+        x = np.asarray(rng.normal(size=(300, 4)) * 1e4 + 7.0, order=order)
+        y = np.asarray(rng.normal(size=(300, 2)) - 3.0, order=order)
+        (want_x, want_mx), (want_y, want_my) = two_passes(x), two_passes(y)
+        out, mean_x, mean_y = center(Dataset(x, y))
+        own = Dataset(x.copy(order="K"), y.copy(order="K"))
+        got = (out.x, out.y, mean_x, mean_y, own.x, own.y, *center_in_place(own))
+        for a, b in zip(got, (want_x, want_y, want_mx, want_my) * 2, strict=True):
+            assert a.tobytes(order="A") == b.tobytes(order="A")
 
     def test_units_scale_the_spectrum(self, rng):
         """The same data in other units is centered and gives the same
@@ -424,17 +459,6 @@ REFUSED_CSVS = [
 ]
 
 
-def _traced_peak(read):
-    """What ``read`` returns, and the most memory it held at once, in bytes."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        return read(), tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_csv_reader_holds_a_block_not_the_file(tmp_path, monkeypatch):
     """A 1.9 MB CSV is checked and parsed a block at a time: the reader holds
     its columns, their parts and a few blocks, never the file's text."""
@@ -442,14 +466,14 @@ def test_csv_reader_holds_a_block_not_the_file(tmp_path, monkeypatch):
     path = tmp_path / "wide.csv"
     save(generate(random_spec(8, 8, 6000, seed=4)), path)
     assert path.stat().st_size > 1.8e6
-    ds, peak = _traced_peak(lambda: load(path))
+    ds, peak = traced_peak(lambda: load(path))
     assert peak <= 2 * (ds.x.nbytes + ds.y.nbytes) + 4 * data._BLOCK
 
 
 def test_binary_reader_reads_into_the_arrays(tmp_path):
     path = tmp_path / "wide.bin"
     save(generate(random_spec(8, 8, 6000, seed=4)), path)
-    ds, peak = _traced_peak(lambda: load(path))
+    ds, peak = traced_peak(lambda: load(path))
     assert peak <= 1.1 * (ds.x.nbytes + ds.y.nbytes)
 
 

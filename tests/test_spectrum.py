@@ -9,7 +9,7 @@ from collapse_lab.decoder_variance import solve_decoder_variance
 from collapse_lab.errors import DegenerateInput
 from collapse_lab.spectrum import DEFAULT_TOL, DataSpectrum, compute_spectrum
 
-from conftest import make_instance
+from conftest import make_instance, traced_peak
 
 
 def test_autoencoding_singular_values_are_input_spectrum():
@@ -20,6 +20,14 @@ def test_autoencoding_singular_values_are_input_spectrum():
     ds, _, _ = center(Dataset(ds.x, ds.x))
     sp = compute_spectrum(ds)
     np.testing.assert_allclose(sp.singular_values**2, sp.eigenvalues, atol=1e-8)
+
+
+def test_holds_one_sample_sized_temporary():
+    """Beyond the dataset, compute_spectrum holds one array the size of x at a
+    time: the whitened inputs, divided in place, or the squared targets."""
+    ds, _, _ = center(generate(random_spec(16, 16, 20000, seed=3)))
+    _, peak = traced_peak(lambda: compute_spectrum(ds))
+    assert peak <= 1.1 * ds.x.nbytes
 
 
 def test_zero_target_spectrum():
