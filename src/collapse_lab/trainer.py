@@ -150,10 +150,13 @@ class TrainResult:
     final_loss: float
     grad_norm: float
     steps: int
-    converged: bool
     stop_reason: str  # "grad_tol", "max_steps" or "line_search_stall"
     loss_trace: np.ndarray | None = None
     decvar_trace: np.ndarray | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
 
 
 def _require_moments(m: Moments) -> None:
@@ -483,7 +486,6 @@ def train(
         final_loss=loss,
         grad_norm=grad_norm,
         steps=steps,
-        converged=stop_reason == "grad_tol",
         stop_reason=stop_reason,
         loss_trace=None if loss_trace is None else np.asarray(loss_trace),
         decvar_trace=None if decvar_trace is None else np.asarray(decvar_trace),

@@ -8,6 +8,12 @@ Instances whose beta sits within 0.05 (in zeta^2) of a collapse threshold
 are re-drawn, so the transition itself is never drawn. The margin is not a
 limit of the oracle: in a probe, all 24 fixed-variance runs with beta at a
 relative distance of 1e-3 or 1e-2 from a threshold met every tolerance.
+
+A row is a mapping in the key order ``--out`` writes. ``CHECKS`` holds its
+checks: the key of each error, the column that prints it and its tolerance.
+A row passes when every check that ran is within its tolerance; one that did
+not run holds None, prints ``--`` and fails nothing. A new check is one entry
+there and the line of the row that computes its value.
 """
 
 from __future__ import annotations
@@ -29,39 +35,38 @@ SV_TOL = 1e-3
 SIGMA_TOL = 1e-3
 S_TOL = 1e-3
 
+# (row key, printed column, tolerance), in the order the table prints them
+CHECKS = (
+    ("loss_rel_err", "loss", LOSS_TOL),
+    ("sv_max_err", "sv", SV_TOL),
+    ("sigma_max_err", "sigma", SIGMA_TOL),
+    ("s_rel_err", "s", S_TOL),
+)
 
-@dataclass(frozen=True)
-class VerifyRow:
-    index: int
-    dims: tuple[int, int, int]          # (dim_x, dim_y, d1)
-    beta: float
-    surviving: int
-    loss_rel_err: float
-    sv_max_err: float
-    sigma_max_err: float
-    s_rel_err: float | None
-    passed: bool
-    note: str = ""
 
-    def format(self) -> str:
-        s_part = "   --    " if self.s_rel_err is None else f"{self.s_rel_err:9.2e}"
-        status = "PASS" if self.passed else "FAIL"
-        d0, d2, d1 = self.dims
-        return (
-            f"[{self.index:2d}] d0={d0} d2={d2} d1={d1} beta={self.beta:6.3f} "
-            f"alive={self.surviving}  loss={self.loss_rel_err:9.2e}  "
-            f"sv={self.sv_max_err:9.2e}  sigma={self.sigma_max_err:9.2e}  "
-            f"s={s_part}  {status}{'  ' + self.note if self.note else ''}"
-        )
+def _passes(row: dict) -> bool:
+    return all(row[key] is None or row[key] <= tol for key, _, tol in CHECKS)
+
+
+def _format_row(row: dict) -> str:
+    d0, d2, d1 = row["dims"]
+    head = f"[{row['index']:2d}] d0={d0} d2={d2} d1={d1} beta={row['beta']:6.3f}"
+    cells = [
+        f"{column}=" + ("   --    " if row[key] is None else f"{row[key]:9.2e}")
+        for key, column, _ in CHECKS
+    ]
+    status = "PASS" if row["passed"] else "FAIL"
+    parts = [f"{head} alive={row['surviving']}", *cells, status, row["note"]]
+    return "  ".join(part for part in parts if part)  # an empty note adds no gap
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     all_passed: bool
-    rows: list[VerifyRow]
+    rows: list[dict]
 
     def format_table(self) -> str:
-        lines = [row.format() for row in self.rows]
+        lines = [_format_row(row) for row in self.rows]
         verdict = "ALL PASS" if self.all_passed else "FAILURES PRESENT"
         lines.append(f"{len(self.rows)} instances: {verdict}")
         return "\n".join(lines)
@@ -103,7 +108,7 @@ def run_oracle_suite(
     """Run the agreement suite; ``beta_error`` skews the analytic side's
     beta and exists so tests can prove a mismatch is actually caught."""
     rng = np.random.default_rng(seed)
-    rows: list[VerifyRow] = []
+    rows: list[dict] = []
     for index in range(n_instances):
         sp, d1, beta = _draw_instance(rng, index)
         sp = replace(sp, eigenvalues=np.ones_like(sp.eigenvalues))  # train in whitened coordinates
@@ -115,15 +120,10 @@ def run_oracle_suite(
         result = train_to_minimum(index, moments, hp)
 
         predicted = gm.predicted_loss
-        loss_rel = abs(result.final_loss - predicted) / (1.0 + abs(predicted))
         learned_sv = _learned_singvals(result.params, sp)
         predicted_sv = np.zeros(sp.n_modes)
         k = min(d1, sp.n_modes)
         predicted_sv[:k] = (gm.decoder_singvals * gm.encoder_singvals)[:k]
-        sv_err = float(np.max(np.abs(learned_sv - predicted_sv)))
-        sigma_err = float(
-            np.max(np.abs(np.sort(result.params.sigma) - np.sort(gm.sigma)))
-        )
 
         s_rel = None
         note = ""
@@ -136,24 +136,17 @@ def run_oracle_suite(
             else:
                 note = f"decvar regime {sol.regime}: no finite s*, skipped"
 
-        passed = (
-            loss_rel <= LOSS_TOL
-            and sv_err <= SV_TOL
-            and sigma_err <= SIGMA_TOL
-            and (s_rel is None or s_rel <= S_TOL)
-        )
-        rows.append(
-            VerifyRow(
-                index=index,
-                dims=(sp.ambient_dim, sp.dim_y, d1),
-                beta=beta,
-                surviving=int(np.count_nonzero(~gm.collapse_flags)),
-                loss_rel_err=loss_rel,
-                sv_max_err=sv_err,
-                sigma_max_err=sigma_err,
-                s_rel_err=s_rel,
-                passed=passed,
-                note=note,
-            )
-        )
-    return VerificationReport(rows=rows, all_passed=all(r.passed for r in rows))
+        row = {
+            "index": index,
+            "dims": (sp.ambient_dim, sp.dim_y, d1),
+            "beta": beta,
+            "surviving": int(np.count_nonzero(~gm.collapse_flags)),
+            "loss_rel_err": abs(result.final_loss - predicted) / (1.0 + abs(predicted)),
+            "sv_max_err": float(np.max(np.abs(learned_sv - predicted_sv))),
+            "sigma_max_err": float(
+                np.max(np.abs(np.sort(result.params.sigma) - np.sort(gm.sigma)))
+            ),
+            "s_rel_err": s_rel,
+        }
+        rows.append({**row, "passed": _passes(row), "note": note})
+    return VerificationReport(rows=rows, all_passed=all(r["passed"] for r in rows))

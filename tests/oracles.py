@@ -299,6 +299,32 @@ def ddv_inequality_check(
     return tr.eval_loss(p, m, hp), tr.eval_loss(flat, m, hp)
 
 
+def verify_row_passed(row: dict) -> bool:
+    """A ``verify`` row's pass rule, spelled check by check with the
+    release tolerances; an ``s_rel_err`` of None is a check that did not run."""
+    s_rel = row["s_rel_err"]
+    return (
+        row["loss_rel_err"] <= 1e-4
+        and row["sv_max_err"] <= 1e-3
+        and row["sigma_max_err"] <= 1e-3
+        and (s_rel is None or s_rel <= 1e-3)
+    )
+
+
+def verify_row_line(row: dict) -> str:
+    """A ``verify`` row as its table prints it, spelled column by column."""
+    s_part = "   --    " if row["s_rel_err"] is None else f"{row['s_rel_err']:9.2e}"
+    status = "PASS" if row["passed"] else "FAIL"
+    note = row["note"]
+    d0, d2, d1 = row["dims"]
+    return (
+        f"[{row['index']:2d}] d0={d0} d2={d2} d1={d1} beta={row['beta']:6.3f} "
+        f"alive={row['surviving']}  loss={row['loss_rel_err']:9.2e}  "
+        f"sv={row['sv_max_err']:9.2e}  sigma={row['sigma_max_err']:9.2e}  "
+        f"s={s_part}  {status}{'  ' + note if note else ''}"
+    )
+
+
 def exact_sqrt(q: Fraction, bits: int = 400) -> Fraction:
     """The square root of ``q`` as a fraction, to a relative 2**-bits."""
     n, d = q.numerator, q.denominator

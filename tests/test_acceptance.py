@@ -4,6 +4,8 @@ single PASS/FAIL line (visible with ``pytest -s`` or on failure).
 Every tolerance here is part of the package contract; see README.
 """
 
+import itertools
+import math
 import time
 
 import numpy as np
@@ -13,12 +15,16 @@ from collapse_lab import closed_form as cf
 from collapse_lab import collapse as cl
 from collapse_lab import decoder_variance as dv
 from collapse_lab import trainer as tr
+from collapse_lab import verify
 from collapse_lab.data import Dataset
 from collapse_lab.spectrum import DataSpectrum
 from collapse_lab.verify import _draw_instance, _learned_singvals, run_oracle_suite
 
 from conftest import assert_sinks_below, make_instance, params_from_minimum, sink_run
-from oracles import ddv_inequality_check, minimize_profile, numeric_hessian_check
+from oracles import (
+    ddv_inequality_check, minimize_profile, numeric_hessian_check, verify_row_line,
+    verify_row_passed,
+)
 from test_closed_form import argmin_1d, mode_objective
 
 PAPER_TOP5 = [5.12, 3.74, 3.25, 2.84, 2.57]
@@ -38,8 +44,8 @@ def test_criterion_1_oracle_equivalence():
     started = time.time()
     suite = run_oracle_suite(n_instances=20, seed=20260811)
     elapsed = time.time() - started
-    worst_loss = max(r.loss_rel_err for r in suite.rows)
-    worst_sv = max(r.sv_max_err for r in suite.rows)
+    worst_loss = max(r["loss_rel_err"] for r in suite.rows)
+    worst_sv = max(r["sv_max_err"] for r in suite.rows)
     report(
         1,
         f"20-instance oracle equivalence: loss rel err <= {worst_loss:.2e} "
@@ -47,6 +53,36 @@ def test_criterion_1_oracle_equivalence():
         f"{elapsed:.0f}s",
         suite.all_passed and elapsed < 120.0,
     )
+
+
+def test_release_contract_is_the_four_checks():
+    """The checks a verify row must pass, each with the key ``--out`` writes,
+    its printed column and its tolerance; moving or dropping one is a
+    change of the release contract, not of the code."""
+    assert verify.CHECKS == (
+        ("loss_rel_err", "loss", 1e-4),
+        ("sv_max_err", "sv", 1e-3),
+        ("sigma_max_err", "sigma", 1e-3),
+        ("s_rel_err", "s", 1e-3),
+    )
+    assert (verify.LOSS_TOL, verify.SV_TOL, verify.SIGMA_TOL, verify.S_TOL) == (
+        1e-4, 1e-3, 1e-3, 1e-3
+    )
+
+
+def test_pass_rule_and_row_format_match_the_reference():
+    """Every error at, just above and far below its tolerance, NaN, and an
+    s check that did not run: the row passes and prints as the
+    check-by-check reference says. The CLI's injected-error rows fail on
+    several checks at once, so they cannot tell the checks apart."""
+    choices = [[0.0, tol, np.nextafter(tol, 1.0), math.nan] for tol in (1e-4, 1e-3, 1e-3, 1e-3)]
+    choices[3].append(None)
+    for index, errors in enumerate(itertools.product(*choices)):
+        row = dict(zip(("loss_rel_err", "sv_max_err", "sigma_max_err", "s_rel_err"), errors))
+        assert verify._passes(row) == verify_row_passed(row), row
+        row = {"index": index % 100, "dims": (3, 4, 2), "beta": 2.5, "surviving": 1, **row,
+               "passed": verify_row_passed(row), "note": "a note" if index % 2 else ""}
+        assert verify._format_row(row) == verify_row_line(row), row
 
 
 @pytest.mark.parametrize("seed", [826817008, 1685115226])
@@ -58,8 +94,8 @@ def test_oracle_trains_hard_instances_in_whitened_coordinates(seed):
     for index in range(3):
         sp, d1, _ = _draw_instance(rng, index)
     row = run_oracle_suite(n_instances=3, seed=seed).rows[2]
-    assert row.dims == (sp.ambient_dim, sp.dim_y, d1)
-    assert row.passed and row.sv_max_err <= 1e-5
+    assert row["dims"] == (sp.ambient_dim, sp.dim_y, d1)
+    assert row["passed"] and row["sv_max_err"] <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from collapse_lab.data import Dataset, generate, load, random_spec, save
 from collapse_lab.errors import ParseError
 
 from conftest import traced_peak
+from oracles import verify_row_line, verify_row_passed
 
 
 @pytest.fixture
@@ -808,10 +809,25 @@ class TestTrainCommand:
 
 
 class TestVerifyCommand:
+    @staticmethod
+    def assert_rows_match_reference(code, out, doc):
+        """Each printed row is its JSON row spelled column by column, each
+        ``passed`` follows the check-by-check rule, and the exit code is 3
+        exactly when some row failed."""
+        rows = doc["rows"]
+        *printed, verdict = out.splitlines()
+        assert printed == [verify_row_line(row) for row in rows]
+        assert [row["passed"] for row in rows] == [verify_row_passed(row) for row in rows]
+        assert doc["all_passed"] == all(row["passed"] for row in rows)
+        failed = not doc["all_passed"]
+        assert code == (3 if failed else 0)
+        assert verdict == f"{len(rows)} instances: {'FAILURES PRESENT' if failed else 'ALL PASS'}"
+
     def test_small_suite_passes(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"
         code, out, _ = run(
-            capsys, "verify", "--instances", "3", "--seed", "5", "--out", str(out_path)
+            capsys, "verify", "--instances", "3", "--learnable-decvar", "--seed", "5",
+            "--out", str(out_path),
         )
         assert code == 0
         assert "ALL PASS" in out
@@ -820,6 +836,10 @@ class TestVerifyCommand:
             "collapse-lab/v1", "verify", True
         )
         assert len(doc["rows"]) == 3
+        # row 2 is ill-posed: its s check did not run, and it passes on the other three
+        assert doc["rows"][2]["s_rel_err"] is None
+        assert "s=   --    " in out and "ill_posed_zero: no finite s*, skipped" in out
+        self.assert_rows_match_reference(code, out, doc)
 
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         runs = []
@@ -834,13 +854,15 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "--instances" in err
 
-    def test_beta_error_hook_detected(self, capsys):
+    def test_beta_error_hook_detected(self, capsys, tmp_path):
+        out_path = tmp_path / "verify.json"
         code, out, _ = run(
             capsys, "verify", "--instances", "2", "--seed", "5",
-            "--inject-beta-error", "1.4",
+            "--inject-beta-error", "1.4", "--out", str(out_path),
         )
         assert code == 3
         assert "FAIL" in out
+        self.assert_rows_match_reference(code, out, json.loads(out_path.read_text()))
 
 
 class TestReportCommand:
