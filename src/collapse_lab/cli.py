@@ -144,12 +144,9 @@ def _emit(path: str | None, text: str) -> None:
 def _csv(header: list[str], rows) -> str:
     """CSV text, ``header`` then ``rows`` (any iterable): a float cell as
     ``repr`` writes it, so ``load``'s grammar reads it back, None as an empty
-    cell, and any other (an int or a label) as ``str``. An exact float, nearly
-    every cell, is tested first; a float subclass such as numpy's goes
-    through ``float`` so its ``repr`` is Python's."""
+    cell, and any other (an int or a label) as ``str``."""
     return "".join(",".join([
-        repr(c) if type(c) is float else repr(float(c)) if isinstance(c, float)
-        else "" if c is None else str(c) for c in row
+        repr(c) if type(c) is float else "" if c is None else str(c) for c in row
     ]) + "\n" for row in chain([header], rows))
 
 
@@ -300,9 +297,9 @@ def cmd_train(args) -> int:
     )
     result = tr.train(init, moments, hp, cfg, trace=bool(args.trace))
     if args.trace:
-        steps = range(len(result.loss_trace))
+        steps = np.arange(len(result.loss_trace))
         columns = {"step": steps, "loss": result.loss_trace, "decvar": result.decvar_trace}
-        columns = {name: column for name, column in columns.items() if column is not None}
+        columns = {name: column.tolist() for name, column in columns.items() if column is not None}
         _emit(args.trace, _csv(list(columns), zip(*columns.values())))
     _emit_json(args.out, "train", {
         "hyperparams": hp, "final_loss": result.final_loss, "grad_norm": result.grad_norm,

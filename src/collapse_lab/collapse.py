@@ -95,6 +95,8 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of :func:`beta_sweep`, ``sigma`` descending; ``s_star`` is the unique optimal
+    decoder variance, None for a fixed one and where a learnable one has none."""
     beta: float
     loss: float
     rank: int
@@ -104,48 +106,45 @@ class SweepRow:
 
 
 def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
-    """One analytic row per beta: predicted loss, surviving-mode count,
-    regime, and the per-mode stds sorted descending, from one
-    :func:`per_mode` pass per block of at most ``SWEEP_BLOCK`` betas, so
-    its temporaries scale with the block, not the grid. Every quantity is
-    per beta, so a row does not depend on the blocks. Ill-posed rows of a
-    learnable decoder variance have no optimum: nan loss and zero stds."""
+    """One analytic row per beta: predicted loss, surviving-mode count, regime, and the
+    per-mode stds sorted descending. A learnable decoder variance classifies the grid once;
+    :func:`per_mode` runs once per block of at most ``SWEEP_BLOCK`` betas, so its temporaries
+    scale with the block, not the grid. Every quantity is per beta, so a row does not depend
+    on the blocks. Ill-posed rows have no optimum: nan loss and zero stds."""
     grid = np.asarray(beta_grid, dtype=np.float64).ravel()
     if grid.size == 0:
         raise ValueError("beta grid is empty")
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("beta grid must be strictly positive and ascending")
-    blocks = (grid[start : start + SWEEP_BLOCK] for start in range(0, grid.size, SWEEP_BLOCK))
-    return [row for block in blocks for row in _sweep_block(sp, hp, block)]
+    found = dv.classify(sp, hp, grid) if hp.decvar_mode == "learnable" else None
+    parts = (slice(at, at + SWEEP_BLOCK) for at in range(0, grid.size, SWEEP_BLOCK))
+    return [row for part in parts for row in _sweep_block(sp, hp, grid, found, part)]
 
 
-def _sweep_block(sp: DataSpectrum, hp: Hyperparams, grid: np.ndarray) -> list[SweepRow]:
-    d1 = hp.latent_dim
-    if hp.decvar_mode == "fixed":
-        s = np.full(grid.size, hp.decvar)
-    else:
-        # the profile loss is flat on the boundary interval: s is its top end
-        found = dv.classify(sp, hp, grid)
-        s = found.s
+def _sweep_block(
+    sp: DataSpectrum, hp: Hyperparams, grid: np.ndarray, found: dv.Regimes | None, part: slice
+) -> list[SweepRow]:
+    d1, grid = hp.latent_dim, grid[part]  # found classifies the whole grid, None if s is fixed
+    # a learnable s is s_star, or the top end of the boundary row's flat interval
+    s = np.full(grid.size, hp.decvar) if found is None else found.s[part]
     ok = ~np.isnan(s)
-    zeta = sp.zeta_padded(d1)
-    modes = per_mode(zeta, grid[ok, None], s[ok, None], hp.eta_enc, hp.pinned_sigma)
+    modes = per_mode(sp.zeta_padded(d1), grid[ok, None], s[ok, None], hp.eta_enc, hp.pinned_sigma)
     loss = np.full(grid.size, np.nan)
     loss[ok] = loss_at_optimum(sp, modes, s[ok])
-    if hp.decvar_mode == "learnable":
+    if found is not None:
         loss[ok] += 0.5 * sp.dim_y * np.log(s[ok])
     loss[ok] += loss_offset(sp, s[ok])
     sigma = np.zeros((grid.size, d1))
     sigma[ok] = np.sort(modes.sigma, axis=-1)[..., ::-1]
 
-    if hp.decvar_mode == "fixed":
+    if found is None:
         ranks = np.count_nonzero(modes.alive, axis=-1).tolist()
         regimes = _regime(~modes.alive[:, : sp.signal_modes(d1)]).tolist()
         s_stars = [None] * grid.size
     else:
-        ranks = found.surviving_modes.tolist()
-        regimes = found.regime.tolist()
-        s_stars = np.where(np.isnan(found.s_star), None, found.s_star).tolist()
+        ranks = found.surviving_modes[part].tolist()
+        regimes = found.regime[part].tolist()
+        s_stars = np.where(np.isnan(found.s_star[part]), None, found.s_star[part]).tolist()
     return [
         SweepRow(*row)
         for row in zip(grid.tolist(), loss.tolist(), ranks, regimes, sigma, s_stars)

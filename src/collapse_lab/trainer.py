@@ -146,6 +146,7 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """What :func:`train` returns; a trace holds the start's value and each step's, or None."""
     params: ModelParams
     final_loss: float
     grad_norm: float

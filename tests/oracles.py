@@ -407,6 +407,21 @@ def minimize_profile(
     return float(result.x)
 
 
+def class_dataset(priors, dim_x: int, n_samples: int, seed: int) -> Dataset:
+    """Class-structured targets at neural collapse: one-hot ``y`` for
+    ``len(priors)`` classes, exactly ``round(p * n_samples)`` samples of a
+    class of prior ``p`` in a seeded order, and features ``x = mu_c``, a
+    seeded random mean per class with no spread within the class. Once
+    centered, ``y`` is linear in ``x`` (K affinely independent means), so the
+    whitened cross-moment's squared singular values are the non-zero
+    eigenvalues of the label covariance ``diag(p) - p p^T``."""
+    rng = np.random.default_rng(seed)
+    counts = np.rint(np.asarray(priors, dtype=np.float64) * n_samples).astype(int)
+    labels = rng.permutation(np.repeat(np.arange(counts.size), counts))
+    means = rng.standard_normal((counts.size, dim_x))
+    return Dataset(x=means[labels], y=np.eye(counts.size)[labels])
+
+
 # what repr writes for a float: the CSV grammar, applied here one cell at a time
 CSV_CELL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?|-?inf|nan")
 

@@ -11,7 +11,7 @@ from collapse_lab.data import Dataset, center
 from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 
 from conftest import make_instance
-from oracles import minimize_profile, numeric_hessian_check
+from oracles import class_dataset, minimize_profile, numeric_hessian_check
 
 PAPER_TOP5 = [5.12, 3.74, 3.25, 2.84, 2.57]
 
@@ -279,9 +279,9 @@ class TestBetaSweep:
                 assert len(calls) == passes, (decvar_mode, size)
 
     def test_one_bound_table_per_call(self, monkeypatch):
-        """A learnable sweep of one block builds the bound table once and no
-        per-beta solution object; a learnable predict builds it for its thresholds
-        and once more inside its one solution."""
+        """A learnable sweep builds the bound table once and no per-beta solution
+        object, in one block or in three; a learnable predict builds it for its
+        thresholds and once more inside its one solution."""
         bounds, solutions = [], []
         table, solution = dv.beta_bounds, dv.DecVarSolution
 
@@ -297,8 +297,10 @@ class TestBetaSweep:
         monkeypatch.setattr(dv, "DecVarSolution", counted_solution)
         sp = DataSpectrum.from_singular_values(PAPER_TOP5, dim_y=5)
         hp = cf.Hyperparams(beta=1.0, latent_dim=5, decvar_mode="learnable")
-        cl.beta_sweep(sp, hp, np.linspace(0.1, 30.0, 300))
-        assert (len(bounds), len(solutions)) == (1, 0)
+        for size in (300, 2 * cl.SWEEP_BLOCK + 1):
+            bounds.clear()
+            cl.beta_sweep(sp, hp, np.linspace(0.1, 30.0, size))
+            assert (len(bounds), len(solutions)) == (1, 0), size
         bounds.clear()
         cl.predict(sp, hp)
         assert (len(bounds), len(solutions)) == (2, 1)
@@ -358,6 +360,29 @@ class TestBetaSweep:
                 s = row.s_star
                 assert s == pytest.approx(minimize_profile(sp, hp_b), rel=1e-6)
             assert row.loss == dv.profile_loss(sp, hp_b, s) + cf.loss_offset(sp, s)
+
+
+class TestClassTargets:
+    """Posterior collapse on class-structured targets at neural collapse
+    (features equal to their class mean): the spectrum is the label
+    covariance's, so balanced classes collapse all at once."""
+
+    @pytest.mark.parametrize("priors", [[0.2] * 5, [0.25, 0.25, 0.25, 0.15, 0.10]])
+    def test_zeta_squared_is_the_label_covariance(self, priors):
+        ds = class_dataset(priors, dim_x=8, n_samples=10_000, seed=19)
+        p = ds.y.mean(axis=0)
+        np.testing.assert_array_equal(p, priors)  # the class counts are exact
+        sp = compute_spectrum(center(ds)[0])
+        want = np.linalg.eigvalsh(np.diag(p) - np.outer(p, p))[::-1][: len(p) - 1]
+        assert sp.singular_values.size == len(p) - 1
+        np.testing.assert_allclose(sp.singular_values**2, want, rtol=1e-12, atol=0)
+
+    def test_balanced_classes_collapse_at_one_beta(self):
+        """Balanced priors give K - 1 modes of zeta^2 = 1/K = 0.2: nothing
+        collapses just below beta = 0.2 and everything just above."""
+        sp = compute_spectrum(center(class_dataset([0.2] * 5, 8, 10_000, seed=19))[0])
+        for beta, regime in ((0.199, cl.REGIME_NONE), (0.201, cl.REGIME_COMPLETE)):
+            assert cl.predict(sp, cf.Hyperparams(beta=beta, latent_dim=4)).regime == regime
 
 
 class TestInvariants:
