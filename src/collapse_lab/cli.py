@@ -312,11 +312,14 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     if args.instances < 1:
         raise InvalidSpec("--instances must be >= 1")
+    factor = args.inject_beta_error
+    if not 0 < factor < math.inf:  # Hyperparams' refusal of the skewed beta names no option
+        raise InvalidSpec(f"--inject-beta-error must be finite and > 0, got {factor}")
     report = _oracle()[1].run_oracle_suite(
         n_instances=args.instances,
         seed=args.seed,
         learnable_decvar=args.learnable_decvar,
-        beta_error=args.inject_beta_error,
+        beta_error=factor,
     )
     _emit(None, report.format_table() + "\n")
     if args.out:

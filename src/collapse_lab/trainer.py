@@ -231,10 +231,11 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
     ``k = decoder encoder^T`` (its transpose is ``a k^T - cross``, as ``a`` is exactly
     symmetric), and the prior's pull ``a encoder``. The workspace puts the numerators of the
     decoder's and the encoder's gradients, the first two trained fields, side by side, ``r
-    encoder`` written into the decoder's, for one division into the head of the flat buffer;
-    a loss-only bind makes none of it. The ufuncs and the fixed buffers' methods are bound
-    once; products use ``ndarray.dot`` and scalar operands are 0-d arrays, which dispatch
-    fastest."""
+    encoder`` written into the decoder's, and, when the stds are trained here (learnable, not
+    data-dependent), the decoder's squared column norms ``col_sq`` after them, for one division into
+    the head of the flat buffer, where the stds' gradient follows the encoder's; a loss-only
+    bind makes none of it. The ufuncs and the fixed buffers' methods are bound once; products
+    use ``ndarray.dot`` and scalar operands are 0-d arrays, which dispatch fastest."""
     # p's fields in ModelParams' order, then their gradient views (None where absent)
     dec, enc, log_sigma, b_e, b_d, slope, offset, log_s = _parts(p)
     flat, views = grad or (None, {})
@@ -251,9 +252,14 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
     out_sq, out_prior = np.empty(dec.shape), np.empty(enc.shape)
     out_col, out_s2, out_coef = np.empty((3, log_sigma.size))
     dec_dot, k_dot, a_dot, r_dot, rt_dot = dec.dot, out_k.dot, a.dot, out_r.dot, out_r.T.dot
-    if grad is not None:  # the decoder's and the encoder's numerators, side by side
-        num = np.empty(dec.size + enc.size)
-        num_dec, num_enc = num[: dec.size].reshape(dec.shape), num[dec.size :].reshape(enc.shape)
+    fold = g_sigma is not None and not ddv  # col_sq / s starts the stds' gradient
+    if grad is not None:  # the numerators, side by side in the flat buffer's order
+        head = dec.size + enc.size
+        num = np.empty(head + log_sigma.size * fold)
+        num_dec = num[: dec.size].reshape(dec.shape)
+        num_enc = num[dec.size : head].reshape(enc.shape)
+        if fold:
+            out_col = num[head:]
         g_block = flat[: num.size]
 
     def evaluate(bound: float = math.inf, value: bool = True) -> float | None:
@@ -261,8 +267,8 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
         k = dec_dot(enc_t, out_k)
         r = subtract(k_dot(a, out_ka), cross_t, out_r)
         col_sq = add_reduce(square(dec, out_sq), 0, None, out_col)
-        if fits:
-            recon = float(vdot(r - cross_t, k))  # <k a, k> - 2 <cross^T, k>
+        if fits:  # k a is spent, so its row takes r - cross^T
+            recon = float(vdot(subtract(r, cross_t, out_ka), k))  # <k a, k> - 2 <cross^T, k>
         if b_e is not None:  # the biases come as a pair; without them each mean term is 0
             c = dec_dot(b_e) + b_d
             w_mean = enc_t.dot(mean_x)
@@ -300,14 +306,11 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
             if grad is None or loss > bound:
                 return loss
 
-        if ddv or g_sigma is not None:  # 2 d loss / d s2, less the KL's log term
+        if ddv:  # coef is 2 d loss / d s2, less the KL's log term
             coef = add(divide(col_sq, s_0, out_coef), pull_0, out_coef)
-        if ddv:
             n = xs.shape[0]
             g_slope[...] = coef[:, None] * (t.T.dot(xs) / n) - beta * ((1.0 / t).T.dot(xs) / n)
             g_offset[...] = coef * t.mean(axis=0) - beta * np.mean(1.0 / t, axis=0)
-        elif g_sigma is not None:
-            subtract(multiply(coef, s2, out_coef), beta_0, g_sigma)
         if g_s is not None:
             g_s[...] = -fit + half_dim_y
 
@@ -321,8 +324,11 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
             g_bd[...] = r_mean / s
         # the squared decoder and the prior are spent, so they take the last temporaries
         add(e_r_m, multiply(dec, s2, out_sq), num_dec)
-        divide(num, s_0, g_block)  # the decoder's gradient, and the encoder's less its pull
+        # the decoder's gradient, the encoder's less its pull and, folded, the stds' col_sq / s
+        divide(num, s_0, g_block)
         add(g_enc, multiply(pull_0, prior, prior), g_enc)
+        if fold:  # (col_sq / s + pull) s2 - beta, as ddv's coef s2 - beta
+            subtract(multiply(add(g_sigma, pull_0, g_sigma), s2, g_sigma), beta_0, g_sigma)
         return loss
 
     return evaluate
@@ -415,9 +421,12 @@ def train(
     decay = np.array([[1 - beta1], [1 - beta2]]).repeat(x.size, axis=1)
     update, denom = diff = np.empty((2, x.size))  # scratch, free once the moments are stepped
     start, g0, trial_g0 = np.empty((3, x.size))  # GD's start point, its gradient, trial * g0
+    # the per-step scalars as 0-d operands, which dispatch faster than floats
+    eps_0, rate_0, trial_0 = np.empty(()), np.empty(()), np.empty(())
     lr = cfg.learning_rate
     gd_step = cfg.learning_rate
-    tol2, is_adam, argmax = cfg.grad_tol * cfg.grad_tol, cfg.optimizer == "adam", g2.argmax
+    tol2, is_adam = cfg.grad_tol * cfg.grad_tol, cfg.optimizer == "adam"
+    argmax, item = g2.argmax, g2.item
     add, subtract, multiply, divide, sqrt = np.add, np.subtract, np.multiply, np.divide, np.sqrt
 
     stop_reason = "max_steps"
@@ -427,9 +436,9 @@ def train(
         for step in range(1, cfg.max_steps + 1):
             # max g^2 <= tol^2 wherever max |g| <= tol, as rounding is monotone, so this
             # cheaper test (argmax dispatches faster than a ufunc reduction; a NaN fails
-            # both) skips the exact one only where that cannot pass
+            # both) skips the exact one only where that cannot pass; item gives a float
             multiply(g, g, g2)
-            top = g2[argmax()]
+            top = item(argmax())
             if top <= tol2 and np.maximum.reduce(np.abs(g)) <= cfg.grad_tol:
                 stop_reason = "grad_tol"
                 break
@@ -443,8 +452,9 @@ def train(
                 multiply(diff, decay, diff)
                 add(adam, diff, adam)
                 rc2 = math.sqrt(1 - beta2**step)
-                add(sqrt(adam_v, denom), eps * rc2, denom)
-                divide(multiply(adam_m, lr * rc2 / (1 - beta1**step), update), denom, update)
+                eps_0[()], rate_0[()] = eps * rc2, lr * rc2 / (1 - beta1**step)
+                add(sqrt(adam_v, denom), eps_0, denom)
+                divide(multiply(adam_m, rate_0, update), denom, update)
                 subtract(x, update, x)
                 loss = evaluate(math.inf, trace)  # None unless traced
             else:
@@ -454,7 +464,8 @@ def train(
                 start[...], g0[...] = x, g
                 trial = min(gd_step * 2.0, cfg.learning_rate * 1e6)
                 for _ in range(80):
-                    subtract(start, multiply(trial, g0, trial_g0), x)
+                    trial_0[()] = trial
+                    subtract(start, multiply(trial_0, g0, trial_g0), x)
                     try:
                         cand_loss = evaluate(loss)
                     except DegenerateVariance:  # a variance of exactly 0: the loss is +inf
@@ -502,6 +513,9 @@ def train_to_minimum(init: ModelParams | int, m: Moments, hp: Hyperparams) -> Tr
     distance from the small random init to the optimum, which scales with
     the largest singular value; 1e-2 * 6000 covers everything the
     ``verify`` instance generator can produce with a wide margin.
+
+    The result is the last stage's: its ``steps`` and ``stop_reason`` say
+    nothing of the stages before it.
     """
     adam = lambda lr, steps: TrainConfig("adam", lr, max_steps=steps, grad_tol=1e-9)
     descent = TrainConfig("gd", 0.05, max_steps=2500, grad_tol=1e-9)

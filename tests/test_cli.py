@@ -687,6 +687,11 @@ NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "
          "--train", "--seed=-1"),
         ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:2:1",
          "--seed=-2"),
+        # a factor that leaves no valid analytic beta is refused by name before any work
+        ("verify", "--instances", "1", "--inject-beta-error", "0"),
+        ("verify", "--instances", "1", "--inject-beta-error=-1"),
+        ("verify", "--instances", "1", "--inject-beta-error", "nan"),
+        ("verify", "--instances", "1", "--inject-beta-error", "inf"),
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):
@@ -703,6 +708,9 @@ def test_bad_argument_exit_2(capsys, argv):
         option, _, value = arg.partition("=")
         if option in ("--seed", "--random-rotation") and value.startswith("-"):
             assert f"error: {option} must be >= 0, got {value}" in err, err
+    if "--inject-beta-error" in " ".join(argv):
+        factor = float(argv[-1].rpartition("=")[2])
+        assert f"error: --inject-beta-error must be finite and > 0, got {factor}" in err, err
 
 
 @pytest.mark.parametrize(

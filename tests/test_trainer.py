@@ -473,15 +473,18 @@ def test_bound_gates_the_gradient(source, bias, ddv, sigma_mode, decvar_mode):
 
 
 def test_joint_division_matches_the_separate_ones():
-    """The kernel writes the decoder's and the encoder's numerators side by side and divides
-    them by the decoder variance at once. For every shape with d0, d2 in 1..10 and d1 in 1..12
-    (verify's range and beyond) that one division equals a division of each, to the bit."""
+    """The kernel writes the decoder's and the encoder's numerators and, when it trains the
+    stds, the decoder's squared column norms ``col_sq`` side by side and divides them by the decoder
+    variance at once. For every shape with d0, d2 in 1..10 and d1 in 1..12 (verify's range and
+    beyond) that one division equals a division of each, to the bit."""
     rng = np.random.default_rng(27)
     s = np.array(rng.uniform(0.5, 2.0))
     for d0, d2, d1 in itertools.product(range(1, 11), range(1, 11), range(1, 13)):
         num_dec, num_enc = rng.standard_normal((d2, d1)), rng.standard_normal((d0, d1))
-        joint = np.divide(np.concatenate((num_dec.ravel(), num_enc.ravel())), s)
-        assert joint.tobytes() == (num_dec / s).tobytes() + (num_enc / s).tobytes()
+        col_sq = np.add.reduce(np.square(rng.standard_normal((d2, d1))), 0)
+        parts = (num_dec, num_enc, col_sq)
+        joint = np.divide(np.concatenate([part.ravel() for part in parts]), s)
+        assert joint.tobytes() == b"".join((part / s).tobytes() for part in parts)
 
 
 @pytest.mark.parametrize("dims", [(3, 1, 2), (4, 3, 1), (12, 3, 2), (2, 2, 2), (16, 7, 10)])
@@ -558,6 +561,24 @@ def test_train_matches_reference_loop_to_the_bit(
     m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
     cfg = tr.TrainConfig(optimizer, 1e-2, max_steps=60, grad_tol=0.0)
     assert train_as_reference(draws[0], m, hp, cfg).steps == cfg.max_steps
+
+
+@pytest.mark.parametrize("dims", [(3, 1, 2), (4, 3, 1), (2, 2, 2), (16, 7, 10)])
+@pytest.mark.parametrize("decvar_mode", ["fixed", "learnable"])
+@pytest.mark.parametrize("optimizer", ["adam", "gd"])
+def test_train_matches_reference_loop_at_edge_shapes(optimizer, decvar_mode, dims):
+    """With learnable stds, whose gradient the kernel divides with the numerators at offsets
+    set by d2 d1 and d0 d1, ``train`` steps the plain loops' trajectory to the bit at the
+    edge shapes of ``test_kernel_matches_reference_at_edge_shapes``."""
+    d0, d2, d1 = dims
+    g = np.random.default_rng(d0 + 10 * d2 + 100 * d1)
+    ds, _ = make_instance(seed=5, dim_x=d0, dim_y=d2, n=200)
+    m = tr.Moments.from_dataset(Dataset(x=ds.x + g.normal(size=d0), y=ds.y + g.normal(size=d2)))
+    hp = cf.Hyperparams(beta=1.3, latent_dim=d1, sigma_mode="learnable", decvar_mode=decvar_mode)
+    log_s = 0.2 if decvar_mode == "learnable" else None
+    params = random_params(g, d0, d2, d1, log_s=log_s)
+    cfg = tr.TrainConfig(optimizer, 1e-2, max_steps=40, grad_tol=0.0)
+    assert train_as_reference(params, m, hp, cfg).steps == cfg.max_steps
 
 
 @kernel_paths
