@@ -19,14 +19,13 @@ import os
 import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
-from itertools import chain
 
 import numpy as np
 
 from . import collapse as cl
 from . import closed_form as cf
 from . import decoder_variance as dv
-from .data import Dataset, center_in_place, generate, load, random_spec
+from .data import Dataset, center_in_place, csv_lines, generate, load, random_spec
 from .errors import CollapseLabError, InvalidSpec, ParseError
 from .spectrum import DataSpectrum, compute_spectrum
 
@@ -34,6 +33,13 @@ SCHEMA = "collapse-lab/v1"
 MAX_GRID_ROWS = 10**6
 # in these a non-finite float means "no value" and prints null
 NULL_IF_NON_FINITE = (dv.DecVarSolution, cl.SweepRow)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line as the commands refuse input: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def _oracle():
@@ -139,15 +145,6 @@ def _emit(path: str | None, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv(header: list[str], rows) -> str:
-    """CSV text, ``header`` then ``rows`` (any iterable): a float cell as
-    ``repr`` writes it, so ``load``'s grammar reads it back, None as an empty
-    cell, and any other (an int or a label) as ``str``."""
-    return "".join(",".join([
-        repr(c) if type(c) is float else "" if c is None else str(c) for c in row
-    ]) + "\n" for row in chain([header], rows))
 
 
 def _to_json(obj, null_non_finite: bool = False):
@@ -277,7 +274,7 @@ def cmd_sweep(args) -> int:
          *row.sigma.tolist(), *t]
         for row, t in zip(rows, trained or [[]] * len(rows))
     )
-    _emit(args.out, _csv(header, cells))
+    _emit(args.out, "".join(csv_lines(header, cells)))
     return 0
 
 
@@ -300,7 +297,7 @@ def cmd_train(args) -> int:
         steps = np.arange(len(result.loss_trace))
         columns = {"step": steps, "loss": result.loss_trace, "decvar": result.decvar_trace}
         columns = {name: column.tolist() for name, column in columns.items() if column is not None}
-        _emit(args.trace, _csv(list(columns), zip(*columns.values())))
+        _emit(args.trace, "".join(csv_lines(list(columns), zip(*columns.values()))))
     _emit_json(args.out, "train", {
         "hyperparams": hp, "final_loss": result.final_loss, "grad_norm": result.grad_norm,
         "steps": result.steps, "converged": result.converged,
@@ -312,10 +309,13 @@ def cmd_train(args) -> int:
 def cmd_verify(args) -> int:
     if args.instances < 1:
         raise InvalidSpec("--instances must be >= 1")
-    factor = args.inject_beta_error
+    verify = _oracle()[1]
+    factor, top = args.inject_beta_error, verify.BETA_RANGE[1]
     if not 0 < factor < math.inf:  # Hyperparams' refusal of the skewed beta names no option
         raise InvalidSpec(f"--inject-beta-error must be finite and > 0, got {factor}")
-    report = _oracle()[1].run_oracle_suite(
+    if factor * math.nextafter(top, 0) == math.inf:
+        raise InvalidSpec(f"--inject-beta-error {factor} times a drawn beta below {top} overflows")
+    report = verify.run_oracle_suite(
         n_instances=args.instances,
         seed=args.seed,
         learnable_decvar=args.learnable_decvar,
@@ -346,7 +346,7 @@ def cmd_report(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # its subparsers take its class
         prog="collapse-lab",
         description=(
             "Closed-form global minima and posterior-collapse analysis for "

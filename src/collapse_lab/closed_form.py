@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectrum import DataSpectrum
+from .spectrum import DataSpectrum, rect_diag
 
 _MODES = ("fixed", "learnable")
 
@@ -181,13 +181,6 @@ def random_rotation(d: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _rect_diag(rows: int, cols: int, values: np.ndarray) -> np.ndarray:
-    out = np.zeros((rows, cols))
-    k = min(rows, cols, values.shape[0])
-    out[np.arange(k), np.arange(k)] = values[:k]
-    return out
-
-
 def random_signed_permutation(d: int, seed: int) -> np.ndarray:
     """Random orthogonal matrix that permutes and flips coordinates."""
     rng = np.random.default_rng(seed)
@@ -235,8 +228,8 @@ def global_minimum(
         # per-column variance after mixing; exact for signed permutations
         sigma = np.sqrt(rotation.T**2 @ sigma**2)
 
-    u = sp.left_vectors @ _rect_diag(sp.dim_y, d1, modes.decoder) @ rotation
-    v = sp.right_vectors @ _rect_diag(sp.rank, d1, modes.encoder) @ rotation
+    u = sp.left_vectors @ rect_diag(modes.decoder, (sp.dim_y, d1)) @ rotation
+    v = sp.right_vectors @ rect_diag(modes.encoder, (sp.rank, d1)) @ rotation
     w = (sp.basis / np.sqrt(sp.eigenvalues)) @ v
 
     return GlobalMinimum(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import decoder_variance as dv
 from .closed_form import Hyperparams, loss_at_optimum, loss_offset, per_mode
-from .spectrum import DataSpectrum
+from .spectrum import DataSpectrum, padded
 
 REGIME_NONE = "none"
 REGIME_PARTIAL = "partial"
@@ -75,10 +75,8 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
         thresholds = sp.singular_values**2 / s
         flags = ~per_mode(sp.singular_values, hp.beta, s, hp.eta_enc).alive
     else:
-        bounds = dv.beta_bounds(sp, hp)
+        thresholds = padded(dv.beta_bounds(sp, hp), d_star)
         sol = dv.solve_decoder_variance(sp, hp)
-        thresholds = np.zeros(d_star)
-        thresholds[: bounds.size] = bounds
         flags = np.arange(1, d_star + 1) > sol.surviving_modes
         # the solver's s, not hp.eta_dec: s*, the flat interval's top, or s -> 0 (ill-posed)
         s = sol.s_star if sol.s_star is not None else (sol.s_interval or (0.0, 0.0))[1]

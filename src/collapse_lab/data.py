@@ -39,6 +39,7 @@ import stat
 import struct
 from _blake2 import blake2b  # what hashlib.blake2b is, without hashlib's OpenSSL
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -189,10 +190,25 @@ def _is_csv(path) -> bool:
     return Path(path).suffix.lower() == ".csv"
 
 
+def csv_lines(header: list[str], rows):
+    """CSV lines, ``header`` then ``rows`` (any iterable): a float cell as ``repr`` writes it,
+    so ``_CELL`` reads it back, None as an empty cell, any other (an int, a label) as ``str``."""
+    for row in chain([header], rows):
+        yield ",".join([
+            repr(c) if type(c) is float else "" if c is None else str(c) for c in row
+        ]) + "\n"
+
+
+def _header(dim_x: int, dim_y: int) -> list[str]:
+    """A CSV dataset's column names: ``x0..`` then ``y0..``."""
+    return [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]
+
+
 def save(ds: Dataset, path) -> None:
     """Write a dataset to ``path``: CSV for a ``.csv`` suffix, else binary."""
     if _is_csv(path):
-        _save_csv(ds, path)
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.writelines(csv_lines(_header(ds.dim_x, ds.dim_y), np.hstack([ds.x, ds.y]).tolist()))
     else:
         with open(path, "wb") as fh:
             fh.writelines(_layout(ds))
@@ -267,14 +283,6 @@ def _write_sidecar(side: Path, digest: bytes, ds: Dataset, mode: int) -> None:
             os.unlink(tmp)
 
 
-def _save_csv(ds: Dataset, path) -> None:
-    names = [f"x{j}" for j in range(ds.dim_x)] + [f"y{j}" for j in range(ds.dim_y)]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in np.hstack([ds.x, ds.y]).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
-
-
 def _line(raw: bytes, start: int) -> bytes:
     """The row that starts at ``start``, without its ``\\n`` or ``\\r\\n``."""
     end = raw.find(b"\n", start)
@@ -307,7 +315,7 @@ def _load_csv(fh, path, digest) -> tuple[np.ndarray, np.ndarray]:
     names = header.split(",")
     dim_x = sum(1 for name in names if name.startswith("x"))
     dim_y = len(names) - dim_x
-    if names != [f"x{j}" for j in range(dim_x)] + [f"y{j}" for j in range(dim_y)]:
+    if names != _header(dim_x, dim_y):
         _check_ascii(line, 0, fh, path)
         raise ParseError(f"bad header {header!r} in {path}")
     rows = re.compile(rb"(?:%s(?:,%s){%d}(?:\r?\n|\Z))*+" % (_CELL, _CELL, len(names) - 1))

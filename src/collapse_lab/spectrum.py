@@ -93,16 +93,12 @@ class DataSpectrum:
 
     def cross_moment(self) -> np.ndarray:
         """Reassemble the whitened cross-moment from its SVD factors."""
-        rect = np.zeros((self.dim_y, self.rank))
-        k = self.n_modes
-        rect[np.arange(k), np.arange(k)] = self.singular_values
+        rect = rect_diag(self.singular_values, (self.dim_y, self.rank))
         return self.left_vectors @ rect @ self.right_vectors.T
 
     def zeta_padded(self, d1: int) -> np.ndarray:
-        """Singular values extended with zeros up to length ``d1``."""
-        out = np.zeros(max(d1, self.n_modes))
-        out[: self.n_modes] = self.singular_values
-        return out[:d1]
+        """The first ``d1`` singular values, extended with zeros up to length ``d1``."""
+        return padded(self.singular_values, d1)
 
     @classmethod
     def from_singular_values(cls, zeta, dim_y: int) -> "DataSpectrum":
@@ -132,6 +128,20 @@ class DataSpectrum:
             singular_values=zeta,
             target_power=float(np.sum(zeta**2)),
         )
+
+
+def padded(values, size: int) -> np.ndarray:
+    """A new vector of length ``size``: ``values`` cut there or extended with zeros."""
+    out = np.zeros(size)
+    out[: min(size, len(values))] = values[:size]
+    return out
+
+
+def rect_diag(values, shape: tuple[int, int]) -> np.ndarray:
+    """A zero matrix of ``shape`` with ``values``, :func:`padded` to fit, on its diagonal."""
+    out = np.zeros(shape)
+    np.fill_diagonal(out, padded(values, min(shape)))
+    return out
 
 
 def _clamp_zeros(zeta: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from . import closed_form as cf
 from . import decoder_variance as dv
 from .data import center_in_place, generate, random_spec
-from .spectrum import DataSpectrum, compute_spectrum
+from .spectrum import DataSpectrum, compute_spectrum, padded
 # ``train`` stays bound here: bench/tests reach the trainer through ``verify.train``
 from .trainer import Moments, train, train_to_minimum  # noqa: F401
 
@@ -34,6 +34,8 @@ LOSS_TOL = 1e-4
 SV_TOL = 1e-3
 SIGMA_TOL = 1e-3
 S_TOL = 1e-3
+
+BETA_RANGE = (0.5, 10.0)  # an instance's beta is drawn uniformly from [low, high)
 
 # (row key, printed column, tolerance), in the order the table prints them
 CHECKS = (
@@ -80,7 +82,7 @@ def _draw_instance(rng: np.random.Generator, index: int):
     d_star = min(d0, d2)
     d1 = (2, d_star, d_star + 2)[index % 3]
     for _ in range(50):
-        beta = float(rng.uniform(0.5, 10.0))
+        beta = float(rng.uniform(*BETA_RANGE))
         # scale keeps a mix of surviving and collapsed modes across the
         # beta range without blowing up the curvature spread
         scale = float(rng.uniform(0.5, 1.5)) * (1.0 + 0.5 * np.sqrt(beta))
@@ -123,9 +125,7 @@ def run_oracle_suite(
 
         predicted = gm.predicted_loss
         learned_sv = _learned_singvals(result.params, sp)
-        predicted_sv = np.zeros(sp.n_modes)
-        k = min(d1, sp.n_modes)
-        predicted_sv[:k] = (gm.decoder_singvals * gm.encoder_singvals)[:k]
+        predicted_sv = padded(gm.decoder_singvals * gm.encoder_singvals, sp.n_modes)
 
         s_rel = None
         note = ""

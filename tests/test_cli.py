@@ -624,6 +624,16 @@ class TestSweepCommand:
 
 
 NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "seed"}
+# refusals pinned by their whole stderr line
+REFUSAL_LINE = {
+    ("train", "--beta", "1", "--d1", "2"): "no data source: pass --data or --synthetic",
+    ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1"): "--d1 is required",
+    ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:2"):
+        "--beta-grid wants lo:hi:step, got '1:2'",
+    ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2"): "--beta-grid is required",
+    ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--max-steps", "0"):
+        "max_steps must be >= 1",
+}
 
 
 @pytest.mark.parametrize(
@@ -692,6 +702,10 @@ NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "
         ("verify", "--instances", "1", "--inject-beta-error=-1"),
         ("verify", "--instances", "1", "--inject-beta-error", "nan"),
         ("verify", "--instances", "1", "--inject-beta-error", "inf"),
+        # a factor whose product with a beta the draw can make overflows
+        ("verify", "--instances", "1", "--inject-beta-error", "1e308"),
+        ("verify", "--instances", "1", "--inject-beta-error", "2e307"),
+        *REFUSAL_LINE,
     ],
 )
 def test_bad_argument_exit_2(capsys, argv):
@@ -710,7 +724,9 @@ def test_bad_argument_exit_2(capsys, argv):
             assert f"error: {option} must be >= 0, got {value}" in err, err
     if "--inject-beta-error" in " ".join(argv):
         factor = float(argv[-1].rpartition("=")[2])
-        assert f"error: --inject-beta-error must be finite and > 0, got {factor}" in err, err
+        assert err.startswith("error: --inject-beta-error ") and f" {factor}" in err, err
+    if argv in REFUSAL_LINE:
+        assert err == f"error: {REFUSAL_LINE[argv]}\n"
 
 
 @pytest.mark.parametrize(
@@ -754,6 +770,26 @@ def test_format_only_on_sweep(capsys, argv):
     assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("solve", "--zeta", "3,2", "--d2", "2", "--beta", "1", "--d1", "abc"), "--d1"),
+        (("train", "--synthetic", "2,2,10,1", "--beta", "1", "--d1", "1", "--optimizer", "sgd"),
+         "--optimizer"),
+        (("frob",), "'frob'"),
+    ],
+)
+def test_command_line_refusal_is_one_line(capsys, argv, named):
+    """argparse's own refusals print one ``error:`` line naming the option or command, and
+    no usage, as every other invalid input does; exit 2."""
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exited.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith("error: ") and named in captured.err, captured.err
+
+
 def test_non_finite_json_exit_2(capsys, monkeypatch):
     """JSON is written strictly: a non-finite float is an error, never
     ``NaN`` in the output."""
@@ -782,6 +818,21 @@ class TestTrainCommand:
 
         doc = json.loads(out, parse_constant=refuse)
         assert doc["decvar"] > 0 and math.isfinite(doc["final_loss"])
+
+    def test_traced_divergence_stops_where_the_untraced_run_does(self, capsys, tmp_path):
+        """A step of 1e3 makes a traced Adam step's loss non-finite at the step at which the
+        untraced run, which takes no loss, finds its squared gradient out of the float range;
+        neither run writes a trace."""
+        argv = ["train", "--synthetic", "3,3,200,1", "--beta", "1", "--d1", "2", "--lr", "1e3",
+                "--learnable-sigma", "--max-steps", "300"]
+        trace = tmp_path / "t.csv"
+        assert run(capsys, *argv, "--trace", str(trace)) == (
+            2, "", "error: loss became non-finite at step 3\n"
+        )
+        assert run(capsys, *argv) == (
+            2, "", "error: squared gradient left the float range at step 3\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_json_and_trace(self, capsys, tmp_path):
         ds = generate(random_spec(3, 3, 300, seed=6))
