@@ -35,11 +35,22 @@ MAX_GRID_ROWS = 10**6
 NULL_IF_NON_FINITE = (dv.DecVarSolution, cl.SweepRow)
 
 
+# each line break str.splitlines splits on, as its escape
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _refuse(message, code: int) -> int:
+    """Print ``message`` on stderr as one ``error:`` line, its line breaks escaped, and
+    return the exit code ``code``."""
+    print(f"error: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
+    return code
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses a command line as the commands refuse input: one ``error:`` line, exit 2."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        self.exit(_refuse(message, 2))
 
 
 def _oracle():
@@ -448,12 +459,10 @@ def main(argv=None) -> int:
             warnings.simplefilter("default")
             return args.handler(args)
     except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _refuse(exc, 1)
     except (CollapseLabError, ValueError, MemoryError) as exc:
         # ValueError: an argument outside the package's domain; MemoryError: an array too large
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc, 2)
 
 
 if __name__ == "__main__":

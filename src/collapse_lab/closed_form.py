@@ -47,7 +47,7 @@ class Hyperparams:
         if not all(eta > 0 and 0 < eta * eta < np.inf for eta in (self.eta_enc, self.eta_dec)):
             raise ValueError("eta_enc and eta_dec must be > 0 with a finite, nonzero square")
         if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+            raise ValueError("latent_dim (--d1) must be >= 1")
         if self.sigma_mode not in _MODES or self.decvar_mode not in _MODES:
             raise ValueError(f"modes must be one of {_MODES}")
 

@@ -5,7 +5,7 @@ A latent mode collapses exactly when its signal strength falls to the
 regularization floor: ``zeta_i^2 <= beta * eta_dec^2`` for a fixed decoder
 variance. The origin of parameter space is either a saddle or the global
 minimum, never a merely-local minimum, so complete collapse is detectable
-from local curvature alone. Fixed-variance verdicts are :func:`per_mode`'s.
+from local curvature alone. Every verdict is :func:`per_mode`'s survivor test.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ class CollapseReport:
     """Per-mode collapse picture at one beta.
 
     ``mode_thresholds[i]`` is the beta at which mode i collapses;
-    ``collapse_flags`` marks modes collapsed at the queried beta. Both
-    run over the ``min(rank, dim_y)`` data modes. ``regime`` summarizes
-    the representable signal modes: none / partial / complete.
-    ``hessian_psd`` is the origin test, True exactly when the origin is the
-    global minimum; ``min_hessian_quadratic`` is the worst curvature there,
-    stds at the prior, at the solver's decoder variance. ``decvar`` carries
-    the learnable-decoder-variance classification when that mode was
-    requested, else None.
+    ``collapse_flags`` marks modes collapsed at the queried beta, those with
+    ``zeta_i^2 <= beta * s`` at the block's decoder variance ``s``. Both
+    run over the ``min(rank, dim_y)`` data modes. ``regime`` and
+    ``hessian_psd`` read the flags of the representable signal modes:
+    none / partial / complete, and True exactly when all collapse, that is
+    when the origin is the global minimum. ``min_hessian_quadratic`` is the
+    worst curvature there, stds at the prior, at the same ``s``, so its sign
+    is the origin test's. ``decvar`` carries the learnable-decoder-variance
+    classification when that mode was requested, else None.
     """
 
     mode_thresholds: np.ndarray
@@ -62,9 +63,10 @@ def _regime(flags: np.ndarray) -> np.ndarray:
 def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
     """Collapse flags, thresholds, and regime at the queried beta.
 
-    With a learnable decoder variance the thresholds come from the bound
-    table, and the flags, regime and ``hessian_psd`` from the regime table's
-    surviving count; only the curvature is read at the solver's ``s``. The
+    One survivor test at one decoder variance ``s`` sets the flags, the regime,
+    ``hessian_psd`` and the curvature: ``hp.decvar``, or the solver's ``s`` when
+    learnable (s*, the flat interval's top, or s -> 0 when ill-posed). A mode on
+    its threshold, and every mode tied with it, reads collapsed. The learnable
     classification is attached under ``decvar``.
     """
     d_star, d1_hat = sp.n_modes, sp.signal_modes(hp.latent_dim)
@@ -73,13 +75,13 @@ def predict(sp: DataSpectrum, hp: Hyperparams) -> CollapseReport:
     if hp.decvar_mode == "fixed":
         s = hp.decvar
         thresholds = sp.singular_values**2 / s
-        flags = ~per_mode(sp.singular_values, hp.beta, s, hp.eta_enc).alive
     else:
         thresholds = padded(dv.beta_bounds(sp, hp), d_star)
         sol = dv.solve_decoder_variance(sp, hp)
-        flags = np.arange(1, d_star + 1) > sol.surviving_modes
         # the solver's s, not hp.eta_dec: s*, the flat interval's top, or s -> 0 (ill-posed)
         s = sol.s_star if sol.s_star is not None else (sol.s_interval or (0.0, 0.0))[1]
+    # per_mode's survivor test, bit for bit, without its stds: they have no s -> 0 limit
+    flags = sp.singular_values**2 <= hp.beta * s
     signal = flags[:d1_hat]
     return CollapseReport(
         mode_thresholds=thresholds,

@@ -76,24 +76,26 @@ def profile_loss(sp: DataSpectrum, hp: Hyperparams, s) -> np.ndarray | float:
 
 
 def beta_bounds(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
-    """Entry p - 1 is the beta at which signal mode p flips between
-    surviving and collapsed, for each of the modes within ``d1``."""
+    """Entry i - 1 is the beta at which nonzero mode i flips between surviving and
+    collapsed at the solver's ``s``: ``d2 / (p + sum_{j>p} zeta_j^2 / zeta_i^2)``
+    with ``p = min(i, d1_hat)``, ``d1_hat`` the nonzero modes within ``d1``. Within
+    ``d1`` the regime table's surviving count steps there."""
     if hp.sigma_mode != "learnable":
         raise DomainError(
             "the learnable decoder variance analysis needs learnable encoder "
             "stds (sigma_mode 'learnable', --learnable-sigma)"
         )
-    d1_hat = sp.signal_modes(hp.latent_dim)
     zsq = sp.singular_values[: sp.effective_rank] ** 2
-    # power of the modes below mode p, for p = 1..d1_hat
-    below = np.append(np.cumsum(zsq[::-1])[::-1], 0.0)[1 : d1_hat + 1]
-    return sp.dim_y / (np.arange(1, d1_hat + 1) + below / zsq[:d1_hat])
+    p = np.minimum(np.arange(1, zsq.size + 1), sp.signal_modes(hp.latent_dim))
+    # power of the modes below mode p
+    below = np.append(np.cumsum(zsq[::-1])[::-1], 0.0)[p]
+    return sp.dim_y / (p + below / zsq)
 
 
-def _regime_table(sp: DataSpectrum, bounds: np.ndarray) -> list[tuple]:
+def _regime_table(sp: DataSpectrum, hp: Hyperparams) -> list[tuple]:
     # rows (regime, p, lo, hi): p surviving modes for beta in [lo, hi),
     # ascending in beta and covering the positive axis
-    b = bounds.tolist()
+    b = beta_bounds(sp, hp)[: sp.signal_modes(hp.latent_dim)].tolist()
     top = len(b)
     if top == 0:
         return [(REGIME_ILL_POSED, 0, 0.0, np.inf)]
@@ -117,7 +119,7 @@ def beta_breakpoints(sp: DataSpectrum, hp: Hyperparams) -> list[dict]:
     return [
         {"regime": r, "surviving_modes": p, "beta_lo": lo, "beta_hi": hi,
          "s_star": s_complete if r == REGIME_COMPLETE else None}
-        for r, p, lo, hi in _regime_table(sp, beta_bounds(sp, hp))
+        for r, p, lo, hi in _regime_table(sp, hp)
     ]
 
 
@@ -138,7 +140,7 @@ class Regimes(NamedTuple):
 def classify(sp: DataSpectrum, hp: Hyperparams, betas) -> Regimes:
     """Classify the optimum of the profile loss at each beta of ``betas``
     (``hp.beta`` is ignored) with one lookup in the regime table."""
-    table = _regime_table(sp, beta_bounds(sp, hp))
+    table = _regime_table(sp, hp)
     regime, p, lo, hi = (np.array(column) for column in zip(*table))
     betas = np.asarray(betas, dtype=np.float64)
     # A beta belongs to the first row that holds it. Rows leave no gap, but

@@ -137,11 +137,11 @@ class TrainConfig:
         if self.optimizer not in ("adam", "gd"):
             raise ValueError("optimizer must be 'adam' or 'gd'")
         if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and > 0")
+            raise ValueError("learning_rate (--lr) must be finite and > 0")
         if not 0 <= self.grad_tol < np.inf:
-            raise ValueError("grad_tol must be finite and >= 0")
+            raise ValueError("grad_tol (--grad-tol) must be finite and >= 0")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise ValueError("max_steps (--max-steps) must be >= 1")
 
 
 @dataclass

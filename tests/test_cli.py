@@ -493,6 +493,17 @@ class TestPredictCommand:
         assert blocks[0] == blocks[1] == blocks[2]
         assert json.loads(blocks[0])["hessian_psd"] is psd
 
+    def test_learnable_block_reads_the_fixed_rule_at_s_star(self, capsys):
+        """Past d1 the learnable block counts a mode by the fixed block's rule read at
+        the solver's s* = 2: mode 2 survives (4 > 0.5 * 2), mode 3 sits on its threshold."""
+        code, out, err = run(
+            capsys, "predict", "--zeta", "3,2,1", "--d2", "3", "--d1", "1", "--beta", "0.5",
+            "--learnable-sigma", "--learnable-decvar",
+        )
+        learnable = json.loads(out)["learnable"]
+        assert code == 0 and err == "" and learnable["decvar"]["s_star"] == 2.0
+        assert learnable["collapse_flags"] == [False, False, True]
+
     def test_zero_spectrum_is_complete(self, capsys):
         code, out, _ = run(capsys, "predict", "--zeta", "0", "--d2", "2", "--d1", "1",
                            "--beta", "1")
@@ -631,8 +642,15 @@ REFUSAL_LINE = {
     ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:2"):
         "--beta-grid wants lo:hi:step, got '1:2'",
     ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2"): "--beta-grid is required",
+    # a field's refusal names the option that sets it
     ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--max-steps", "0"):
-        "max_steps must be >= 1",
+        "max_steps (--max-steps) must be >= 1",
+    ("predict", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "0"):
+        "latent_dim (--d1) must be >= 1",
+    ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--lr", "0"):
+        "learning_rate (--lr) must be finite and > 0",
+    ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--grad-tol=-1"):
+        "grad_tol (--grad-tol) must be finite and >= 0",
 }
 
 
@@ -771,23 +789,47 @@ def test_format_only_on_sweep(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv, code, named",
     [
-        (("solve", "--zeta", "3,2", "--d2", "2", "--beta", "1", "--d1", "abc"), "--d1"),
+        (("solve", "--zeta", "3,2", "--d2", "2", "--beta", "1", "--d1", "abc"), 2, "--d1"),
         (("train", "--synthetic", "2,2,10,1", "--beta", "1", "--d1", "1", "--optimizer", "sgd"),
-         "--optimizer"),
-        (("frob",), "'frob'"),
+         2, "--optimizer"),
+        (("frob",), 2, "'frob'"),
+        # a line break in an argument or a path is printed as its escape
+        (("spectrum", "--synthetic", "3,3,10,1", "--x\ny"), 2,
+         "unrecognized arguments: --x\\ny"),
+        (("spectrum", "--synthetic", "3,3,10,1", "--out", "nodir\nx/f.json"), 1,
+         "cannot write nodir\\nx/f.json"),
+        (("spectrum", "--data", "{bad_header}"), 1, "bad header 'y0,x0' in "),
     ],
 )
-def test_command_line_refusal_is_one_line(capsys, argv, named):
+def test_command_line_refusal_is_one_line(capsys, tmp_path, argv, code, named):
     """argparse's own refusals print one ``error:`` line naming the option or command, and
-    no usage, as every other invalid input does; exit 2."""
-    with pytest.raises(SystemExit) as exited:
-        main(list(argv))
+    no usage, as every other invalid input does; exit 2. No refusal, exit 1 or 2, spreads
+    over two lines, whatever line breaks its arguments or paths hold."""
+    bad_header = tmp_path / "bad\x0bheader\u2028.csv"
+    bad_header.write_text("y0,x0\n1,2\n")
+    try:
+        exited = main([arg.format(bad_header=bad_header) for arg in argv])
+    except SystemExit as exc:
+        exited = exc.code
     captured = capsys.readouterr()
-    assert exited.value.code == 2 and captured.out == ""
+    assert exited == code and captured.out == ""
     assert len(captured.err.splitlines()) == 1, captured.err
     assert captured.err.startswith("error: ") and named in captured.err, captured.err
+
+
+def test_refusal_escapes_only_line_breaks(capsys):
+    """The refusal writer escapes exactly the characters str.splitlines splits on."""
+    text = "".join(map(chr, range(0x3000)))
+    assert cli._refuse(text, 2) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    escapes = {"\n": r"\n", "\x0b": r"\x0b", "\x0c": r"\x0c", "\r": r"\r", "\x1c": r"\x1c",
+               "\x1d": r"\x1d", "\x1e": r"\x1e", "\x85": r"\x85", "\u2028": r"\u2028",
+               "\u2029": r"\u2029"}
+    assert {c for c in text if len(f"a{c}b".splitlines()) == 2} == set(escapes)
+    assert err == f"error: {''.join(escapes.get(c, c) for c in text)}\n"
 
 
 def test_non_finite_json_exit_2(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -108,17 +110,15 @@ LOG_UNIFORM_ETA = st.floats(-1.0, 1.0).map(lambda u: 2.0**u)  # in [0.5, 2]
 
 def _assert_one_verdict(sp, hp, beta=None):
     """Both blocks of ``predict``: the curvature verdict is complete
-    collapse, and in the fixed block the printed curvature has its sign.
-    With ``beta`` None, each block is queried at the top threshold it
-    printed."""
+    collapse, and the printed curvature has its sign. With ``beta`` None,
+    each block is queried at the top threshold it printed."""
     for decvar_mode in ("fixed", "learnable"):
         block_hp = replace(hp, decvar_mode=decvar_mode)
         if beta is None:
             block_hp = replace(block_hp, beta=float(cl.predict(sp, block_hp).mode_thresholds[0]))
         report = cl.predict(sp, block_hp)
         assert report.hessian_psd == (report.regime == cl.REGIME_COMPLETE), decvar_mode
-        if decvar_mode == "fixed":
-            assert (report.min_hessian_quadratic >= 0) == report.hessian_psd
+        assert (report.min_hessian_quadratic >= 0) == report.hessian_psd, decvar_mode
 
 
 class TestOneVerdict:
@@ -136,6 +136,10 @@ class TestOneVerdict:
     )
     # here a float's ** rounds zeta^2 one ulp above the array square per_mode takes
     @example([2.337234668120873], 0, 1, 0.5327110846408608, 1.535852100555914)
+    # the learnable block on its flat boundary, where the top of the interval puts
+    # the smallest surviving mode, here every mode, exactly on its threshold
+    @example([2.0], 0, 1, 1.0, 1.0)
+    @example([1.5, 1.5, 1.5], 0, 3, 1.0, 1.0)
     def test_verdict_at_top_threshold(self, zeta, extra_dims, d1, eta_enc, eta_dec):
         sp = DataSpectrum.from_singular_values(sorted(zeta, reverse=True),
                                                dim_y=len(zeta) + extra_dims)
@@ -151,6 +155,51 @@ class TestOneVerdict:
         hp = cf.Hyperparams(beta=beta, latent_dim=d1, eta_enc=eta_enc, eta_dec=eta_dec)
         _assert_one_verdict(sp, hp, beta=beta)
         assert cl.predict(sp, hp).regime == cl.REGIME_COMPLETE
+
+
+class TestLearnableBlock:
+    """The learnable block reads the fixed block's survivor rule at the solver's s: s*,
+    the top of the flat interval, or the s -> 0 limit when the problem is ill-posed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.05, 5.0), min_size=1, max_size=5),
+        st.integers(0, 2),  # zero modes
+        st.integers(0, 2),  # target dimensions beyond the modes
+        st.integers(1, 8),  # d1, below and above the rank
+        st.floats(0.01, 10.0),  # beta, ill-posed ones included
+    )
+    @example([3.0, 2.0, 1.0], 0, 0, 1, 0.5)  # past d1: mode 2 survives at s* = 2
+    @example([3.0, 2.0, 1.0], 0, 3, 3, 0.5)  # ill-posed: every signal mode survives
+    @example([3.0, 2.0, 1.0], 1, 2, 4, 2.0)  # on the flat interval, a zero mode past it
+    def test_flags_are_per_mode_at_the_solver_s(self, zeta, zeros, extra_dims, d1, beta):
+        """At the drawn beta and at every threshold the learnable block prints, the flat
+        interval's one beta among them when there is one."""
+        values = sorted(zeta, reverse=True) + [0.0] * zeros
+        sp = DataSpectrum.from_singular_values(values, dim_y=len(values) + extra_dims)
+        hp = cf.Hyperparams(beta=beta, latent_dim=d1, decvar_mode="learnable")
+        bounds = cl.predict(sp, hp).mode_thresholds
+        for at in (beta, *bounds[bounds > 0].tolist()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                learnable = cl.predict(sp, replace(hp, beta=at))
+                fixed = cl.predict(sp, replace(hp, beta=at, decvar_mode="fixed"))
+            sol = learnable.decvar
+            s = sol.s_star if sol.s_star is not None else (sol.s_interval or (0.0, 0.0))[1]
+            with np.errstate(divide="ignore", invalid="ignore"):  # per_mode's stds at s = 0
+                alive = cf.per_mode(sp.singular_values, at, s, hp.eta_enc).alive
+            np.testing.assert_array_equal(learnable.collapse_flags, ~alive)
+            signal = learnable.collapse_flags[: sp.signal_modes(d1)]
+            assert learnable.hessian_psd == signal.all()
+            assert (learnable.min_hessian_quadratic >= 0) == learnable.hessian_psd
+            assert learnable.regime == (
+                cl.REGIME_COMPLETE if signal.all() else cl.REGIME_PARTIAL if signal.any()
+                else cl.REGIME_NONE
+            )
+            for report in (fixed, learnable):
+                thresholds = report.mode_thresholds
+                if np.all(np.abs(at - thresholds) > 1e-9 * at):  # off every threshold
+                    np.testing.assert_array_equal(report.collapse_flags, at >= thresholds)
 
 
 class TestNumericHessian:
