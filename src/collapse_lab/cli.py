@@ -224,16 +224,7 @@ def cmd_solve(args) -> int:
         raise InvalidSpec(
             "solve needs a fixed decoder variance; use predict --learnable-decvar"
         )
-    rotation = None
-    if args.random_rotation is not None:
-        # dense rotations only preserve optimality for isotropic stds
-        make = (
-            cf.random_rotation
-            if hp.sigma_mode == "fixed"
-            else cf.random_signed_permutation
-        )
-        rotation = make(hp.latent_dim, args.random_rotation)
-    gm = cf.global_minimum(sp, hp, rotation=rotation)
+    gm = cf.global_minimum(sp, hp, symmetry_seed=args.random_rotation)
     _emit_json(args.out, "solve", {"hyperparams": hp, **_to_json(gm)})
     return 0
 
@@ -321,11 +312,13 @@ def cmd_verify(args) -> int:
     if args.instances < 1:
         raise InvalidSpec("--instances must be >= 1")
     verify = _oracle()[1]
-    factor, top = args.inject_beta_error, verify.BETA_RANGE[1]
+    (low, top), factor = verify.BETA_RANGE, args.inject_beta_error
     if not 0 < factor < math.inf:  # Hyperparams' refusal of the skewed beta names no option
         raise InvalidSpec(f"--inject-beta-error must be finite and > 0, got {factor}")
     if factor * math.nextafter(top, 0) == math.inf:
         raise InvalidSpec(f"--inject-beta-error {factor} times a drawn beta below {top} overflows")
+    if factor * low == 0:
+        raise InvalidSpec(f"--inject-beta-error {factor} times a drawn beta {low} underflows to 0")
     report = verify.run_oracle_suite(
         n_instances=args.instances,
         seed=args.seed,

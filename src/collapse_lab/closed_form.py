@@ -43,9 +43,11 @@ class Hyperparams:
 
     def __post_init__(self):
         if not 0 < self.beta < np.inf:
-            raise ValueError("beta must be finite and > 0")
-        if not all(eta > 0 and 0 < eta * eta < np.inf for eta in (self.eta_enc, self.eta_dec)):
-            raise ValueError("eta_enc and eta_dec must be > 0 with a finite, nonzero square")
+            raise ValueError("beta (--beta) must be finite and > 0")
+        for name, eta in (("eta_enc", self.eta_enc), ("eta_dec", self.eta_dec)):
+            if not (eta > 0 and 0 < eta * eta < np.inf):
+                option = name.replace("_", "-")
+                raise ValueError(f"{name} (--{option}) must be > 0 with a finite, nonzero square")
         if self.latent_dim < 1:
             raise ValueError("latent_dim (--d1) must be >= 1")
         if self.sigma_mode not in _MODES or self.decvar_mode not in _MODES:
@@ -174,37 +176,32 @@ class GlobalMinimum:
     encoder: np.ndarray = field(repr=False)
 
 
-def random_rotation(d: int, seed: int) -> np.ndarray:
-    """Haar-ish random orthogonal matrix (QR of a Gaussian, signs fixed)."""
+def _latent_symmetry(d: int, seed: int, dense: bool) -> np.ndarray:
+    """Random orthogonal ``d x d`` matrix: Haar-ish (QR of a Gaussian, signs
+    fixed) when ``dense``, else a signed permutation."""
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
-
-
-def random_signed_permutation(d: int, seed: int) -> np.ndarray:
-    """Random orthogonal matrix that permutes and flips coordinates."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(d)
-    signs = rng.choice([-1.0, 1.0], size=d)
+    if dense:
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        return q * np.sign(np.diag(r))
+    perm = rng.permutation(d)  # before the signs: the order of the draws fixes what a seed gives
     out = np.zeros((d, d))
-    out[perm, np.arange(d)] = signs
+    out[perm, np.arange(d)] = rng.choice([-1.0, 1.0], size=d)
     return out
 
 
 def global_minimum(
-    sp: DataSpectrum, hp: Hyperparams, rotation: np.ndarray | None = None
+    sp: DataSpectrum, hp: Hyperparams, symmetry_seed: int | None = None
 ) -> GlobalMinimum:
     """Assemble the full closed-form global minimum.
 
     ``decoder_singvals`` and ``encoder_singvals`` are the canonical
     per-mode magnitudes; ``decoder``/``encoder``/``sigma`` describe one
-    concrete parameter point, whose latent columns are mixed by
-    ``rotation`` (identity by default). The loss is exactly invariant
-    under every orthogonal ``rotation`` when the optimal stds are
-    isotropic (fixed-sigma mode, or complete collapse); with distinct
-    learned stds the diagonal-covariance constraint breaks continuous
-    rotations and only signed permutations (which carry ``sigma`` along)
-    keep the point optimal. With a rank-deficient input second moment the
+    concrete parameter point. The optimum is unique only up to a latent
+    symmetry, and ``symmetry_seed`` draws one (none by default) from the
+    family that keeps the point a minimum: any rotation when the stds are
+    pinned at the prior (isotropic), a signed permutation, which carries
+    ``sigma`` along, when they are learned (distinct learned stds break
+    continuous rotations). With a rank-deficient input second moment the
     encoder is pinned only on the input's row space; the
     minimum-Frobenius-norm representative is returned.
     """
@@ -217,14 +214,10 @@ def global_minimum(
     modes = _modes(sp, hp, hp.pinned_sigma)
     sigma = modes.sigma
 
-    if rotation is None:
+    if symmetry_seed is None:
         rotation = np.eye(d1)
     else:
-        rotation = np.asarray(rotation, dtype=np.float64)
-        if rotation.shape != (d1, d1):
-            raise ValueError(f"rotation must be ({d1}, {d1})")
-        if np.max(np.abs(rotation.T @ rotation - np.eye(d1))) > 1e-8:
-            raise ValueError("rotation is not orthogonal")
+        rotation = _latent_symmetry(d1, symmetry_seed, dense=hp.sigma_mode == "fixed")
         # per-column variance after mixing; exact for signed permutations
         sigma = np.sqrt(rotation.T**2 @ sigma**2)
 

@@ -20,6 +20,13 @@ from collapse_lab.errors import DegenerateVariance, DomainError
 from collapse_lab.spectrum import DataSpectrum
 
 
+def random_rotation(d: int, seed: int) -> np.ndarray:
+    """Haar-ish random orthogonal ``d x d`` matrix: the QR of a Gaussian, its
+    signs fixed."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
 @dataclass(frozen=True)
 class FactorizationProblem:
     """Reduced objective ||u v^T - z||_F^2 + sum_i sigma_i^2 ||u_i||^2

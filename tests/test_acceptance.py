@@ -440,31 +440,17 @@ def test_criterion_8_invariances():
             and np.array_equal(flags, ref[2])
         )
 
-    # latent-basis freedom: dense rotations with isotropic stds, signed
-    # permutations with per-mode stds
-    hp_fixed = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="fixed")
-    base = tr.eval_loss(
-        params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), m, hp_fixed
-    )
+    # latent-basis freedom: a drawn symmetry, a dense rotation with isotropic
+    # stds and a signed permutation with per-mode stds, keeps the loss
     worst_rot = 0.0
-    for seed in range(5):
-        gm = cf.global_minimum(sp, hp_fixed, rotation=cf.random_rotation(3, seed))
-        worst_rot = max(
-            worst_rot,
-            abs(tr.eval_loss(params_from_minimum(gm, hp_fixed), m, hp_fixed) - base),
-        )
-    hp_learn = cf.Hyperparams(beta=0.7, latent_dim=3)
-    base_l = tr.eval_loss(
-        params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), m, hp_learn
-    )
-    for seed in range(5):
-        gm = cf.global_minimum(
-            sp, hp_learn, rotation=cf.random_signed_permutation(3, seed)
-        )
-        worst_rot = max(
-            worst_rot,
-            abs(tr.eval_loss(params_from_minimum(gm, hp_learn), m, hp_learn) - base_l),
-        )
+    for sigma_mode in ("fixed", "learnable"):
+        hp = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode=sigma_mode)
+        base = tr.eval_loss(params_from_minimum(cf.global_minimum(sp, hp), hp), m, hp)
+        for seed in range(5):
+            gm = cf.global_minimum(sp, hp, symmetry_seed=seed)
+            worst_rot = max(
+                worst_rot, abs(tr.eval_loss(params_from_minimum(gm, hp), m, hp) - base)
+            )
     checks["latent_basis_freedom"] = worst_rot <= 1e-10
 
     grid = np.linspace(0.05, float(sp.singular_values[0] ** 2) * 1.2, 40)

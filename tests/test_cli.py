@@ -651,6 +651,12 @@ REFUSAL_LINE = {
         "learning_rate (--lr) must be finite and > 0",
     ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--grad-tol=-1"):
         "grad_tol (--grad-tol) must be finite and >= 0",
+    ("solve", "--zeta", "2,1", "--d2", "2", "--beta=-1", "--d1", "2"):
+        "beta (--beta) must be finite and > 0",
+    ("predict", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta", "1", "--eta-enc", "0"):
+        "eta_enc (--eta-enc) must be > 0 with a finite, nonzero square",
+    ("predict", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta", "1", "--eta-dec", "0"):
+        "eta_dec (--eta-dec) must be > 0 with a finite, nonzero square",
 }
 
 
@@ -662,7 +668,6 @@ REFUSAL_LINE = {
         ("solve", "--zeta", "2,x", "--d2", "2", "--beta", "1", "--d1", "2"),
         ("solve", "--zeta", "nan,1", "--d2", "2", "--beta", "1", "--d1", "2"),
         ("solve", "--zeta", "inf,1", "--d2", "2", "--beta", "1", "--d1", "2"),
-        ("solve", "--zeta", "2,1", "--d2", "2", "--beta=-1", "--d1", "2"),
         ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "inf", "--d1", "2"),
         ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "0"),
         ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1", "--d1", "2", "--eta-enc", "0"),
@@ -723,6 +728,8 @@ REFUSAL_LINE = {
         # a factor whose product with a beta the draw can make overflows
         ("verify", "--instances", "1", "--inject-beta-error", "1e308"),
         ("verify", "--instances", "1", "--inject-beta-error", "2e307"),
+        # a factor whose product with the least beta the draw can make underflows to 0
+        ("verify", "--instances", "1", "--inject-beta-error", "5e-324"),
         *REFUSAL_LINE,
     ],
 )

@@ -261,48 +261,40 @@ class TestGlobalMinimum:
         expected[:k] = (gm.decoder_singvals * gm.encoder_singvals)[:k]
         np.testing.assert_allclose(sv, expected, atol=1e-8)
 
-    def test_rotation_leaves_loss_invariant(self, rng):
-        """Latent-basis freedom of the optimum: any orthogonal mixing when
-        the optimal stds are isotropic (fixed-std mode; complete collapse),
-        signed permutations when they are not (diagonal covariances do not
-        survive dense rotations)."""
+    def test_rotation_leaves_loss_invariant(self):
+        """Latent-basis freedom of the optimum: a drawn symmetry, a dense
+        rotation with the stds pinned at the prior and a signed permutation
+        with learned stds, keeps the loss."""
         ds, sp = make_instance(seed=31, dim_x=4, dim_y=4)
         m = tr.Moments.from_dataset(ds)
+        for sigma_mode in ("fixed", "learnable"):
+            hp = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode=sigma_mode)
+            base = tr.eval_loss(params_from_minimum(cf.global_minimum(sp, hp), hp), m, hp)
+            for seed in range(5):
+                gm_rot = cf.global_minimum(sp, hp, symmetry_seed=seed)
+                rotated = tr.eval_loss(params_from_minimum(gm_rot, hp), m, hp)
+                assert abs(rotated - base) <= 1e-10
 
-        hp_fixed = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="fixed")
-        base = tr.eval_loss(
-            params_from_minimum(cf.global_minimum(sp, hp_fixed), hp_fixed), m, hp_fixed
-        )
-        for seed in range(5):
-            gm_rot = cf.global_minimum(
-                sp, hp_fixed, rotation=cf.random_rotation(3, seed)
+    @pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
+    @pytest.mark.parametrize("d1", [2, 3, 5])  # 2, the rank, the rank + 2
+    @pytest.mark.parametrize("beta", [1.0, 5.0])  # no mode collapsed; two of three
+    def test_symmetry_seed_returns_a_minimum(self, sigma_mode, d1, beta):
+        """Whatever the seed, the returned point is a minimum: the loss there
+        is its predicted loss, and the learned map is the unrotated one. With
+        distinct learned stds a dense rotation keeps the map but not the
+        loss (at zeta = 3, 2, 1.5, d1 = 3, beta = 1 it took the loss from
+        3.69722 to 3.75325)."""
+        sp = DataSpectrum.from_singular_values([3.0, 2.0, 1.5], dim_y=3)
+        m = tr.Moments.from_spectrum(sp)
+        hp = cf.Hyperparams(beta=beta, latent_dim=d1, sigma_mode=sigma_mode)
+        base = cf.global_minimum(sp, hp)
+        for seed in range(10):
+            gm = cf.global_minimum(sp, hp, symmetry_seed=seed)
+            loss = tr.eval_loss(params_from_minimum(gm, hp), m, hp)
+            assert gm.predicted_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(
+                gm.decoder @ gm.encoder.T, base.decoder @ base.encoder.T, rtol=0, atol=1e-12
             )
-            rotated = tr.eval_loss(params_from_minimum(gm_rot, hp_fixed), m, hp_fixed)
-            assert abs(rotated - base) <= 1e-10
-
-        hp_learn = cf.Hyperparams(beta=0.7, latent_dim=3, sigma_mode="learnable")
-        base = tr.eval_loss(
-            params_from_minimum(cf.global_minimum(sp, hp_learn), hp_learn), m, hp_learn
-        )
-        for seed in range(5):
-            gm_rot = cf.global_minimum(
-                sp, hp_learn, rotation=cf.random_signed_permutation(3, seed)
-            )
-            rotated = tr.eval_loss(params_from_minimum(gm_rot, hp_learn), m, hp_learn)
-            assert abs(rotated - base) <= 1e-10
-
-        # complete collapse: the model is zero, stds isotropic, any P works
-        hp_big = cf.Hyperparams(beta=200.0, latent_dim=3, sigma_mode="learnable")
-        base = tr.eval_loss(
-            params_from_minimum(cf.global_minimum(sp, hp_big), hp_big), m, hp_big
-        )
-        gm_rot = cf.global_minimum(sp, hp_big, rotation=cf.random_rotation(3, 9))
-        assert abs(
-            tr.eval_loss(params_from_minimum(gm_rot, hp_big), m, hp_big) - base
-        ) <= 1e-10
-
-        with pytest.raises(ValueError):
-            cf.global_minimum(sp, hp_fixed, rotation=np.ones((3, 3)))
 
     def test_learnable_decoder_variance_refused(self):
         _, sp = make_instance(seed=37)

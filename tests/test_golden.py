@@ -54,6 +54,10 @@ CASES = {
     "solve_fixed_sigma_rotated": [
         "solve", *SYNTH, "--beta", "2", "--d1", "5", "--random-rotation", "3",
     ],
+    # learned stds: the drawn symmetry is a signed permutation
+    "solve_learnable_rotated": [
+        "solve", *SYNTH, "--beta", "2", "--d1", "5", "--learnable-sigma", "--random-rotation", "3",
+    ],
     # learnable decoder variance: boundary regime, and all five regimes
     "predict_boundary": [
         "predict", "--zeta", "3,2,1", "--d2", "6", "--d1", "3", "--beta", "2",

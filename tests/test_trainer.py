@@ -877,7 +877,7 @@ class TestTrain:
         m = tr.Moments.from_dataset(ds)
         base = tr.eval_loss(result.params, m, hp)
         for seed in range(4):
-            rot = cf.random_rotation(3, seed)
+            rot = oracles.random_rotation(3, seed)
             rotated = replace(
                 result.params, decoder=result.params.decoder @ rot,
                 encoder=result.params.encoder @ rot,
