@@ -64,14 +64,15 @@ def _oracle():
 
 def _add_source_args(p: argparse.ArgumentParser, allow_zeta: bool = True) -> None:
     g = p.add_argument_group("data source")
-    g.add_argument("--data", metavar="PATH", help="dataset file (.csv or binary)")
-    g.add_argument(
+    one = g.add_mutually_exclusive_group(required=True)
+    one.add_argument("--data", metavar="PATH", help="dataset file (.csv or binary)")
+    one.add_argument(
         "--synthetic",
         metavar="D0,D2,N,SEED",
         help="generate a random linear-target dataset inline",
     )
     if allow_zeta:
-        g.add_argument(
+        one.add_argument(
             "--zeta",
             metavar="Z1,Z2,...",
             help="raw non-increasing singular values instead of data",
@@ -113,9 +114,7 @@ def _parse_synthetic(text: str):
 
 
 def _load_dataset(args) -> Dataset:
-    if not (args.data or args.synthetic):
-        raise InvalidSpec("no data source: pass --data or --synthetic")
-    ds = load(args.data) if args.data else _parse_synthetic(args.synthetic)
+    ds = load(args.data) if args.data is not None else _parse_synthetic(args.synthetic)
     # a finite sum of squares keeps every mean, centered value and moment finite
     if not np.isfinite(np.vdot(ds.x, ds.x) + np.vdot(ds.y, ds.y)):
         raise ValueError("the data's sum of squares overflows float64")
@@ -123,11 +122,13 @@ def _load_dataset(args) -> Dataset:
 
 
 def _load_spectrum(args) -> DataSpectrum:
-    if getattr(args, "zeta", None):
+    if getattr(args, "zeta", None) is not None:
         if not args.d2:
             raise InvalidSpec("--zeta needs --d2")
         values = [float(v) for v in args.zeta.split(",")]
         return DataSpectrum.from_singular_values(values, dim_y=args.d2)
+    if getattr(args, "d2", None) is not None:  # data carries its own target dimension
+        raise InvalidSpec("--d2 goes only with --zeta")
     ds = _load_dataset(args)
     center_in_place(ds)  # the arrays were just made here, so no copy is needed
     return compute_spectrum(ds)
@@ -242,6 +243,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.beta is not None:  # parsed only so that argparse reads no --beta as --beta-grid
+        raise InvalidSpec("sweep takes its betas from --beta-grid, not --beta")
     if not args.beta_grid:
         raise InvalidSpec("--beta-grid is required")
     grid = _beta_grid(args.beta_grid)
@@ -309,21 +312,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.instances < 1:
-        raise InvalidSpec("--instances must be >= 1")
-    verify = _oracle()[1]
-    (low, top), factor = verify.BETA_RANGE, args.inject_beta_error
-    if not 0 < factor < math.inf:  # Hyperparams' refusal of the skewed beta names no option
-        raise InvalidSpec(f"--inject-beta-error must be finite and > 0, got {factor}")
-    if factor * math.nextafter(top, 0) == math.inf:
-        raise InvalidSpec(f"--inject-beta-error {factor} times a drawn beta below {top} overflows")
-    if factor * low == 0:
-        raise InvalidSpec(f"--inject-beta-error {factor} times a drawn beta {low} underflows to 0")
-    report = verify.run_oracle_suite(
+    report = _oracle()[1].run_oracle_suite(
         n_instances=args.instances,
         seed=args.seed,
         learnable_decvar=args.learnable_decvar,
-        beta_error=factor,
+        beta_error=args.inject_beta_error,
     )
     _emit(None, report.format_table() + "\n")
     if args.out:
@@ -371,7 +364,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--random-rotation",
         type=int,
         metavar="SEED",
-        help="apply a random orthogonal latent rotation to the solution",
+        help=(
+            "apply a latent symmetry drawn from SEED to the solution: a random "
+            "orthogonal rotation, or a random signed permutation with --learnable-sigma"
+        ),
     )
     _add_out_args(p)
     p.set_defaults(handler=cmd_solve)

@@ -17,6 +17,7 @@ from collapse_lab import decoder_variance as dv
 from collapse_lab import trainer as tr
 from collapse_lab import verify
 from collapse_lab.data import Dataset
+from collapse_lab.errors import InvalidSpec
 from collapse_lab.spectrum import DataSpectrum
 from collapse_lab.verify import _draw_instance, _learned_singvals, run_oracle_suite
 
@@ -83,6 +84,30 @@ def test_pass_rule_and_row_format_match_the_reference():
         row = {"index": index % 100, "dims": (3, 4, 2), "beta": 2.5, "surviving": 1, **row,
                "passed": verify_row_passed(row), "note": "a note" if index % 2 else ""}
         assert verify._format_row(row) == verify_row_line(row), row
+
+
+@pytest.mark.parametrize(
+    "n_instances, beta_error, line",
+    [
+        (0, 1.0, "--instances must be >= 1"),
+        (-1, 1.0, "--instances must be >= 1"),
+        (1, 0.0, "--inject-beta-error must be finite and > 0, got 0.0"),
+        (1, -1.0, "--inject-beta-error must be finite and > 0, got -1.0"),
+        (1, math.nan, "--inject-beta-error must be finite and > 0, got nan"),
+        (1, math.inf, "--inject-beta-error must be finite and > 0, got inf"),
+        (1, 1e308, "--inject-beta-error 1e+308 times a drawn beta below 10.0 overflows"),
+        (1, 2e307, "--inject-beta-error 2e+307 times a drawn beta below 10.0 overflows"),
+        (1, 5e-324, "--inject-beta-error 5e-324 times a drawn beta 0.5 underflows to 0"),
+    ],
+)
+def test_suite_refuses_what_it_cannot_run(monkeypatch, n_instances, beta_error, line):
+    """No instance to run, or a factor that leaves no valid analytic beta for some beta the
+    draw can make, is refused by the suite itself before any work, with the line the CLI
+    prints after ``error:``."""
+    monkeypatch.setattr(verify, "_draw_instance", lambda *_: pytest.fail("an instance was drawn"))
+    with pytest.raises(InvalidSpec) as refused:
+        run_oracle_suite(n_instances, beta_error=beta_error)
+    assert str(refused.value) == line
 
 
 @pytest.mark.parametrize("seed", [826817008, 1685115226])

@@ -1,8 +1,10 @@
 import ast
+import itertools
 import json
 import math
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -42,7 +44,10 @@ def run(capsys, *argv):
     ``err`` as ``main`` would have printed them.
     """
     with warnings.catch_warnings(record=True) as caught:
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exited:  # argparse refuses a command line by exiting
+            code = exited.code
     captured = capsys.readouterr()
     shown = "".join(
         warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
@@ -637,7 +642,7 @@ class TestSweepCommand:
 NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "seed"}
 # refusals pinned by their whole stderr line
 REFUSAL_LINE = {
-    ("train", "--beta", "1", "--d1", "2"): "no data source: pass --data or --synthetic",
+    ("train", "--beta", "1", "--d1", "2"): "one of the arguments --data --synthetic is required",
     ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1"): "--d1 is required",
     ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:2"):
         "--beta-grid wants lo:hi:step, got '1:2'",
@@ -657,7 +662,59 @@ REFUSAL_LINE = {
         "eta_enc (--eta-enc) must be > 0 with a finite, nonzero square",
     ("predict", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta", "1", "--eta-dec", "0"):
         "eta_dec (--eta-dec) must be > 0 with a finite, nonzero square",
+    # sweep's betas come from its grid alone
+    ("sweep", "--synthetic", "3,3,10,1", "--d1", "1", "--beta", "2", "--beta-grid", "0.5:1:0.5"):
+        "sweep takes its betas from --beta-grid, not --beta",
 }
+
+SOURCES = {"--data": "{csv}", "--synthetic": "3,3,100,1", "--zeta": "2,1"}
+# per data command, the options it needs besides its source
+SOURCE_COMMANDS = {
+    "spectrum": (),
+    "solve": ("--beta", "1", "--d1", "2"),
+    "predict": ("--beta", "1", "--d1", "2"),
+    "sweep": ("--d1", "2", "--beta-grid", "1:2:1"),
+    "train": ("--beta", "1", "--d1", "2", "--max-steps", "5"),
+    "report": ("--beta", "1", "--d1", "2"),
+}
+
+
+def _source_refusals():
+    """(argv, exit code, text the refusal holds) for each command line that gives a data
+    command two sources or three, none, ``--d2`` without ``--zeta``, or an empty source."""
+    for command, rest in SOURCE_COMMANDS.items():
+        takes_zeta = command not in ("spectrum", "train")
+        names = [name for name in SOURCES if takes_zeta or name != "--zeta"]
+        for count in (2, 3):
+            for given in itertools.combinations(names, count):
+                argv = [arg for name in given for arg in (name, SOURCES[name])]
+                d2 = ["--d2", "2"] if "--zeta" in given else []
+                yield (command, *argv, *d2, *rest), 2, "not allowed with argument"
+        yield (command, *rest), 2, f"one of the arguments {' '.join(names)} is required"
+        yield (command, "--synthetic", "3,3,100,1", "--d2", "3", *rest), 2, "--d2"
+        yield (command, "--data", "", *rest), 1, "No such file or directory: ''"
+        yield (command, "--synthetic", "", *rest), 2, "--synthetic wants d0,d2,n,seed; got ''"
+        if takes_zeta:
+            yield (command, "--zeta", "", "--d2", "2", *rest), 2, "to float: ''"
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [pytest.param(*case, id=shlex.join(case[0])) for case in _source_refusals()],
+)
+def test_one_data_source_per_command(capsys, monkeypatch, tmp_path, autoencode_csv, argv, code,
+                                     named):
+    """Each data command takes exactly one of ``--data``, ``--synthetic`` and, where it takes
+    it, ``--zeta``, and ``--d2`` only with ``--zeta``; an empty source reaches its own
+    parser. Each argv here is refused before any work with one ``error:`` line: no output,
+    no ``--out`` file, no oracle loaded."""
+    monkeypatch.setattr(cli, "_oracle", lambda: pytest.fail("the oracle was loaded"))
+    out_path = tmp_path / "out.json"
+    argv = [arg.format(csv=autoencode_csv) for arg in argv]
+    exited, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (exited, out) == (code, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err, err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(
