@@ -52,6 +52,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(_refuse(message, 2))
 
+    def _get_values(self, action, arg_strings):
+        # Python 3.11 drops the "--" of --X=-- as the end of the options, so --X would get []
+        if arg_strings == ["--"] and action.nargs is None:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _oracle():
     """The gradient-descent oracle, ``trainer`` and ``verify``, imported only
@@ -62,28 +68,75 @@ def _oracle():
     return trainer, verify
 
 
+# type= callables: argparse prints each refusal as one ``argument --X: ...`` line, before any
+# work. A seed is a non-negative int, as numpy's own refusal of a negative one names no option.
+def _zeta(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"wants Z1,Z2,... as floats; got {text!r}") from None
+
+
+def _synthetic(text: str) -> tuple[int, int, int, int]:
+    try:
+        d0, d2, n, seed = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"wants d0,d2,n,seed; got {text!r}") from None
+    for name, value, least in (("d0", d0, 1), ("d2", d2, 1), ("n", n, 1), ("seed", seed, 0)):
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {least}, got {value}")
+    return d0, d2, n, seed
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _beta_grid(text: str) -> np.ndarray:
+    try:
+        lo, hi, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"wants lo:hi:step, got {text!r}") from None
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise argparse.ArgumentTypeError(f"parts must be finite, got {text!r}")
+    if lo <= 0 or step <= 0 or hi < lo:
+        raise argparse.ArgumentTypeError("needs lo > 0, step > 0 and hi >= lo")
+    rows = np.floor((hi - lo) / step + 1e-9) + 1
+    if rows > MAX_GRID_ROWS:
+        raise argparse.ArgumentTypeError(f"makes {rows:.4g} rows, more than {MAX_GRID_ROWS}")
+    return lo + step * np.arange(int(rows))
+
+
 def _add_source_args(p: argparse.ArgumentParser, allow_zeta: bool = True) -> None:
     g = p.add_argument_group("data source")
     one = g.add_mutually_exclusive_group(required=True)
     one.add_argument("--data", metavar="PATH", help="dataset file (.csv or binary)")
     one.add_argument(
         "--synthetic",
+        type=_synthetic,
         metavar="D0,D2,N,SEED",
         help="generate a random linear-target dataset inline",
     )
     if allow_zeta:
         one.add_argument(
             "--zeta",
+            type=_zeta,
             metavar="Z1,Z2,...",
             help="raw non-increasing singular values instead of data",
         )
         g.add_argument("--d2", type=int, help="target dimension for --zeta")
 
 
-def _add_hyper_args(p: argparse.ArgumentParser) -> None:
+def _add_hyper_args(p: argparse.ArgumentParser) -> argparse.Action:
     g = p.add_argument_group("hyperparameters")
-    g.add_argument("--beta", type=float, help="KL weight")
-    g.add_argument("--d1", type=int, help="latent dimension")
+    beta = g.add_argument("--beta", type=float, required=True, help="KL weight")
+    g.add_argument("--d1", type=int, required=True, help="latent dimension")
     g.add_argument("--eta-enc", type=float, default=1.0)
     g.add_argument("--eta-dec", type=float, default=1.0)
     g.add_argument(
@@ -96,25 +149,15 @@ def _add_hyper_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="treat the decoder variance as learnable",
     )
+    return beta
 
 
 def _add_out_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
-def _parse_synthetic(text: str):
-    try:
-        d0, d2, n, seed = (int(v) for v in text.split(","))
-    except ValueError:
-        raise InvalidSpec(f"--synthetic wants d0,d2,n,seed; got {text!r}") from None
-    for name, value, least in (("d0", d0, 1), ("d2", d2, 1), ("n", n, 1), ("seed", seed, 0)):
-        if value < least:
-            raise InvalidSpec(f"--synthetic {name} must be >= {least}, got {value}")
-    return generate(random_spec(d0, d2, n_samples=n, seed=seed))
-
-
 def _load_dataset(args) -> Dataset:
-    ds = load(args.data) if args.data is not None else _parse_synthetic(args.synthetic)
+    ds = load(args.data) if args.data is not None else generate(random_spec(*args.synthetic))
     # a finite sum of squares keeps every mean, centered value and moment finite
     if not np.isfinite(np.vdot(ds.x, ds.x) + np.vdot(ds.y, ds.y)):
         raise ValueError("the data's sum of squares overflows float64")
@@ -123,10 +166,9 @@ def _load_dataset(args) -> Dataset:
 
 def _load_spectrum(args) -> DataSpectrum:
     if getattr(args, "zeta", None) is not None:
-        if not args.d2:
+        if args.d2 is None:
             raise InvalidSpec("--zeta needs --d2")
-        values = [float(v) for v in args.zeta.split(",")]
-        return DataSpectrum.from_singular_values(values, dim_y=args.d2)
+        return DataSpectrum.from_singular_values(args.zeta, dim_y=args.d2)
     if getattr(args, "d2", None) is not None:  # data carries its own target dimension
         raise InvalidSpec("--d2 goes only with --zeta")
     ds = _load_dataset(args)
@@ -134,13 +176,9 @@ def _load_spectrum(args) -> DataSpectrum:
     return compute_spectrum(ds)
 
 
-def _hyperparams(args, need_beta: bool = True) -> cf.Hyperparams:
-    if need_beta and args.beta is None:
-        raise InvalidSpec("--beta is required")
-    if args.d1 is None:
-        raise InvalidSpec("--d1 is required")
+def _hyperparams(args) -> cf.Hyperparams:
     return cf.Hyperparams(
-        beta=args.beta if args.beta is not None else 1.0,
+        beta=args.beta if args.beta is not None else 1.0,  # sweep's rows take the grid's betas
         latent_dim=args.d1,
         eta_enc=args.eta_enc,
         eta_dec=args.eta_dec,
@@ -195,21 +233,6 @@ def _learnable_json(sp: DataSpectrum, hp: cf.Hyperparams) -> tuple[dict, list]:
     return _collapse_json(cl.predict(sp, hp)), breakpoints
 
 
-def _beta_grid(text: str) -> np.ndarray:
-    try:
-        lo, hi, step = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise InvalidSpec(f"--beta-grid wants lo:hi:step, got {text!r}") from None
-    if not np.all(np.isfinite([lo, hi, step])):
-        raise InvalidSpec(f"--beta-grid parts must be finite, got {text!r}")
-    if lo <= 0 or step <= 0 or hi < lo:
-        raise InvalidSpec("--beta-grid needs lo > 0, step > 0 and hi >= lo")
-    rows = np.floor((hi - lo) / step + 1e-9) + 1
-    if rows > MAX_GRID_ROWS:
-        raise InvalidSpec(f"--beta-grid makes {rows:.4g} rows, more than {MAX_GRID_ROWS}")
-    return lo + step * np.arange(int(rows))
-
-
 def cmd_spectrum(args) -> int:
     sp = _load_spectrum(args)
     if sp.effective_rank == 0:
@@ -221,10 +244,6 @@ def cmd_spectrum(args) -> int:
 def cmd_solve(args) -> int:
     sp = _load_spectrum(args)
     hp = _hyperparams(args)
-    if hp.decvar_mode == "learnable":
-        raise InvalidSpec(
-            "solve needs a fixed decoder variance; use predict --learnable-decvar"
-        )
     gm = cf.global_minimum(sp, hp, symmetry_seed=args.random_rotation)
     _emit_json(args.out, "solve", {"hyperparams": hp, **_to_json(gm)})
     return 0
@@ -245,12 +264,9 @@ def cmd_predict(args) -> int:
 def cmd_sweep(args) -> int:
     if args.beta is not None:  # parsed only so that argparse reads no --beta as --beta-grid
         raise InvalidSpec("sweep takes its betas from --beta-grid, not --beta")
-    if not args.beta_grid:
-        raise InvalidSpec("--beta-grid is required")
-    grid = _beta_grid(args.beta_grid)
     sp = _load_spectrum(args)
-    hp = _hyperparams(args, need_beta=False)
-    rows = cl.beta_sweep(sp, hp, grid)
+    hp = _hyperparams(args)
+    rows = cl.beta_sweep(sp, hp, args.beta_grid)
 
     trained = []  # per row: the trained loss, then the trained stds descending
     if args.train:
@@ -266,7 +282,8 @@ def cmd_sweep(args) -> int:
                 {**_to_json(row), "train_loss": t[0], "train_sigma": t[1:]}
                 for row, t in zip(rows, trained)
             ]
-        _emit_json(args.out, "sweep", {"hyperparams": hp, "rows": rows})
+        # no one beta: each row has its own
+        _emit_json(args.out, "sweep", {"hyperparams": {**_to_json(hp), "beta": None}, "rows": rows})
         return 0
 
     learnable = hp.decvar_mode == "learnable"  # only then is there an s_star column
@@ -362,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_hyper_args(p)
     p.add_argument(
         "--random-rotation",
-        type=int,
+        type=_seed,
         metavar="SEED",
         help=(
             "apply a latent symmetry drawn from SEED to the solution: a random "
@@ -380,12 +397,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="closed forms across a beta grid")
     _add_source_args(p)
-    _add_hyper_args(p)
-    p.add_argument("--beta-grid", metavar="LO:HI:STEP", help="ascending beta grid")
+    _add_hyper_args(p).required = False  # sweep's --beta is refused: the grid holds its betas
+    p.add_argument("--beta-grid", type=_beta_grid, required=True, metavar="LO:HI:STEP",
+                   help="ascending beta grid")
     p.add_argument(
         "--train", action="store_true", help="add trained loss/sigma columns"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_out_args(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=cmd_sweep)
@@ -401,14 +419,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--max-steps", type=int, default=20000)
     p.add_argument("--grad-tol", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trace", metavar="PATH", help="write per-step loss CSV")
     _add_out_args(p)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("verify", help="closed forms vs gradient descent")
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--seed", type=int, default=20260811)
+    p.add_argument("--seed", type=_seed, default=20260811)
     p.add_argument("--learnable-decvar", action="store_true")
     p.add_argument(
         "--inject-beta-error",
@@ -432,11 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # numpy's own refusal of a negative seed names no option
-        for option in ("seed", "random_rotation"):
-            value = getattr(args, option, None)
-            if value is not None and value < 0:
-                raise InvalidSpec(f"--{option.replace('_', '-')} must be >= 0, got {value}")
         # an output path that cannot be written is refused before the work, not after it
         for option in ("out", "trace"):
             path = getattr(args, option, None)

@@ -45,7 +45,8 @@ class Hyperparams:
         if not 0 < self.beta < np.inf:
             raise ValueError("beta (--beta) must be finite and > 0")
         for name, eta in (("eta_enc", self.eta_enc), ("eta_dec", self.eta_dec)):
-            if not (eta > 0 and 0 < eta * eta < np.inf):
+            # a square below the least normal float counts as zero: its reciprocal overflows
+            if not (eta > 0 and np.finfo(float).tiny <= eta * eta < np.inf):
                 option = name.replace("_", "-")
                 raise ValueError(f"{name} (--{option}) must be > 0 with a finite, nonzero square")
         if self.latent_dim < 1:
@@ -207,8 +208,8 @@ def global_minimum(
     """
     if hp.decvar_mode != "fixed":
         raise ValueError(
-            "global_minimum needs a fixed decoder variance; resolve the "
-            "learnable variance first and pass it via eta_dec"
+            "decvar_mode (--learnable-decvar) must be fixed: global_minimum needs a fixed "
+            "decoder variance; predict --learnable-decvar solves for the learnable one"
         )
     d1, s = hp.latent_dim, hp.decvar
     modes = _modes(sp, hp, hp.pinned_sigma)

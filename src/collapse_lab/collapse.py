@@ -49,9 +49,12 @@ class CollapseReport:
 
 
 def _origin_curvature(zeta: float, beta: float, s: float, eta_enc: float) -> float:
-    # sig_sq + b - sqrt((sig_sq - b)^2 + 4 z_sq); z_sq is per_mode's square, not a float's **
+    # sig_sq + b - sqrt((sig_sq - b)^2 + 4 z_sq); z_sq is per_mode's square, not a float's **,
+    # and hypot takes the root where a square would leave the float range (** raises there)
     sig_sq, b, z_sq = eta_enc**2, beta * s / eta_enc**2, zeta * zeta
-    return float(4.0 * (beta * s - z_sq) / (sig_sq + b + np.sqrt((sig_sq - b) ** 2 + 4.0 * z_sq)))
+    gap = sig_sq - b
+    root = np.sqrt(gap**2 + 4.0 * z_sq) if max(abs(gap), zeta) < 4e153 else np.hypot(gap, 2 * zeta)
+    return float(4.0 * (beta * s - z_sq) / (sig_sq + b + root))
 
 
 def _regime(flags: np.ndarray) -> np.ndarray:

@@ -110,14 +110,14 @@ class DataSpectrum:
         """
         zeta = np.asarray(zeta, dtype=np.float64).ravel()
         if zeta.size == 0:
-            raise ValueError("need at least one singular value")
+            raise ValueError("zeta (--zeta) needs at least one value")
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(zeta * zeta)):
-                raise ValueError("singular values must have finite squares")
+                raise ValueError("zeta (--zeta) must have finite squares")
         if np.any(zeta < 0) or np.any(np.diff(zeta) > 0):
-            raise ValueError("singular values must be non-negative, non-increasing")
+            raise ValueError("zeta (--zeta) must be non-negative and non-increasing")
         if dim_y < zeta.size:
-            raise ValueError(f"dim_y={dim_y} smaller than len(zeta)={zeta.size}")
+            raise ValueError(f"dim_y (--d2) must be >= len(zeta) = {zeta.size}, got {dim_y}")
         d0 = zeta.size
         zeta = _clamp_zeros(zeta)
         return cls(

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import itertools
 import json
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import collapse_lab
 from collapse_lab import cli, data
@@ -521,6 +524,33 @@ class TestPredictCommand:
         assert code == 0 and [row[3] for row in rows] == ["complete", "complete"]
 
 
+REGIMES = {
+    cl.REGIME_NONE, cl.REGIME_PARTIAL, cl.REGIME_COMPLETE, dv.REGIME_ILL_POSED,
+    dv.REGIME_BOUNDARY, dv.REGIME_NO_COLLAPSE, dv.REGIME_PARTIAL, dv.REGIME_COMPLETE,
+}
+
+
+def _sweep_csv_cells(text):
+    """The (column, cell) pairs of a sweep CSV, each checked: a cell is one the CSV reader's
+    grammar reads as a number, but for rank (digits), regime (a known label) and s_star
+    (maybe empty)."""
+    header, *lines = text.splitlines()
+    names = header.split(",")
+    seen = set()
+    for line in lines:
+        cells = line.split(",")
+        assert len(cells) == len(names), line
+        for name, cell in zip(names, cells):
+            seen.add((name, cell))
+            if name == "rank":
+                assert cell.isdigit(), line
+            elif name == "regime":
+                assert cell in REGIMES, line
+            elif not (name == "s_star" and cell == ""):
+                assert re.fullmatch(data._CELL, cell.encode()), (name, line)
+    return seen
+
+
 class TestSweepCommand:
     def test_csv_shape_and_monotone_rank(self, capsys, autoencode_csv):
         code, out, _ = run(
@@ -576,11 +606,6 @@ class TestSweepCommand:
                 loss, trained = float(cells["loss"]), float(cells["train_loss"])
                 assert abs(trained - loss) <= 1e-4 * abs(loss), argv
 
-    REGIMES = {
-        cl.REGIME_NONE, cl.REGIME_PARTIAL, cl.REGIME_COMPLETE, dv.REGIME_ILL_POSED,
-        dv.REGIME_BOUNDARY, dv.REGIME_NO_COLLAPSE, dv.REGIME_PARTIAL, dv.REGIME_COMPLETE,
-    }
-
     @pytest.mark.parametrize(
         "argv, shows",
         [
@@ -597,21 +622,7 @@ class TestSweepCommand:
         for rank (digits), regime (a known label) and s_star (maybe empty)."""
         code, out, _ = run(capsys, "sweep", *argv)
         assert code == 0
-        header, *lines = out.splitlines()
-        names = header.split(",")
-        seen = set()
-        for line in lines:
-            cells = line.split(",")
-            assert len(cells) == len(names), line
-            for name, cell in zip(names, cells):
-                seen.add((name, cell))
-                if name == "rank":
-                    assert cell.isdigit(), line
-                elif name == "regime":
-                    assert cell in self.REGIMES, line
-                elif not (name == "s_star" and cell == ""):
-                    assert re.fullmatch(data._CELL, cell.encode()), (name, line)
-        assert set(shows.items()) <= seen
+        assert set(shows.items()) <= _sweep_csv_cells(out)
 
     def test_json_format(self, capsys, autoencode_csv):
         code, out, _ = run(
@@ -643,10 +654,29 @@ NEGATIVE_SYNTHETIC_FIELD = {"-1,3,10,1": "d0", "3,-2,10,1": "d2", "3,3,10,-1": "
 # refusals pinned by their whole stderr line
 REFUSAL_LINE = {
     ("train", "--beta", "1", "--d1", "2"): "one of the arguments --data --synthetic is required",
-    ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1"): "--d1 is required",
+    ("solve", "--zeta", "2,1", "--d2", "2", "--beta", "1"):
+        "the following arguments are required: --d1",
     ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1:2"):
-        "--beta-grid wants lo:hi:step, got '1:2'",
-    ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2"): "--beta-grid is required",
+        "argument --beta-grid: wants lo:hi:step, got '1:2'",
+    ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2"):
+        "the following arguments are required: --beta-grid",
+    # a value's form is argparse's to refuse, its range the library's, and each names its option
+    ("predict", "--zeta", "2,x", "--d2", "2", "--d1", "2", "--beta", "1"):
+        "argument --zeta: wants Z1,Z2,... as floats; got '2,x'",
+    ("predict", "--zeta", "1,2", "--d2", "2", "--d1", "2", "--beta", "1"):
+        "zeta (--zeta) must be non-negative and non-increasing",
+    ("predict", "--zeta", "2,1", "--d2", "0", "--d1", "2", "--beta", "1"):
+        "dim_y (--d2) must be >= len(zeta) = 2, got 0",
+    ("predict", "--zeta", "2,1", "--d2", "1", "--d1", "2", "--beta", "1"):
+        "dim_y (--d2) must be >= len(zeta) = 2, got 1",
+    ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "1", "--beta-grid", "0:2:1"):
+        "argument --beta-grid: needs lo > 0, step > 0 and hi >= lo",
+    ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "1", "--beta-grid", "1:2:0"):
+        "argument --beta-grid: needs lo > 0, step > 0 and hi >= lo",
+    ("solve", "--zeta", "3,2", "--d2", "2", "--d1", "2", "--beta", "1", "--learnable-sigma",
+     "--learnable-decvar"):
+        "decvar_mode (--learnable-decvar) must be fixed: global_minimum needs a fixed decoder "
+        "variance; predict --learnable-decvar solves for the learnable one",
     # a field's refusal names the option that sets it
     ("train", "--synthetic", "3,3,100,1", "--beta", "1", "--d1", "2", "--max-steps", "0"):
         "max_steps (--max-steps) must be >= 1",
@@ -693,9 +723,13 @@ def _source_refusals():
         yield (command, *rest), 2, f"one of the arguments {' '.join(names)} is required"
         yield (command, "--synthetic", "3,3,100,1", "--d2", "3", *rest), 2, "--d2"
         yield (command, "--data", "", *rest), 1, "No such file or directory: ''"
-        yield (command, "--synthetic", "", *rest), 2, "--synthetic wants d0,d2,n,seed; got ''"
+        yield (command, "--synthetic", "", *rest), 2, (
+            "argument --synthetic: wants d0,d2,n,seed; got ''"
+        )
         if takes_zeta:
-            yield (command, "--zeta", "", "--d2", "2", *rest), 2, "to float: ''"
+            yield (command, "--zeta", "", "--d2", "2", *rest), 2, (
+                "argument --zeta: wants Z1,Z2,... as floats; got ''"
+            )
 
 
 @pytest.mark.parametrize(
@@ -803,12 +837,97 @@ def test_bad_argument_exit_2(capsys, argv):
     for arg in argv:
         option, _, value = arg.partition("=")
         if option in ("--seed", "--random-rotation") and value.startswith("-"):
-            assert f"error: {option} must be >= 0, got {value}" in err, err
+            assert err == f"error: argument {option}: must be >= 0, got {value}\n", err
     if "--inject-beta-error" in " ".join(argv):
         factor = float(argv[-1].rpartition("=")[2])
         assert err.startswith("error: --inject-beta-error ") and f" {factor}" in err, err
     if argv in REFUSAL_LINE:
         assert err == f"error: {REFUSAL_LINE[argv]}\n"
+
+
+def _value_actions():
+    """(command, action) for every option that takes a value, of the six data commands and
+    ``verify``, read off the parser itself."""
+    commands = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    return [
+        (command, action)
+        for command, parser in commands.items()
+        for action in parser._actions
+        if action.option_strings and action.nargs != 0
+    ]
+
+
+# malformed numbers, empty strings, stray separators and signs, nan and inf, and small ints
+_ATOMS = st.sampled_from([
+    "", " ", "0", "1", "2", "-1", "+1", "-0", ".", "1.", ".5", "1e", "e1", "1e+", "1_", "0x1",
+    "nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-", "+", "--", ",", ":",
+])
+# magnitudes 1e-300 to 1e300; exponents ten apart keep a grid that parses to a few rows or
+# to more than MAX_GRID_ROWS, so no example sweeps a grid of 10**4 to 10**6 rows
+_MAGNITUDES = st.builds(
+    "{}{}e{}".format, st.sampled_from(["", "-", "+"]), st.sampled_from(["1", "2.5", "9.99"]),
+    st.sampled_from(range(-300, 301, 10)),
+)
+_PARTS = st.one_of(_ATOMS, _MAGNITUDES)
+_TOKENS = st.one_of(
+    _PARTS,
+    st.tuples(st.sampled_from([",", ":"]), st.lists(_PARTS, min_size=2, max_size=4)).map(
+        lambda sep_parts: sep_parts[0].join(sep_parts[1])
+    ),
+)
+
+
+def _refuses_form(action, token):
+    """Whether argparse itself refuses ``token`` as ``action``'s value."""
+    if action.choices is not None:
+        return token not in action.choices
+    try:
+        (action.type or str)(token)
+    except (ValueError, argparse.ArgumentTypeError):
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@seed(20260811)
+@given(st.sampled_from(_value_actions()), _TOKENS)
+def test_argv_fuzz(capsys, monkeypatch, tmp_path, command_action, token):
+    """One option of a cheap, valid command line takes a malformed or extreme token. The exit
+    code is 0 to 3; a refusal is one ``error:`` line and no output, naming the option when
+    argparse refuses the token's form and the file when ``--data`` is refused; a success
+    prints strict JSON, or CSV for ``sweep``, or ``verify``'s table."""
+    monkeypatch.chdir(tmp_path)  # a token given to --out or --trace is a path here
+    command, action = command_action
+    option = action.option_strings[0]
+    if command == "verify":
+        base = {"--instances": "1"}
+    else:
+        source = option if option in SOURCES else "--zeta" if option == "--d2" else "--synthetic"
+        base = {source: SOURCES[source], **({"--d2": "2"} if source == "--zeta" else {})}
+        base.update(zip(SOURCE_COMMANDS[command][::2], SOURCE_COMMANDS[command][1::2]))
+    base.pop(option, None)
+    argv = [command, *itertools.chain(*base.items()), f"{option}={token}"]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code in (1, 2):
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        if _refuses_form(action, token):
+            assert option in err, (argv, err)
+        if option == "--data":
+            assert token in err, (argv, err)
+        return
+    assert err == "" and (code == 0 or command == "verify"), (argv, code, err)
+    if command == "verify":
+        assert re.fullmatch(r"\d+ instances: (ALL PASS|FAILURES PRESENT)", out.splitlines()[-1])
+    path = token if option == "--out" and token else None
+    written = Path(path).read_text() if path else out
+    if command == "sweep" and "--format=json" not in argv:
+        _sweep_csv_cells(written)
+    elif command != "verify" or path:
+        json.loads(written, parse_constant=_refuse)
 
 
 @pytest.mark.parametrize(
@@ -859,6 +978,10 @@ def test_format_only_on_sweep(capsys, argv):
         (("train", "--synthetic", "2,2,10,1", "--beta", "1", "--d1", "1", "--optimizer", "sgd"),
          2, "--optimizer"),
         (("frob",), 2, "'frob'"),
+        # in --X=-- argparse drops the "--" as the end of the options, leaving --X no value
+        (("solve", "--zeta", "3,2", "--d2=--", "--beta", "1", "--d1", "1"), 2,
+         "argument --d2: expected one argument"),
+        (("spectrum", "--synthetic=--"), 2, "argument --synthetic: expected one argument"),
         # a line break in an argument or a path is printed as its escape
         (("spectrum", "--synthetic", "3,3,10,1", "--x\ny"), 2,
          "unrecognized arguments: --x\\ny"),

@@ -69,6 +69,16 @@ def test_hyperparams_reject_non_finite(field, value):
         cf.Hyperparams(**{"beta": 1.0, "latent_dim": 2, field: value})
 
 
+@pytest.mark.parametrize("field", ["eta_enc", "eta_dec"])
+def test_hyperparams_reject_a_subnormal_square(field):
+    """An eta whose square is below the least normal float is refused as if it were 0,
+    as the reciprocal of that square overflows; one a little larger is taken."""
+    option = field.replace("_", "-")
+    with pytest.raises(ValueError, match=rf"^{field} \(--{option}\) must be > 0"):
+        cf.Hyperparams(beta=1.0, latent_dim=2, **{field: 1e-160})
+    cf.Hyperparams(beta=1.0, latent_dim=2, **{field: 2e-154})
+
+
 class TestFactorizationReduction:
     def test_unit_ridge(self):
         _, sp = make_instance(seed=1)

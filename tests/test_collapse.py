@@ -84,6 +84,16 @@ class TestHessianOrigin:
         psd, min_q = report.hessian_psd, report.min_hessian_quadratic
         assert min_q == 0.0 and psd
 
+    @pytest.mark.parametrize("eta_enc", [1e-150, 1e150])
+    def test_extreme_prior_scale_keeps_the_sign(self, eta_enc):
+        """A prior std so small or so large that the ridge gap's square leaves the float
+        range: the curvature is finite and has the origin test's sign."""
+        sp = DataSpectrum.from_singular_values([2.0, 1.0], dim_y=2)
+        for beta, psd in ((1.0, False), (9.0, True)):
+            report = cl.predict(sp, cf.Hyperparams(beta=beta, latent_dim=2, eta_enc=eta_enc))
+            min_q = report.min_hessian_quadratic
+            assert report.hessian_psd is psd and np.isfinite(min_q) and (min_q >= 0) == psd
+
     def test_psd_iff_complete_collapse_on_200_instances(self, rng):
         """The sign of the curvature at the origin and the global collapse
         predicate agree exactly, with no tolerance."""
