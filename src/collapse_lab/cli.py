@@ -26,7 +26,7 @@ from . import collapse as cl
 from . import closed_form as cf
 from . import decoder_variance as dv
 from .data import Dataset, center_in_place, csv_lines, generate, load, random_spec
-from .errors import CollapseLabError, InvalidSpec, ParseError
+from .errors import CollapseLabError, ParseError
 from .spectrum import DataSpectrum, compute_spectrum
 
 SCHEMA = "collapse-lab/v1"
@@ -167,10 +167,10 @@ def _load_dataset(args) -> Dataset:
 def _load_spectrum(args) -> DataSpectrum:
     if getattr(args, "zeta", None) is not None:
         if args.d2 is None:
-            raise InvalidSpec("--zeta needs --d2")
+            raise ValueError("--zeta needs --d2")
         return DataSpectrum.from_singular_values(args.zeta, dim_y=args.d2)
     if getattr(args, "d2", None) is not None:  # data carries its own target dimension
-        raise InvalidSpec("--d2 goes only with --zeta")
+        raise ValueError("--d2 goes only with --zeta")
     ds = _load_dataset(args)
     center_in_place(ds)  # the arrays were just made here, so no copy is needed
     return compute_spectrum(ds)
@@ -263,7 +263,7 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.beta is not None:  # parsed only so that argparse reads no --beta as --beta-grid
-        raise InvalidSpec("sweep takes its betas from --beta-grid, not --beta")
+        raise ValueError("sweep takes its betas from --beta-grid, not --beta")
     sp = _load_spectrum(args)
     hp = _hyperparams(args)
     rows = cl.beta_sweep(sp, hp, args.beta_grid)
@@ -397,7 +397,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="closed forms across a beta grid")
     _add_source_args(p)
-    _add_hyper_args(p).required = False  # sweep's --beta is refused: the grid holds its betas
+    beta = _add_hyper_args(p)  # sweep's --beta is refused: the grid holds its betas
+    beta.required, beta.help = False, argparse.SUPPRESS
     p.add_argument("--beta-grid", type=_beta_grid, required=True, metavar="LO:HI:STEP",
                    help="ascending beta grid")
     p.add_argument(

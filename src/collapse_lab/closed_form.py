@@ -49,6 +49,9 @@ class Hyperparams:
             if not (eta > 0 and np.finfo(float).tiny <= eta * eta < np.inf):
                 option = name.replace("_", "-")
                 raise ValueError(f"{name} (--{option}) must be > 0 with a finite, nonzero square")
+        # the survivor tests' threshold scale, in Python floats: numpy's would warn on overflow
+        if not np.isfinite(float(self.beta) * float(self.decvar)):
+            raise ValueError("beta (--beta) times eta_dec^2 (--eta-dec) must be finite")
         if self.latent_dim < 1:
             raise ValueError("latent_dim (--d1) must be >= 1")
         if self.sigma_mode not in _MODES or self.decvar_mode not in _MODES:
@@ -113,9 +116,11 @@ def per_mode(zeta, beta: float, s: float, eta_enc: float, sigma=None) -> PerMode
     gap = zeta - shrink
     ratio = (sigma / eta_enc) ** 2
     log_ratio = 2.0 * (np.log(sigma) - np.log(eta_enc))
+    # a collapsed mode's decoder is an exact 0: root / (sigma eta_enc) overflows for a tiny std
+    gain = np.divide(root, sigma * eta_enc, out=np.zeros(gap.shape), where=alive)
     return PerMode(
         alive=alive,
-        decoder=np.sqrt(root / (sigma * eta_enc) * gap),
+        decoder=np.sqrt(gain * gap, out=gain),
         encoder=np.sqrt(sigma * eta_enc / root * gap),
         sigma=sigma,
         fit=shrink * (2.0 * zeta - shrink),

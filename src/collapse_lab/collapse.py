@@ -54,7 +54,8 @@ def _origin_curvature(zeta: float, beta: float, s: float, eta_enc: float) -> flo
     sig_sq, b, z_sq = eta_enc**2, beta * s / eta_enc**2, zeta * zeta
     gap = sig_sq - b
     root = np.sqrt(gap**2 + 4.0 * z_sq) if max(abs(gap), zeta) < 4e153 else np.hypot(gap, 2 * zeta)
-    return float(4.0 * (beta * s - z_sq) / (sig_sq + b + root))
+    # scaled by 4 after the division, so a numerator near the float range's edge stays in it
+    return float((beta * s - z_sq) / (sig_sq + b + root) * 4.0)
 
 
 def _regime(flags: np.ndarray) -> np.ndarray:
@@ -116,9 +117,11 @@ def beta_sweep(sp: DataSpectrum, hp: Hyperparams, beta_grid) -> list[SweepRow]:
     on the blocks. Ill-posed rows have no optimum: nan loss and zero stds."""
     grid = np.asarray(beta_grid, dtype=np.float64).ravel()
     if grid.size == 0:
-        raise ValueError("beta grid is empty")
+        raise ValueError("beta_grid (--beta-grid) is empty")
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("beta grid must be strictly positive and ascending")
+        raise ValueError("beta_grid (--beta-grid) must be strictly positive and ascending")
+    if hp.decvar_mode == "fixed" and not np.isfinite(float(grid[-1]) * float(hp.decvar)):
+        raise ValueError("beta_grid (--beta-grid) times eta_dec^2 (--eta-dec) must be finite")
     found = dv.classify(sp, hp, grid) if hp.decvar_mode == "learnable" else None
     parts = (slice(at, at + SWEEP_BLOCK) for at in range(0, grid.size, SWEEP_BLOCK))
     return [row for part in parts for row in _sweep_block(sp, hp, grid, found, part)]

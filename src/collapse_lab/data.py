@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, ParseError
+from .errors import ParseError
 
 _MAGIC = b"CLD1"
 _BLOCK = 1 << 20  # CSV bytes per block, then the rest of a row; 256 KiB or 4 MiB peak higher
@@ -113,7 +113,7 @@ class SyntheticSpec:
     Inputs are drawn i.i.d. from N(0, ``second_moment``) and targets are
     ``y = map_matrix @ x``. Any overall signal gain is folded into the
     scale of ``map_matrix``, whose shape (dim_y, dim_x) gives the sizes.
-    A recipe that cannot be drawn from is refused here with :class:`InvalidSpec`.
+    A recipe that cannot be drawn from is refused here with :class:`ValueError`.
     """
 
     dim_x: int = field(init=False)
@@ -131,18 +131,18 @@ class SyntheticSpec:
         object.__setattr__(self, "dim_x", dim_x)
         object.__setattr__(self, "dim_y", dim_y)
         if dim_x < 1:
-            raise InvalidSpec(f"dim_x must be >= 1, got {dim_x}")
+            raise ValueError(f"dim_x must be >= 1, got {dim_x}")
         if dim_y < 1:
-            raise InvalidSpec(f"dim_y must be >= 1, got {dim_y}")
+            raise ValueError(f"dim_y must be >= 1, got {dim_y}")
         if a.shape != (dim_x, dim_x):
-            raise InvalidSpec(f"second_moment shape {a.shape} != (dim_x, dim_x), dim_x = {dim_x}")
+            raise ValueError(f"second_moment shape {a.shape} != (dim_x, dim_x), dim_x = {dim_x}")
         if self.n_samples < 1:
-            raise InvalidSpec("n_samples must be >= 1")
+            raise ValueError("n_samples must be >= 1")
         if np.max(np.abs(a - a.T)) > _SYMMETRY_TOL:
-            raise InvalidSpec("second_moment is not symmetric within 1e-12")
+            raise ValueError("second_moment is not symmetric within 1e-12")
         eigenvalues = np.linalg.eigvalsh(a)
         if eigenvalues.min(initial=0.0) < _EIGENVALUE_FLOOR:
-            raise InvalidSpec(
+            raise ValueError(
                 f"second_moment has eigenvalue {eigenvalues.min():g} < -1e-12"
             )
 

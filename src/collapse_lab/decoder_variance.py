@@ -24,7 +24,6 @@ import numpy as np
 
 from . import closed_form as cf
 from .closed_form import Hyperparams
-from .errors import DomainError
 from .spectrum import DataSpectrum
 
 REGIME_ILL_POSED = "ill_posed_zero"
@@ -66,7 +65,7 @@ def profile_loss(sp: DataSpectrum, hp: Hyperparams, s) -> np.ndarray | float:
     """
     s = np.asarray(s, dtype=np.float64)
     if not np.all(s > 0):
-        raise DomainError(f"decoder variance must be > 0, got {s}")
+        raise ValueError(f"decoder variance must be > 0, got {s}")
     # one row of modes per decoder variance in s
     modes = cf.per_mode(
         sp.zeta_padded(hp.latent_dim), hp.beta, s[..., None], hp.eta_enc, hp.pinned_sigma
@@ -81,7 +80,7 @@ def beta_bounds(sp: DataSpectrum, hp: Hyperparams) -> np.ndarray:
     with ``p = min(i, d1_hat)``, ``d1_hat`` the nonzero modes within ``d1``. Within
     ``d1`` the regime table's surviving count steps there."""
     if hp.sigma_mode != "learnable":
-        raise DomainError(
+        raise ValueError(
             "the learnable decoder variance analysis needs learnable encoder "
             "stds (sigma_mode 'learnable', --learnable-sigma)"
         )

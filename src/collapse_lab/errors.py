@@ -5,10 +5,6 @@ class CollapseLabError(Exception):
     """Base class for all collapse-lab errors."""
 
 
-class InvalidSpec(CollapseLabError):
-    """A synthetic data specification violates its invariants."""
-
-
 class ParseError(CollapseLabError):
     """A dataset file is malformed.
 
@@ -26,18 +22,6 @@ class ParseError(CollapseLabError):
         super().__init__(message)
         self.row = row
         self.col = col
-
-
-class DegenerateInput(CollapseLabError):
-    """Input data carries no usable signal (e.g. zero second moment)."""
-
-
-class ShapeError(CollapseLabError):
-    """Array dimensions are inconsistent with the model configuration."""
-
-
-class DomainError(CollapseLabError):
-    """A scalar argument lies outside its mathematical domain."""
 
 
 class DegenerateVariance(CollapseLabError):

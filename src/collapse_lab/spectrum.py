@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateInput
 
 DEFAULT_TOL = 1e-10
 
@@ -182,7 +181,7 @@ def compute_spectrum(ds: Dataset) -> DataSpectrum:
     vectors = vectors[:, order]
     top = float(eigenvalues[0]) if eigenvalues.size else 0.0
     if not top > DEFAULT_TOL:
-        raise DegenerateInput("input second moment is numerically zero")
+        raise ValueError("input second moment is numerically zero")
     keep = eigenvalues > DEFAULT_TOL * top
     rank = int(np.count_nonzero(keep))
     eigenvalues = eigenvalues[:rank]

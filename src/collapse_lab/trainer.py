@@ -21,7 +21,7 @@ import numpy as np
 
 from .closed_form import Hyperparams
 from .data import Dataset
-from .errors import DegenerateVariance, DivergenceError, ShapeError
+from .errors import DegenerateVariance, DivergenceError
 from .spectrum import DataSpectrum
 
 
@@ -32,7 +32,7 @@ class Moments:
     ``samples_x`` holds the samples the data-dependent variance terms average a
     logarithm over: :meth:`from_dataset` keeps them, :meth:`from_spectrum` cannot.
     A part whose shape disagrees with ``a``'s, or an ``a`` that is not exactly
-    symmetric, is refused here with :class:`ShapeError`.
+    symmetric, is refused here with :class:`ValueError`.
     """
 
     a: np.ndarray = field(repr=False)       # E[x x^T], exactly symmetric
@@ -47,17 +47,17 @@ class Moments:
     def __post_init__(self):
         # the kernel reads a k^T - cross as the transpose of k a - cross^T
         if np.ndim(self.a) != 2 or not np.array_equal(self.a, np.transpose(self.a)):
-            raise ShapeError(f"a {np.shape(self.a)} is not square and exactly symmetric")
+            raise ValueError(f"a {np.shape(self.a)} is not square and exactly symmetric")
         dim_x = len(self.a)
         if np.ndim(self.cross) != 2 or len(self.cross) != dim_x:
-            raise ShapeError(f"cross {np.shape(self.cross)} does not have dim_x = {dim_x} rows")
+            raise ValueError(f"cross {np.shape(self.cross)} does not have dim_x = {dim_x} rows")
         object.__setattr__(self, "dim_x", dim_x)
         object.__setattr__(self, "dim_y", np.shape(self.cross)[1])
         for name, shape in (("mean_x", (dim_x,)), ("mean_y", (self.dim_y,))):
             if np.shape(getattr(self, name)) != shape:
-                raise ShapeError(f"{name} {np.shape(getattr(self, name))} != {shape}")
+                raise ValueError(f"{name} {np.shape(getattr(self, name))} != {shape}")
         if self.samples_x is not None and np.shape(self.samples_x)[1:] != (dim_x,):
-            raise ShapeError(
+            raise ValueError(
                 f"samples_x {np.shape(self.samples_x)} does not have dim_x = {dim_x} columns"
             )
 
@@ -208,16 +208,16 @@ def _check_shapes(p: ModelParams, m: Moments, hp: Hyperparams) -> None:
     for name, shape in shapes.items():
         value = getattr(p, name)
         if value is not None and np.shape(value) != shape:
-            raise ShapeError(f"{name} {np.shape(value)} != {shape}")
+            raise ValueError(f"{name} {np.shape(value)} != {shape}")
     for pair in (("enc_bias", "dec_bias"), ("var_slope", "var_offset")):
         absent = [name for name in pair if getattr(p, name) is None]
         if len(absent) == 1:
-            raise ShapeError(f"{absent[0]} is missing: {pair[0]} and {pair[1]} come as a pair")
+            raise ValueError(f"{absent[0]} is missing: {pair[0]} and {pair[1]} come as a pair")
     if (p.log_decvar is not None) != (hp.decvar_mode == "learnable"):
-        raise ShapeError(f"log_decvar is {p.log_decvar}, but decvar_mode is {hp.decvar_mode!r}")
+        raise ValueError(f"log_decvar is {p.log_decvar}, but decvar_mode is {hp.decvar_mode!r}")
     if p.ddv and m.samples_x is None:
         hint = "build the Moments with Moments.from_dataset"
-        raise ShapeError(f"data-dependent variance needs sample access; {hint}")
+        raise ValueError(f"data-dependent variance needs sample access; {hint}")
 
 
 def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = None):

@@ -26,7 +26,6 @@ import numpy as np
 from . import closed_form as cf
 from . import decoder_variance as dv
 from .data import center_in_place, generate, random_spec
-from .errors import InvalidSpec
 from .spectrum import DataSpectrum, compute_spectrum, padded
 # ``train`` stays bound here: bench/tests reach the trainer through ``verify.train``
 from .trainer import Moments, train, train_to_minimum  # noqa: F401
@@ -111,17 +110,17 @@ def run_oracle_suite(
     learnable_decvar: bool = False,
     beta_error: float = 1.0,
 ) -> VerificationReport:
-    """Run the agreement suite, refusing (InvalidSpec) what it cannot run; ``beta_error``
+    """Run the agreement suite, refusing (ValueError) what it cannot run; ``beta_error``
     skews the analytic side's beta so tests can prove a mismatch is actually caught."""
     if n_instances < 1:
-        raise InvalidSpec("--instances must be >= 1")
+        raise ValueError("--instances must be >= 1")
     (low, top), factor = BETA_RANGE, beta_error
     if not 0 < factor < math.inf:  # Hyperparams would name --beta, which verify does not take
-        raise InvalidSpec(f"--inject-beta-error must be finite and > 0, got {factor}")
+        raise ValueError(f"--inject-beta-error must be finite and > 0, got {factor}")
     if factor * math.nextafter(top, 0) == math.inf:
-        raise InvalidSpec(f"--inject-beta-error {factor} times a drawn beta below {top} overflows")
+        raise ValueError(f"--inject-beta-error {factor} times a drawn beta below {top} overflows")
     if factor * low == 0:
-        raise InvalidSpec(f"--inject-beta-error {factor} times a drawn beta {low} underflows to 0")
+        raise ValueError(f"--inject-beta-error {factor} times a drawn beta {low} underflows to 0")
     rng = np.random.default_rng(seed)
     rows: list[dict] = []
     for index in range(n_instances):

@@ -16,7 +16,7 @@ from collapse_lab import trainer as tr
 from collapse_lab.closed_form import Hyperparams
 from collapse_lab.data import Dataset
 from collapse_lab.decoder_variance import profile_loss
-from collapse_lab.errors import DegenerateVariance, DomainError
+from collapse_lab.errors import DegenerateVariance
 from collapse_lab.spectrum import DataSpectrum
 
 
@@ -396,7 +396,7 @@ def minimize_profile(
     else:
         s_lo, s_hi = s_range
     if not (0 < s_lo < s_hi):
-        raise DomainError(f"need 0 < s_lo < s_hi, got ({s_lo}, {s_hi})")
+        raise ValueError(f"need 0 < s_lo < s_hi, got ({s_lo}, {s_hi})")
 
     grid = np.geomspace(s_lo, s_hi, grid_points)
     values = profile_loss(sp, hp, grid)

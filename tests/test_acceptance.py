@@ -6,7 +6,9 @@ Every tolerance here is part of the package contract; see README.
 
 import itertools
 import math
+import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +17,9 @@ from collapse_lab import closed_form as cf
 from collapse_lab import collapse as cl
 from collapse_lab import decoder_variance as dv
 from collapse_lab import trainer as tr
-from collapse_lab import verify
-from collapse_lab.data import Dataset
-from collapse_lab.errors import InvalidSpec
-from collapse_lab.spectrum import DataSpectrum
+from collapse_lab import errors, verify
+from collapse_lab.data import Dataset, SyntheticSpec
+from collapse_lab.spectrum import DataSpectrum, compute_spectrum
 from collapse_lab.verify import _draw_instance, _learned_singvals, run_oracle_suite
 
 from conftest import assert_sinks_below, make_instance, params_from_minimum, sink_run
@@ -105,9 +106,58 @@ def test_suite_refuses_what_it_cannot_run(monkeypatch, n_instances, beta_error, 
     draw can make, is refused by the suite itself before any work, with the line the CLI
     prints after ``error:``."""
     monkeypatch.setattr(verify, "_draw_instance", lambda *_: pytest.fail("an instance was drawn"))
-    with pytest.raises(InvalidSpec) as refused:
+    with pytest.raises(ValueError) as refused:
         run_oracle_suite(n_instances, beta_error=beta_error)
     assert str(refused.value) == line
+
+
+_SP = DataSpectrum.from_singular_values([2.0, 1.0], dim_y=2)
+_HP = cf.Hyperparams(beta=1.0, latent_dim=2)
+
+
+def _train_misshaped():
+    m = tr.Moments.from_spectrum(_SP)
+    params = replace(tr.init_params(m, _HP), decoder=np.zeros((3, 2)))
+    tr.train(params, m, _HP, tr.TrainConfig(max_steps=1))
+
+
+# (the call, text its refusal holds), one per library entry that refuses a bad argument
+BAD_ARGUMENTS = {
+    "Hyperparams": (lambda: cf.Hyperparams(beta=-1.0, latent_dim=1), "beta (--beta)"),
+    "Hyperparams threshold scale": (
+        lambda: cf.Hyperparams(beta=1e300, latent_dim=1, eta_dec=1e10), "eta_dec^2 (--eta-dec)"),
+    "TrainConfig": (lambda: tr.TrainConfig(max_steps=0), "max_steps (--max-steps)"),
+    "Dataset": (lambda: Dataset(x=np.zeros((0, 2)), y=np.zeros((0, 1))), "one sample"),
+    "SyntheticSpec": (lambda: SyntheticSpec(10, -np.eye(2), np.eye(2)), "eigenvalue"),
+    "DataSpectrum.from_singular_values": (
+        lambda: DataSpectrum.from_singular_values([1.0, 2.0], dim_y=2), "zeta (--zeta)"),
+    "Moments": (lambda: tr.Moments(a=np.ones((2, 3)), cross=np.ones((2, 1)), mean_x=np.zeros(2),
+                                   mean_y=np.zeros(1), target_power=1.0), "a (2, 3)"),
+    "compute_spectrum": (
+        lambda: compute_spectrum(Dataset(x=np.zeros((10, 3)), y=np.zeros((10, 2)))),
+        "numerically zero"),
+    "beta_bounds": (lambda: dv.beta_bounds(_SP, replace(_HP, sigma_mode="fixed")),
+                    "--learnable-sigma"),
+    "profile_loss": (lambda: dv.profile_loss(_SP, _HP, 0.0), "decoder variance must be > 0"),
+    "beta_sweep": (lambda: cl.beta_sweep(_SP, _HP, []), "beta_grid (--beta-grid)"),
+    "global_minimum": (
+        lambda: cf.global_minimum(_SP, replace(_HP, decvar_mode="learnable")),
+        "decvar_mode (--learnable-decvar)"),
+    "run_oracle_suite": (lambda: run_oracle_suite(0), "--instances"),
+    "train": (_train_misshaped, "decoder (3, 2)"),
+}
+
+
+def test_a_bad_argument_is_a_value_error():
+    """Every library refusal of an argument it cannot take is the builtin ValueError, not one
+    of the package's own errors, which name only a file that does not parse and a training
+    run that left the float range."""
+    for name, (call, text) in BAD_ARGUMENTS.items():
+        with pytest.raises(ValueError, match=re.escape(text)) as refused:
+            call()
+        assert not isinstance(refused.value, errors.CollapseLabError), name
+    defined = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert defined == {"CollapseLabError", "ParseError", "DegenerateVariance", "DivergenceError"}
 
 
 @pytest.mark.parametrize("seed", [826817008, 1685115226])

@@ -695,6 +695,18 @@ REFUSAL_LINE = {
     # sweep's betas come from its grid alone
     ("sweep", "--synthetic", "3,3,10,1", "--d1", "1", "--beta", "2", "--beta-grid", "0.5:1:0.5"):
         "sweep takes its betas from --beta-grid, not --beta",
+    # the threshold scale beta * eta_dec^2 is refused where beta enters, not printed as nan
+    **{(command, "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta", "1e300", "--eta-dec",
+        "1e10"): "beta (--beta) times eta_dec^2 (--eta-dec) must be finite"
+       for command in ("predict", "solve", "report")},
+    **{("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "2", "--beta-grid", "1e300:1e300:1",
+        "--eta-dec", "1e10", "--format", form):
+        "beta_grid (--beta-grid) times eta_dec^2 (--eta-dec) must be finite"
+       for form in ("csv", "json")},
+    # a grid whose steps vanish in rounding passes argparse; the sweep names the option
+    ("sweep", "--zeta", "2,1", "--d2", "2", "--d1", "1",
+     "--beta-grid", "1:1.0000000000000002:1e-20"):
+        "beta_grid (--beta-grid) must be strictly positive and ascending",
 }
 
 SOURCES = {"--data": "{csv}", "--synthetic": "3,3,100,1", "--zeta": "2,1"}
@@ -1017,6 +1029,42 @@ def test_refusal_escapes_only_line_breaks(capsys):
                "\u2029": r"\u2029"}
     assert {c for c in text if len(f"a{c}b".splitlines()) == 2} == set(escapes)
     assert err == f"error: {''.join(escapes.get(c, c) for c in text)}\n"
+
+
+# both modes collapse at an encoder std whose square is barely a normal float
+TINY_ETA_ENC = ("--zeta", "2,1", "--d2", "2", "--d1", "2", "--eta-enc", "1.5e-154")
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("solve", *TINY_ETA_ENC, "--beta", "100"), ("predicted_loss",), 2.5),
+        (("report", *TINY_ETA_ENC, "--beta", "100"), ("solution", "predicted_loss"), 2.5),
+        (("sweep", *TINY_ETA_ENC, "--beta-grid", "100:100:1"), ("loss",), 2.5),
+        # the origin's curvature at a zeta whose square is near the float range's top
+        (("predict", "--zeta", "1e154,1", "--d2", "2", "--d1", "2", "--beta", "1"),
+         ("fixed", "min_hessian_quadratic"), -2e154),
+    ],
+)
+def test_values_near_the_float_range_edge(capsys, argv, key, value):
+    """A collapsed mode's decoder is an exact 0 and the origin's curvature is scaled after its
+    division, so neither leaves the float range: exit 0, no warning, strict JSON or CSV."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "sweep":
+        assert (key[0], str(value)) in _sweep_csv_cells(out)
+        return
+    doc = json.loads(out, parse_constant=_refuse)
+    for part in key:
+        doc = doc[part]
+    assert doc == value
+
+
+def test_sweep_help_hides_beta(capsys):
+    """sweep parses --beta only to refuse it, so its help does not offer it."""
+    code, out, _ = run(capsys, "sweep", "--help")
+    assert code == 0 and "--beta-grid" in out
+    assert "--beta " not in out
 
 
 def test_non_finite_json_exit_2(capsys, monkeypatch):

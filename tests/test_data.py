@@ -22,7 +22,7 @@ from collapse_lab.data import (
     random_spec,
     save,
 )
-from collapse_lab.errors import InvalidSpec, ParseError
+from collapse_lab.errors import ParseError
 from collapse_lab.spectrum import compute_spectrum
 
 import oracles
@@ -52,19 +52,19 @@ def test_zero_map_gives_zero_targets():
 
 
 def test_non_psd_second_moment_rejected():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError):
         SyntheticSpec(10, -np.eye(2), np.eye(2), seed=0)
 
 
 @pytest.mark.parametrize("dims, name", [((0, 5), "dim_x"), ((3, 0), "dim_y")])
 def test_zero_dimension_rejected(dims, name):
-    with pytest.raises(InvalidSpec, match=name):
+    with pytest.raises(ValueError, match=name):
         random_spec(*dims, n_samples=10, seed=1)
 
 
 def test_asymmetric_second_moment_rejected():
     a = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError):
         SyntheticSpec(10, a, np.eye(2), seed=0)
 
 
@@ -77,7 +77,7 @@ def test_asymmetric_second_moment_rejected():
     ],
 )
 def test_inconsistent_recipe_rejected_at_construction(args, match):
-    with pytest.raises(InvalidSpec, match=match):
+    with pytest.raises(ValueError, match=match):
         SyntheticSpec(*args, seed=0)
 
 

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 from collapse_lab import closed_form as cf
 from collapse_lab import decoder_variance as dv
-from collapse_lab.errors import DomainError
 from collapse_lab.spectrum import DataSpectrum
 
 from conftest import random_case3_spectrum
@@ -29,9 +28,9 @@ class TestProfileLoss:
     def test_rejects_nonpositive_variance(self):
         sp = DataSpectrum.from_singular_values([1.0], dim_y=1)
         hp = cf.Hyperparams(beta=1.0, latent_dim=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             dv.profile_loss(sp, hp, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             dv.profile_loss(sp, hp, -1.0)
 
     def test_continuous_and_smooth_at_mode_thresholds(self):
@@ -315,9 +314,9 @@ class TestPinnedStds:
     hp = cf.Hyperparams(beta=2.0, latent_dim=3, sigma_mode="fixed", decvar_mode="learnable")
 
     def test_regime_analysis_rejects_pinned_stds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             dv.solve_decoder_variance(self.sp, self.hp)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             dv.beta_breakpoints(self.sp, self.hp)
         learnable = replace(self.hp, sigma_mode="learnable")
         assert dv.solve_decoder_variance(self.sp, learnable).s_star == pytest.approx(2.5)

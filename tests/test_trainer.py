@@ -16,11 +16,7 @@ from collapse_lab import closed_form as cf
 from collapse_lab import decoder_variance as dv
 from collapse_lab import trainer as tr
 from collapse_lab.data import Dataset, center
-from collapse_lab.errors import (
-    DegenerateVariance,
-    DivergenceError,
-    ShapeError,
-)
+from collapse_lab.errors import DegenerateVariance, DivergenceError
 from collapse_lab.spectrum import DataSpectrum
 
 import oracles
@@ -220,7 +216,7 @@ class TestEvalLoss:
     ])
     def test_shape_mismatch_raises(self, rng, part, value, entry):
         """Every misshaped part and every half pair (one bias without the other, a slope
-        without its offset or the reverse) is one ShapeError that names the part, from
+        without its offset or the reverse) is one ValueError that names the part, from
         each entry; the unchanged parameters pass."""
         ds, _ = make_instance(seed=9, dim_x=4, dim_y=3)
         m = tr.Moments.from_dataset(ds)
@@ -233,12 +229,12 @@ class TestEvalLoss:
             "train": lambda p, m, hp: tr.train(p, m, hp, tr.TrainConfig(max_steps=1)),
         }[entry]
         run(params, m, hp)
-        with pytest.raises(ShapeError, match=rf"^{part} "):
+        with pytest.raises(ValueError, match=rf"^{part} "):
             run(replace(params, **{part: value}), m, hp)
 
     def test_decvar_mode_must_match_log_decvar(self):
         """log_decvar is present exactly when hp.decvar_mode is learnable. Each
-        mismatch is one ShapeError naming log_decvar, from every entry: a learnable
+        mismatch is one ValueError naming log_decvar, from every entry: a learnable
         hp without it once kept s fixed, and a fixed hp with it once learned s."""
         m = tr.Moments.from_spectrum(DataSpectrum.from_singular_values([3.0, 2.0, 1.0], 3))
         entries = (tr.eval_loss, tr.eval_grad,
@@ -247,7 +243,7 @@ class TestEvalLoss:
             hp = cf.Hyperparams(beta=1.0, latent_dim=2, decvar_mode=decvar_mode)
             params = replace(tr.init_params(m, hp), log_decvar=log_decvar)
             for run in entries:
-                with pytest.raises(ShapeError, match="^log_decvar "):
+                with pytest.raises(ValueError, match="^log_decvar "):
                     run(params, m, hp)
 
     def test_ddv_needs_samples(self, rng):
@@ -255,7 +251,7 @@ class TestEvalLoss:
         m = tr.Moments.from_spectrum(sp)
         hp = cf.Hyperparams(beta=1.0, latent_dim=2)
         params = random_params(rng, 3, 2, 2, ddv=True)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             tr.eval_loss(params, m, hp)
 
     def test_ddv_zero_std_sample_raises(self):
@@ -412,7 +408,7 @@ def test_moments_refuse_what_the_kernel_assumes(part, bad):
     ds, _ = make_instance(seed=61, dim_x=3, dim_y=2)
     m = tr.Moments.from_dataset(ds)
     arrays = {f.name: getattr(m, f.name) for f in fields(m) if f.init}
-    with pytest.raises(ShapeError, match=part):
+    with pytest.raises(ValueError, match=part):
         tr.Moments(**{**arrays, part: bad(arrays[part])})
 
 
