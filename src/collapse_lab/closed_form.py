@@ -116,12 +116,18 @@ def per_mode(zeta, beta: float, s: float, eta_enc: float, sigma=None) -> PerMode
     gap = zeta - shrink
     ratio = (sigma / eta_enc) ** 2
     log_ratio = 2.0 * (np.log(sigma) - np.log(eta_enc))
-    # a collapsed mode's decoder is an exact 0: root / (sigma eta_enc) overflows for a tiny std
-    gain = np.divide(root, sigma * eta_enc, out=np.zeros(gap.shape), where=alive)
+    # one quotient where every operand is a normal float, else roots split to stay in range
+    with np.errstate(all="ignore"):
+        spread = sigma * eta_enc
+        gain, coef = root / spread, spread / root
+        ops = np.broadcast_arrays(spread, gain, coef, gain * gap, coef * gap)
+        direct = alive & np.all([(v >= np.finfo(float).tiny) & (v < np.inf) for v in ops], 0)
+        decoder = np.where(direct, np.sqrt(ops[3]), np.sqrt(root / sigma) * np.sqrt(gap / eta_enc))
+        encoder = np.where(direct, np.sqrt(ops[4]), np.sqrt(sigma / root) * np.sqrt(eta_enc * gap))
     return PerMode(
         alive=alive,
-        decoder=np.sqrt(gain * gap, out=gain),
-        encoder=np.sqrt(sigma * eta_enc / root * gap),
+        decoder=np.where(alive, decoder, 0.0),  # a collapsed mode's factors are an exact 0
+        encoder=np.where(alive, encoder, 0.0),
         sigma=sigma,
         fit=shrink * (2.0 * zeta - shrink),
         kl=beta * s * (ratio - 1.0 - log_ratio),

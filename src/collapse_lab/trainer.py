@@ -334,33 +334,22 @@ def _kernel(p: ModelParams, m: Moments, hp: Hyperparams, grad: tuple | None = No
     return evaluate
 
 
-def _views(p: ModelParams, names, buf: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """``buf``, by default a new zeroed float64 buffer of the right size, and a
-    view into it per field of ``p`` in ``names``, laid out in order."""
-    shapes = {name: np.shape(getattr(p, name)) for name in names}
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    buf = np.zeros(sum(sizes)) if buf is None else buf
-    views, offset = {}, 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        views[name] = buf[offset : offset + size].reshape(shape)
-        offset += size
-    return buf, views
-
-
-def _field_names(p: ModelParams, hp: Hyperparams | None = None) -> list[str]:
-    """``p``'s fields that are set (given ``hp``, only those :func:`train` updates), by name."""
+def _flat(p: ModelParams, hp: Hyperparams | None = None, buf=None) -> tuple[np.ndarray, dict]:
+    """``buf`` and a view into it per set field of ``p`` (given ``hp``, only those
+    :func:`train` updates), laid out in ``ModelParams``' order, 0-d for a scalar.
+    By default ``buf`` is a new float64 copy of those fields."""
     fixed_sigma = hp is not None and (hp.sigma_mode != "learnable" or p.ddv)
-    return [
-        name for name, value in zip(_NAMES, _parts(p))
+    parts = {
+        name: value for name, value in zip(_NAMES, _parts(p))
         if value is not None and not (name == "log_sigma" and fixed_sigma)
-    ]
-
-
-def _flat(p: ModelParams, hp: Hyperparams | None = None) -> tuple[np.ndarray, dict]:
-    """``p``'s fields (given ``hp``, only those :func:`train` updates) copied into
-    one flat float64 buffer, and a view into it per field (0-d for a scalar)."""
-    names = _field_names(p, hp)
-    return _views(p, names, np.concatenate([np.ravel(getattr(p, name)) for name in names]))
+    }
+    if buf is None:
+        buf = np.concatenate([np.ravel(value) for value in parts.values()], dtype=np.float64)
+    views, offset = {}, 0
+    for name, value in parts.items():
+        views[name] = buf[offset : offset + np.size(value)].reshape(np.shape(value))
+        offset += np.size(value)
+    return buf, views
 
 
 def eval_loss(p: ModelParams, m: Moments, hp: Hyperparams) -> float:
@@ -372,8 +361,8 @@ def eval_loss(p: ModelParams, m: Moments, hp: Hyperparams) -> float:
 def eval_grad(p: ModelParams, m: Moments, hp: Hyperparams) -> ModelParams:
     """Analytic gradient of :func:`eval_loss` at ``p``, with the same structure as ``p``."""
     _check_shapes(p, m, hp)
-    # a new zeroed buffer: the stds' slot stays zero under a data-dependent std
-    flat, grad = _views(p, _field_names(p))
+    flat, grad = _flat(p)
+    flat[...] = 0.0  # the stds' slot stays zero under a data-dependent std
     _kernel(p, m, hp, (flat, grad))()
     if "log_decvar" in grad:
         grad["log_decvar"] = float(grad["log_decvar"])
@@ -405,7 +394,7 @@ def train(
     params = replace(params, **{"log_sigma": params.log_sigma.copy(), **views})
     # row 0 is the gradient g, written through its per-field views; row 1 takes g * g
     g, g2 = g_g2 = np.zeros((2, x.size))
-    evaluate = _kernel(params, m, hp, _views(params, views, g))
+    evaluate = _kernel(params, m, hp, _flat(params, hp, g))
 
     loss = evaluate()
     if not math.isfinite(loss):

@@ -1060,6 +1060,46 @@ def test_values_near_the_float_range_edge(capsys, argv, key, value):
     assert doc == value
 
 
+# two modes survive at an encoder std whose square is barely a normal float
+SURVIVORS_TINY_ETA_ENC = ("--zeta", "10,1", "--d2", "2", "--d1", "2", "--eta-enc", "1.5e-154")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", *SURVIVORS_TINY_ETA_ENC, "--beta", "0.5"),
+        ("solve", *SURVIVORS_TINY_ETA_ENC, "--beta", "0.5", "--learnable-sigma"),
+        ("report", *SURVIVORS_TINY_ETA_ENC, "--beta", "0.5", "--learnable-sigma"),
+        ("sweep", *SURVIVORS_TINY_ETA_ENC, "--beta-grid", "0.5:0.5:1"),
+        # the learned std times eta_enc underflows to 0
+        ("solve", "--zeta", "1e10,1", "--d2", "2", "--d1", "2", "--beta", "1e-20",
+         "--eta-enc", "1.5e-154", "--learnable-sigma"),
+    ],
+)
+def test_surviving_factors_near_the_float_range_edge(capsys, argv):
+    """A surviving mode's decoder and encoder stay finite where one quotient of theirs leaves
+    the float range: exit 0, no warning, strict JSON or CSV, and each survivor's factors
+    nonzero and multiplying back to its gap, the singular value less the prior's pull."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "sweep":
+        assert ("regime", "none") in _sweep_csv_cells(out)
+        return
+    doc = json.loads(out, parse_constant=_refuse)
+    solution = doc["solution"] if argv[0] == "report" else doc
+    hp = doc["hyperparams"]
+    zeta = [float(z) for z in argv[argv.index("--zeta") + 1].split(",")]
+    survivors = 0
+    for i, collapsed in enumerate(solution["collapse_flags"]):
+        if collapsed:
+            continue
+        survivors += 1
+        shrink = math.sqrt(hp["beta"]) * solution["sigma"][i] / hp["eta_enc"]
+        product = solution["decoder_singvals"][i] * solution["encoder_singvals"][i]
+        assert product != 0 and abs(product - (zeta[i] - shrink)) <= 1e-12 * (zeta[i] - shrink)
+    assert survivors >= 1
+
+
 def test_sweep_help_hides_beta(capsys):
     """sweep parses --beta only to refuse it, so its help does not offer it."""
     code, out, _ = run(capsys, "sweep", "--help")

@@ -418,6 +418,48 @@ def test_kl_does_not_underflow(zeta, beta, sigma_mode):
     assert abs(cf.global_minimum(sp, hp).predicted_loss - want) <= 1e-15 * want
 
 
+@pytest.mark.parametrize("eta_enc", [1.5e-154, 1e-150, 1e150])
+@pytest.mark.parametrize("sigma_mode", ["fixed", "learnable"])
+@pytest.mark.parametrize("beta_s", [3e-201, 3e-20, 3.0, 3e100])
+def test_surviving_factors_stay_in_the_float_range(eta_enc, sigma_mode, beta_s):
+    """Each surviving mode's decoder and encoder are finite and nonzero and multiply back to
+    its gap ``zeta - shrink`` within 1e-12 relative, for zeta from 1e-100 to 1e150 and an
+    eta_enc whose square is barely a normal float or whose quotients with the stds leave the
+    float range; no warning is raised. At eta_enc = 1.5e-154 the one quotient ``root / (sigma
+    eta_enc)`` overflowed to an infinite decoder, and where ``sigma eta_enc`` underflowed to 0
+    the decoder was infinite too. A learned std that is itself not a normal float is left out."""
+    zeta = np.logspace(150, -100, 26)
+    if sigma_mode == "learnable":  # the optimal std sqrt(beta s) eta_enc / zeta
+        zeta = zeta[np.sqrt(beta_s) * eta_enc / zeta >= np.finfo(float).tiny]
+    pinned = np.full(zeta.size, eta_enc) if sigma_mode == "fixed" else None
+    modes = cf.per_mode(zeta, beta_s, 1.0, eta_enc, pinned)
+    alive = modes.alive
+    assert alive.sum() >= 5
+    gap = zeta - np.minimum(zeta, np.sqrt(beta_s) * modes.sigma / eta_enc)
+    for factor in (modes.decoder, modes.encoder):
+        assert np.all(np.isfinite(factor[alive]) & (factor[alive] > 0))
+    product = modes.decoder[alive] * modes.encoder[alive]
+    assert np.all(np.abs(product - gap[alive]) <= 1e-12 * gap[alive])
+
+
+def test_in_range_factors_keep_their_bits():
+    """Where every quotient is a normal float, each factor is the one-quotient expression's,
+    to the bit, on 10^4 random draws of zeta, beta, s, eta_enc and pinned or optimal stds,
+    survivors and collapsed modes alike."""
+    g = np.random.default_rng(40)
+    for eta_enc in 10.0 ** g.uniform(-30, 30, 10):
+        zeta, beta, s, stds = 10.0 ** g.uniform(-30, 30, (4, 500))
+        for sigma in (None, stds):
+            modes = cf.per_mode(zeta, beta, s, eta_enc, sigma)
+            sigma, alive = modes.sigma, modes.alive
+            assert alive.any() and not alive.all()
+            root = np.sqrt(beta) * np.sqrt(s)
+            gap = zeta - np.minimum(zeta, np.where(alive, root * sigma / eta_enc, zeta))
+            gain = np.divide(root, sigma * eta_enc, out=np.zeros(gap.shape), where=alive)
+            assert modes.decoder.tobytes() == np.sqrt(gain * gap, out=gain).tobytes()
+            assert modes.encoder.tobytes() == np.sqrt(sigma * eta_enc / root * gap).tobytes()
+
+
 class TestMinimalValues:
     def test_zero_signal_zero_value(self):
         sp = DataSpectrum.from_singular_values([0.0], dim_y=1)

@@ -445,6 +445,37 @@ def test_kernel_matches_term_by_term_reference(source, bias, ddv, sigma_mode, de
 
 
 @kernel_paths
+def test_flat_lays_out_every_buffer(source, bias, ddv, sigma_mode, decvar_mode):
+    """``_flat`` is the one layout of the flat buffers. By default it copies ``p``'s set fields;
+    given a buffer it returns that buffer and views into it, with ``p``'s shapes, in field
+    order, the stds only where ``train`` updates them. ``eval_grad``, which lays out its
+    result with it, leaves the stds' slot exactly 0 under a data-dependent std."""
+    m, hp, draws = kernel_case(source, bias, ddv, sigma_mode, decvar_mode)
+    params = draws[0]
+    names = [f.name for f in fields(params) if getattr(params, f.name) is not None]
+    fixed_sigma = sigma_mode == "fixed" or ddv
+    trained = [name for name in names if not (name == "log_sigma" and fixed_sigma)]
+    for layout_hp, want in ((None, names), (hp, trained)):
+        copy, views = tr._flat(params, layout_hp)
+        assert list(views) == want and copy.dtype == np.float64
+        for name, view in views.items():
+            assert np.array_equal(view, getattr(params, name)), name
+            assert not np.shares_memory(view, getattr(params, name)), name
+        buf = np.empty(copy.size)
+        got, views = tr._flat(params, layout_hp, buf)
+        assert got is buf and list(views) == want
+        buf[...] = np.arange(buf.size)  # each view reads its own slice, in field order
+        offset = 0
+        for name, view in views.items():
+            assert view.shape == np.shape(getattr(params, name)), name
+            assert np.array_equal(view.ravel(), np.arange(offset, offset + view.size)), name
+            offset += view.size
+        assert offset == buf.size
+    if ddv:
+        assert tr.eval_grad(params, m, hp).log_sigma.tobytes() == np.zeros(3).tobytes()
+
+
+@kernel_paths
 def test_bound_gates_the_gradient(source, bias, ddv, sigma_mode, decvar_mode):
     """With a bound below the loss the evaluator returns the loss and writes no gradient
     view; with a bound at or above it, it writes exactly ``eval_grad``'s values. Either
